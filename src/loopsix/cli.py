@@ -501,6 +501,21 @@ def _render_model_term(term: dict[str, Any]) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(lower: int):
+    """An argparse type: an integer that is at least ``lower``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lower:
+            raise argparse.ArgumentTypeError(f"must be at least {lower}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="loopsix",
@@ -526,10 +541,12 @@ def _build_parser() -> _Parser:
     add("describe", "input summary, ring data, case analysis")
     add("decompose", "loop-space decomposition of the 6-manifold")
     p_pi = add("pi", "homotopy groups pi_2..pi_K assembled from sphere tables")
-    p_pi.add_argument("--max", type=int, default=6, help="largest degree K")
+    p_pi.add_argument(
+        "--max", type=_int_at_least(2), default=6, help="largest degree K (>= 2)"
+    )
     p_pi.add_argument("--table", default=None, help="override the sphere table file")
     p_series = add("series", "rational loop-homology series of the decomposition")
-    p_series.add_argument("--cutoff", type=int, default=12)
+    p_series.add_argument("--cutoff", type=_int_at_least(0), default=12)
     p_rational = add("rational", "rational homotopy ranks and coformality")
     p_rational.add_argument("--cutoff", type=int, default=10)
     p_koszul = add("koszul", "Hilbert series and Koszul dual of the cohomology")

@@ -16,11 +16,13 @@ Sphere groups come from a shipped data file covering n, k <= 15 (see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
 from .errors import InputError, UnsupportedError
 from .homotopy import LoopFactorMultiset
+from .series import _prime_powers
 
 
 class ParseError(InputError):
@@ -39,30 +41,9 @@ class UnsupportedDegree(UnsupportedError):
     """pi_k through an S^3{n} factor with k >= 4."""
 
 
-def _prime_power_split(order: int) -> list[int]:
-    out = []
-    n = order
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            q = 1
-            while n % p == 0:
-                n //= p
-                q *= p
-            out.append(q)
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
+@lru_cache(maxsize=1024)  # called once per torsion summand by every sort
 def _prime_of(q: int) -> int:
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            return p
-        p += 1
-    return q
+    return _prime_powers(q)[0][0]
 
 
 @dataclass(frozen=True)
@@ -89,7 +70,7 @@ class FGAbelianGroup:
             elif n == 1:
                 continue
             else:
-                torsion.extend(_prime_power_split(n))
+                torsion.extend(q for _, q in _prime_powers(n))
         torsion.sort(key=lambda q: (_prime_of(q), q))
         return cls(free_rank=free_rank, torsion=tuple(torsion))
 
@@ -266,8 +247,7 @@ def pi_manifold(
             )
     for dim, mult in factors.sphere_loops:
         group = pi_sphere(table, dim, k)
-        for _ in range(mult):
-            parts.append(group)
+        parts.append(FGAbelianGroup(group.free_rank * mult, group.torsion * mult))
     if not parts:
         return FGAbelianGroup.trivial()
     return parts[0].direct_sum(*parts[1:])

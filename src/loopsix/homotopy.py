@@ -35,7 +35,12 @@ from .manifold import (
     is_spin,
     pairing_parity,
 )
-from .series import TruncatedSeries, lie_ring_weight_counts, series_reciprocal
+from .series import (
+    TruncatedSeries,
+    _prime_powers,
+    lie_ring_weight_counts,
+    series_reciprocal,
+)
 
 
 class UnsupportedNode(InputError):
@@ -236,24 +241,6 @@ def ast_to_json(node: Node) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _prime_power_factors(k: int) -> list[int]:
-    """Prime-power factorization ``k = prod p_i^{r_i}`` as sorted ``p^r`` values."""
-    out = []
-    n = k
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            q = 1
-            while n % p == 0:
-                n //= p
-                q *= p
-            out.append(q)
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _sphere_wedge_pairs(count: int) -> Node:
     """The wedge of ``count`` copies of S^2 v S^3 (the point if count = 0)."""
     return Wedge(tuple([Sphere(2)] * count + [Sphere(3)] * count))
@@ -284,7 +271,7 @@ def decompose(N: FourManifold, b: BundleData) -> Node:
         # total space is CP^3; its loop space is S^1 x Loop(S^7)
         return normalize(Product((Circle(), Loop(Sphere(7)))))
     if k % 2 == 1:
-        mods = tuple(SphereModN(q) for q in _prime_power_factors(k))
+        mods = tuple(SphereModN(q) for _, q in _prime_powers(k))
         return normalize(Product((Circle(), *mods, Loop(Sphere(7)))))
     # k even
     if k == 2:

@@ -1,7 +1,9 @@
 """Exact truncated power series and graded Lie dimension bookkeeping.
 
-Everything here is exact: coefficients are `fractions.Fraction` backed by
-Python integers, and equality of series means coefficient-wise equality.
+Everything here is exact: constructors store a coefficient as an ``int``
+when it is integral and as a `fractions.Fraction` otherwise, so integral
+input stays on Python integers throughout.  Equality of series means
+coefficient-wise equality, which ``Fraction(n) == n`` makes type-blind.
 Arithmetic truncates to the smaller cutoff of the operands, so mixing
 series of different precision silently keeps only the degrees both sides
 know about.
@@ -24,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, prod
+from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InputError
@@ -43,11 +46,12 @@ class NegativeLieDimension(InputError):
     the enveloping-algebra series of any graded Lie algebra."""
 
 
-def _as_fraction(x: Rational) -> Fraction:
+def _exact(x: Rational) -> Rational:
+    """``x`` as an ``int`` when it is integral, else as a ``Fraction``."""
     if isinstance(x, Fraction):
-        return x
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
 
 
@@ -58,7 +62,7 @@ class TruncatedSeries:
     ``coeffs[n]`` is the degree-n coefficient; ``len(coeffs) == cutoff + 1``.
     """
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Rational, ...]
 
     def __post_init__(self) -> None:
         if not self.coeffs:
@@ -71,14 +75,14 @@ class TruncatedSeries:
         cls, values: Iterable[Rational], cutoff: int | None = None
     ) -> "TruncatedSeries":
         """Build a series from leading coefficients, zero-padded to ``cutoff``."""
-        coeffs = [_as_fraction(v) for v in values]
+        coeffs = [_exact(v) for v in values]
         if cutoff is not None:
             if cutoff < 0:
                 raise ValueError("cutoff must be nonnegative")
             if len(coeffs) > cutoff + 1:
                 coeffs = coeffs[: cutoff + 1]
             else:
-                coeffs += [Fraction(0)] * (cutoff + 1 - len(coeffs))
+                coeffs += [0] * (cutoff + 1 - len(coeffs))
         return cls(tuple(coeffs))
 
     @classmethod
@@ -97,8 +101,8 @@ class TruncatedSeries:
             raise ValueError("degree must be nonnegative")
         if degree > cutoff:
             return cls.zero(cutoff)
-        values = [Fraction(0)] * (degree + 1)
-        values[degree] = _as_fraction(coeff)
+        values = [0] * (degree + 1)
+        values[degree] = coeff
         return cls.from_coefficients(values, cutoff=cutoff)
 
     # -- basic queries ---------------------------------------------------
@@ -107,7 +111,7 @@ class TruncatedSeries:
     def cutoff(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, degree: int) -> Fraction:
+    def __getitem__(self, degree: int) -> Rational:
         if not 0 <= degree <= self.cutoff:
             raise IndexError(f"degree {degree} outside cutoff {self.cutoff}")
         return self.coeffs[degree]
@@ -145,11 +149,10 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.cutoff, other.cutoff)
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for k in range(n + 1):
-            out.append(sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)))
-        return TruncatedSeries(tuple(out))
+        a, b_reversed = self.coeffs, other.coeffs[n::-1]
+        return TruncatedSeries(
+            tuple(sum(map(mul, a[: k + 1], b_reversed[n - k :])) for k in range(n + 1))
+        )
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if exponent < 0:
@@ -163,10 +166,6 @@ class TruncatedSeries:
             base = base * base
             e >>= 1
         return result
-
-    def scale(self, factor: Rational) -> "TruncatedSeries":
-        f = _as_fraction(factor)
-        return TruncatedSeries(tuple(f * c for c in self.coeffs))
 
     def alternate(self) -> "TruncatedSeries":
         """The series evaluated at ``-t``."""
@@ -200,12 +199,13 @@ def series_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
     a0 = a.coeffs[0]
     if a0 == 0:
         raise ZeroConstantTerm("series has zero constant term, no reciprocal")
-    inv0 = Fraction(1) / a0
+    # a unit is its own inverse, which keeps integral input on ints
+    inv0 = a0 if a0 in (1, -1) else Fraction(1) / a0
+    tail = a.coeffs[1:]
     out = [inv0]
     for n in range(1, a.cutoff + 1):
-        acc = sum((a.coeffs[i] * out[n - i] for i in range(1, n + 1)), Fraction(0))
-        out.append(-inv0 * acc)
-    return TruncatedSeries(tuple(out))
+        out.append(-inv0 * sum(map(mul, tail[:n], reversed(out))))
+    return TruncatedSeries(tuple(map(_exact, out)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,33 +213,35 @@ def series_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def _mobius(n: int) -> int:
-    if n < 1:
-        raise ValueError("mobius needs a positive integer")
-    result = 1
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """Factorization ``n = prod p_i^{r_i}`` as ``(p_i, p_i^{r_i})`` pairs,
+    by increasing prime; empty for ``n <= 1``."""
+    out = []
     p = 2
     while p * p <= n:
         if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+            out.append((p, q))
         p += 1
     if n > 1:
-        result = -result
-    return result
+        out.append((n, n))
+    return out
+
+
+def _mobius(n: int) -> int:
+    if n < 1:
+        raise ValueError("mobius needs a positive integer")
+    factors = _prime_powers(n)
+    if any(p != q for p, q in factors):
+        return 0
+    return (-1) ** len(factors)
 
 
 def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    k = 1
-    while k * k <= n:
-        if n % k == 0:
-            small.append(k)
-            if k != n // k:
-                large.append(n // k)
-        k += 1
-    return small + large[::-1]
+    return [k for k in range(1, n + 1) if n % k == 0]
 
 
 def necklace_count(multidegree: Sequence[int]) -> int:
@@ -283,34 +285,31 @@ def lie_ring_weight_counts(
     ``letter_counts[w]`` letters of weight ``w >= 1`` generate a free Lie
     ring; entry ``n-1`` of the result is the number of basic products of
     total weight ``n`` (the sum of :func:`necklace_count` over all
-    multidegrees of that weight).  Computed via Moebius inversion of the
-    power sums of ``-log(1 - f)`` where ``f`` is the alphabet's generating
-    polynomial, which avoids enumerating multidegrees.
+    multidegrees of that weight).  Computed, without enumerating
+    multidegrees, by Moebius inversion of the power sums
+    ``p_n = n [t^n] -log(1 - f)`` of the alphabet's generating polynomial
+    ``f``, which obey the integer recurrence ``p_n = n f_n + sum f_k p_{n-k}``.
     """
-    f = TruncatedSeries.zero(cutoff)
+    f: dict[int, int] = {}
     for weight, count in letter_counts.items():
         if weight < 1:
             raise ValueError("letter weights must be >= 1")
         if count < 0:
             raise ValueError("letter counts must be nonnegative")
         if count and weight <= cutoff:
-            f = f + TruncatedSeries.monomial(weight, count, cutoff)
-    # -log(1 - f) = sum f^m / m, a finite sum since f has no constant term
-    log_series = TruncatedSeries.zero(cutoff)
-    power = TruncatedSeries.one(cutoff)
-    for m in range(1, cutoff + 1):
-        power = power * f
-        log_series = log_series + power.scale(Fraction(1, m))
-    power_sums = [Fraction(0)] + [
-        n * log_series[n] for n in range(1, cutoff + 1)
-    ]
+            f[weight] = count
+    power_sums = [0] * (cutoff + 1)
+    for n in range(1, cutoff + 1):
+        power_sums[n] = n * f.get(n, 0) + sum(
+            fk * power_sums[n - k] for k, fk in f.items() if k < n
+        )
     counts = []
     for n in range(1, cutoff + 1):
         acc = sum(_mobius(d) * power_sums[n // d] for d in _divisors(n))
-        value = acc / n
-        if value.denominator != 1 or value < 0:
-            raise AssertionError(f"Witt inversion gave {value} at weight {n}")
-        counts.append(int(value))
+        value, rem = divmod(acc, n)
+        if rem or value < 0:
+            raise AssertionError(f"Witt inversion gave {acc}/{n} at weight {n}")
+        counts.append(value)
     return counts
 
 
@@ -369,8 +368,8 @@ def _binomial_factor(
     degree: int, exponent: int, sign: int, cutoff: int
 ) -> TruncatedSeries:
     """``(1 + sign * t^degree) ** exponent`` for any integer exponent."""
-    coeffs = [Fraction(0)] * (cutoff + 1)
-    coeffs[0] = Fraction(1)
+    coeffs = [0] * (cutoff + 1)
+    coeffs[0] = 1
     j = 1
     while j * degree <= cutoff:
         if exponent >= 0:
@@ -379,7 +378,7 @@ def _binomial_factor(
                 break
         else:
             c = (-1) ** j * comb(-exponent + j - 1, j)
-        coeffs[j * degree] = Fraction(c * sign**j)
+        coeffs[j * degree] = c * sign**j
         j += 1
     return TruncatedSeries(tuple(coeffs))
 

@@ -180,3 +180,52 @@ def graded_free_lie_dims_oracle(num_letters: int, max_degree: int) -> list[int]:
         components.append(basis)
         dims.append(len(basis))
     return dims
+
+
+# ---------------------------------------------------------------------------
+# Witt counts by the logarithm expansion (plain Fraction lists)
+# ---------------------------------------------------------------------------
+
+
+def lie_ring_weight_counts_by_log(
+    letter_counts: dict[int, int], cutoff: int
+) -> list[int]:
+    """Hall-basis counts by weight from ``-log(1 - f) = sum_m f^m / m``.
+
+    ``f`` is the alphabet's generating polynomial; the power sums
+    ``n [t^n] -log(1 - f)`` are Moebius-inverted.  The series arithmetic is
+    done here on lists of Fractions, independent of the library's kernel.
+    """
+
+    def times(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+        return [
+            sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0))
+            for k in range(cutoff + 1)
+        ]
+
+    def mobius(n: int) -> int:
+        primes = [
+            p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))
+        ]
+        return 0 if any(n % (p * p) == 0 for p in primes) else (-1) ** len(primes)
+
+    f = [Fraction(0)] * (cutoff + 1)
+    for weight, count in letter_counts.items():
+        if weight <= cutoff:
+            f[weight] += count
+    log_series = [Fraction(0)] * (cutoff + 1)
+    power = [Fraction(1)] + [Fraction(0)] * cutoff
+    for m in range(1, cutoff + 1):
+        power = times(power, f)
+        log_series = [x + y / m for x, y in zip(log_series, power)]
+    counts = []
+    for n in range(1, cutoff + 1):
+        acc = sum(
+            mobius(e) * (n // e) * log_series[n // e]
+            for e in range(1, n + 1)
+            if n % e == 0
+        )
+        value = acc / n
+        assert value.denominator == 1 and value >= 0
+        counts.append(int(value))
+    return counts

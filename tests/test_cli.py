@@ -165,3 +165,23 @@ class TestReports:
         assert code == 3
         report = json.loads(out)
         assert report["error"]["type"] == "UnsupportedCase"
+
+
+class TestArgvRanges:
+    """Out-of-range numbers exit 1 with a usage message, not a traceback or
+    an empty report."""
+
+    def test_series_negative_cutoff(self):
+        code, out = run(["series", path("d1.json"), "--cutoff", "-1"])
+        assert code == 1
+        assert out.startswith("usage error:") and "--cutoff" in out
+
+    def test_pi_max_zero(self):
+        code, out = run(["pi", path("d1.json"), "--max", "0"])
+        assert code == 1
+        assert out.startswith("usage error:") and "--max" in out
+
+    def test_pi_max_one(self):
+        code, out = run(["pi", path("d1.json"), "--max", "1"])
+        assert code == 1
+        assert out.startswith("usage error:") and "--max" in out

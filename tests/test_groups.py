@@ -182,3 +182,22 @@ class TestPiManifold:
         factors = factors_for([[1]], [1], 5)
         with pytest.raises(Exception):
             pi_manifold(factors, table, 1)
+
+
+class TestPiByMultiplicity:
+    @staticmethod
+    def one_summand_per_factor(factors, table, k):
+        """pi_k(M) with the sphere part as one direct summand per loop factor."""
+        parts = [FGAbelianGroup.free(factors.circles if k == 2 else 0)]
+        parts += [FGAbelianGroup.from_orders(o) for o in factors.mod_factors if k == 3]
+        for dim, mult in factors.sphere_loops:
+            parts += [pi_sphere(table, dim, k)] * mult
+        return parts[0].direct_sum(*parts[1:])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_d6_matches_one_summand_per_factor(self, table, seed):
+        N, b = random_pair(random.Random(seed), 6)
+        factors = loop_factors(N, b, 7)
+        for k in range(2, 9):
+            expected = self.one_summand_per_factor(factors, table, k)
+            assert pi_manifold(factors, table, k) == expected

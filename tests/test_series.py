@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopsix.homotopy import bouquet_spheres, decompose, loop_homology_series
 from loopsix.series import (
     GradedLieDims,
     NegativeLieDimension,
@@ -17,7 +19,11 @@ from loopsix.series import (
     series_reciprocal,
 )
 
-from conftest import lyndon_count_for_content
+from conftest import (
+    lie_ring_weight_counts_by_log,
+    lyndon_count_for_content,
+    random_pair,
+)
 
 
 def S(*coeffs, cutoff=None):
@@ -188,3 +194,56 @@ class TestPbw:
         )
         assert vec.cutoff == 20
         assert pbw_invert(pbw_expand(vec)) == vec
+
+
+def all_int(series):
+    return all(type(c) is int for c in series.coeffs)
+
+
+class TestIntegerKernel:
+    """Integral series keep plain int coefficients; anything else stays an
+    exact Fraction, and nothing ever becomes a float."""
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 6])
+    def test_loop_homology_series_is_int(self, d):
+        rng = random.Random(d)
+        while True:
+            N, b = random_pair(rng, d)
+            if d or abs(b.ell) in (0, 1, 3, 5):  # a supported attaching number
+                break
+        assert all_int(loop_homology_series(decompose(N, b), 30))
+
+    def test_pbw_expand_is_int(self):
+        dims = GradedLieDims.from_dims([3, 1, 4, 1, 5, 9, 2, 6])
+        assert all_int(pbw_expand(dims, 20))
+
+    def test_reciprocal_of_unit_series_is_int(self):
+        assert all_int(series_reciprocal(S(1, -4, 4, -1, cutoff=20)))
+        assert all_int(series_reciprocal(S(-1, 2, 0, 7, cutoff=20)))
+
+    @pytest.mark.parametrize("d", [3, 6, 10])
+    def test_bouquet_inputs_are_int(self, d):
+        spheres = bouquet_spheres(d, 41)
+        assert all(type(n) is int and type(c) is int for n, c in spheres.items())
+        assert all_int(S(0, 0, d - 2, d - 2, cutoff=41))
+
+    def test_integral_fractions_are_stored_as_int(self):
+        assert all_int(S(1, Fraction(-2, 2), Fraction(0), cutoff=5))
+        assert all_int(TruncatedSeries.monomial(3, Fraction(6, 3), cutoff=5))
+        assert S(1, Fraction(1, 2))[1] == Fraction(1, 2)
+
+    @pytest.mark.parametrize("coeffs", [(2, 1), (-3, 1, 1)])
+    def test_reciprocal_of_non_unit_is_exact(self, coeffs):
+        a = S(*coeffs, cutoff=12)
+        inverse = series_reciprocal(a)
+        assert a * inverse == TruncatedSeries.one(12)
+        for c in inverse.coeffs + (a * inverse).coeffs:
+            assert isinstance(c, (int, Fraction)) and not isinstance(c, float)
+        assert inverse[1] == Fraction(-1, coeffs[0] ** 2)
+
+    @pytest.mark.parametrize("d", [3, 6, 10])
+    def test_weight_counts_match_log_expansion(self, d):
+        letters = {dim - 1: count for dim, count in bouquet_spheres(d, 41).items()}
+        assert lie_ring_weight_counts(letters, 40) == lie_ring_weight_counts_by_log(
+            letters, 40
+        )
