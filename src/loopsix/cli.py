@@ -32,6 +32,7 @@ from .manifold import (
     loop_rigidity_equivalent,
     new_four_manifold,
 )
+from .series import pbw_invert
 
 SCHEMA_VERSION = 1
 
@@ -216,17 +217,23 @@ def _cmd_rational(args) -> dict[str, Any]:
         "rationally_elliptic": rational.is_rationally_elliptic(N, b),
     }
     warnings = list(homotopy.extension_notes(N, b))
-    if N.d >= 1:
-        report = rational.coformality_check(N, b, cutoff=min(args.cutoff, 8))
+    checked = min(args.cutoff, 8)
+    if N.d == 0:
+        result["coformal"] = "coformal" if b.ell == 0 else "not_coformal"
+    else:
+        if N.d == 1:
+            report = rational.coformality_check(N, b, cutoff=checked)
+        else:
+            # one Koszul check at the full cutoff; the witness reuses it
+            presentation = rational.quadratic_presentation(cohomology_ring(N, b))
+            dual_ranks = rational.lie_dims(presentation, args.cutoff)
+            report = rational._coformal_report(
+                dual_ranks.truncate(checked), ranks.truncate(checked), checked
+            )
+            result["koszul_ranks"] = list(dual_ranks.dims)
+            result["two_path_agreement"] = dual_ranks == ranks
         result["coformal"] = report.status
         result["coformality_witness"] = report.witness
-    else:
-        result["coformal"] = "coformal" if b.ell == 0 else "not_coformal"
-    if N.d >= 2:
-        presentation = rational.quadratic_presentation(cohomology_ring(N, b))
-        dual_ranks = rational.lie_dims(presentation, args.cutoff)
-        result["koszul_ranks"] = list(dual_ranks.dims)
-        result["two_path_agreement"] = list(dual_ranks.dims) == list(ranks.dims)
     return _new_report(
         "rational",
         input=_input_block(N, b, name),
@@ -255,7 +262,7 @@ def _cmd_koszul(args) -> dict[str, Any]:
         )
     else:
         dual = rational.koszul_dual_series(presentation, args.cutoff)
-        dims = rational.lie_dims(presentation, args.cutoff)
+        dims = pbw_invert(dual)
         result["dual"] = list(dual.integer_coefficients())
         result["lie_dims"] = list(dims.dims)
     return _new_report(
@@ -548,11 +555,11 @@ def _build_parser() -> _Parser:
     p_series = add("series", "rational loop-homology series of the decomposition")
     p_series.add_argument("--cutoff", type=_int_at_least(0), default=12)
     p_rational = add("rational", "rational homotopy ranks and coformality")
-    p_rational.add_argument("--cutoff", type=int, default=10)
+    p_rational.add_argument("--cutoff", type=_int_at_least(1), default=10)
     p_koszul = add("koszul", "Hilbert series and Koszul dual of the cohomology")
-    p_koszul.add_argument("--cutoff", type=int, default=10)
+    p_koszul.add_argument("--cutoff", type=_int_at_least(0), default=10)
     p_model = add("model", "Sullivan model data")
-    p_model.add_argument("--cutoff", type=int, default=8)
+    p_model.add_argument("--cutoff", type=_int_at_least(0), default=8)
     add("compare", "loop-space equivalence of two inputs", two_files=True)
     return parser
 

@@ -1,16 +1,21 @@
-"""Small exact linear algebra over the rationals (and integer determinants).
+"""Small exact linear algebra over the integers (and so over the rationals).
 
-Desk-scale only: dense Fraction matrices with textbook Gaussian elimination.
-Everything downstream stays exact, which is what the series identities need.
+One elimination kernel, :func:`rref`: fraction-free Gauss-Jordan elimination
+on sparse integer rows.  Denominators are cleared once on entry; rows are
+then combined by cross-multiplication and kept primitive, so no Fraction is
+ever formed and the entries stay small.  ``rank`` and ``nullspace`` are
+read off its result; ``det_int`` is Bareiss.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
-Matrix = list[list[Fraction]]
+Rational = int | Fraction
+#: A sparse integer row: column index -> nonzero entry.
+Row = dict[int, int]
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
@@ -43,84 +48,88 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rref, pivot column indices).
+def _primitive(row: Row) -> Row:
+    g = gcd(*row.values())
+    return row if g == 1 else {c: x // g for c, x in row.items()}
 
-    The input is not modified.
+
+def _eliminate(row: Row, pivot_row: Row, col: int) -> Row:
+    """The primitive part of ``a * row - b * pivot_row``, with ``a > 0`` and
+    ``b`` coprime, that cancels the entry at ``col``."""
+    g = gcd(pivot_row[col], row[col])
+    a, b = pivot_row[col] // g, row[col] // g
+    out = {c: a * x for c, x in row.items()}
+    for c, y in pivot_row.items():
+        value = out.get(c, 0) - b * y
+        if value:
+            out[c] = value
+        else:
+            del out[c]
+    return _primitive(out) if out else out
+
+
+def rref(rows: Sequence[Sequence[Rational]]) -> tuple[list[Row], list[int]]:
+    """Reduced row echelon form over the integers; returns (rows, pivots).
+
+    ``rows`` are dense rows of ints or Fractions.  Each returned row is a
+    sparse primitive integer row with a positive entry at its pivot and
+    zeros in every other pivot column; pivots ascend.  Up to these positive
+    scalars it is the reduced row echelon form over Q.
     """
-    m = [list(row) for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    reduced: dict[int, Row] = {}
+    for dense in rows:
+        row = {c: x for c, x in enumerate(dense) if x}
+        row = dict(zip(row, integer_primitive(list(row.values()))))
+        for c in [c for c in row if c in reduced]:
+            row = _eliminate(row, reduced[c], c)
+        if not row:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+        # the leading column: earlier pivot rows stay zero left of their pivot
+        col = min(row)
+        if row[col] < 0:
+            row = {c: -x for c, x in row.items()}
+        for pc, other in reduced.items():
+            if col in other:
+                reduced[pc] = _eliminate(other, row, col)
+        reduced[col] = row
+    pivots = sorted(reduced)
+    return [reduced[c] for c in pivots], pivots
 
 
-def rank(rows: Matrix) -> int:
-    if not rows:
-        return 0
-    _, pivots = rref(rows)
-    return len(pivots)
+def rank(rows: Sequence[Sequence[Rational]]) -> int:
+    return len(rref(rows)[1])
 
 
-def nullspace(rows: Matrix, ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right kernel ``{v : M v = 0}`` in canonical RREF form."""
-    if not rows:
-        if ncols is None:
-            raise ValueError("need ncols for an empty matrix")
-        basis = []
-        for j in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[j] = Fraction(1)
-            basis.append(v)
-        return basis
-    ncols = len(rows[0])
+def nullspace(
+    rows: Sequence[Sequence[Rational]], ncols: int | None = None
+) -> list[list[int]]:
+    """Integer basis of the right kernel ``{v : M v = 0}``.
+
+    One vector per free column ``f`` of :func:`rref`, positive at ``f`` and
+    zero at the other free columns.
+    """
+    if rows:
+        ncols = len(rows[0])
+    elif ncols is None:
+        raise ValueError("need ncols for an empty matrix")
     reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for free in free_cols:
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -reduced[r][free]
+    for free in sorted(set(range(ncols)).difference(pivots)):
+        hits = [(p, row) for p, row in zip(pivots, reduced) if free in row]
+        scale = lcm(*(row[p] for p, row in hits))
+        v = [0] * ncols
+        v[free] = scale
+        for p, row in hits:
+            v[p] = -(scale // row[p]) * row[free]
         basis.append(v)
     return basis
 
 
-def integer_primitive(vector: Sequence[Fraction]) -> list[int]:
+def integer_primitive(vector: Sequence[Rational]) -> list[int]:
     """Clear denominators and divide by the content; first nonzero entry > 0."""
-    denom = 1
-    for x in vector:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in vector]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return ints
+    denom = lcm(*(x.denominator for x in vector))
+    ints = [x.numerator * (denom // x.denominator) for x in vector]
+    content = gcd(*ints)
+    if next((x for x in ints if x), 0) < 0:
+        content = -content
+    return ints if content in (0, 1) else [x // content for x in ints]

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 from typing import Iterable, Literal, Mapping, Sequence
 
 from .errors import InputError, UnsupportedError
@@ -30,7 +31,7 @@ from .homotopy import (
     loop_factors,
     loop_homology_series,
 )
-from .linalg import integer_primitive, nullspace, rank, rref
+from .linalg import Rational, integer_primitive, nullspace, rank, rref
 from .manifold import BundleData, FourManifold, SixManifoldRing, cohomology_ring
 from .series import (
     GradedLieDims,
@@ -38,8 +39,6 @@ from .series import (
     pbw_invert,
     series_reciprocal,
 )
-
-Rational = int | Fraction
 
 
 class NotQuadratic(UnsupportedError):
@@ -105,11 +104,8 @@ def quadratic_presentation(ring: SixManifoldRing) -> QuadraticPresentation:
     g = len(deg2)
     sym2 = _sym2_basis(g)
     # columns: sym2 monomials; rows: H^4 coordinates
-    columns = []
-    for (i, j) in sym2:
-        product = ring.product(deg2[i], deg2[j])
-        columns.append([product.get(lbl, Fraction(0)) for lbl in deg4])
-    matrix = [[columns[c][r] for c in range(len(sym2))] for r in range(len(deg4))]
+    products = [ring.product(deg2[i], deg2[j]) for (i, j) in sym2]
+    matrix = [[product.get(lbl, 0) for product in products] for lbl in deg4]
     if rank(matrix) != len(deg4):
         raise NotQuadratic("Sym^2 of the degree-2 part does not surject onto H^4")
     kernel = nullspace(matrix, ncols=len(sym2))
@@ -205,36 +201,29 @@ def hilbert_series(p: QuadraticPresentation, cutoff: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def _dual_relation_space(p: QuadraticPresentation) -> list[list[Fraction]]:
+def _dual_relation_space(p: QuadraticPresentation) -> list[list[int]]:
     """Basis of the orthogonal complement of the associative relation space.
 
     The associative presentation of the graded-commutative algebra adds the
     commutators ``e_i (x) e_j - e_j (x) e_i`` to the (symmetrized) quadratic
     relations; the dual algebra is the tensor algebra on V* modulo the
-    orthogonal complement of that span inside V (x) V.
+    orthogonal complement of that span inside V (x) V.  Orthogonal to the
+    commutators means symmetric, so the complement is solved for over the
+    Sym^2 coordinates and then spread over V (x) V.
     """
     g = p.generators
     sym2 = _sym2_basis(g)
-    rows: list[list[Fraction]] = []
-    for i in range(g):
-        for j in range(i + 1, g):
-            row = [Fraction(0)] * (g * g)
-            row[i * g + j] = Fraction(1)
-            row[j * g + i] = Fraction(-1)
-            rows.append(row)
-    for rel in p.relations:
-        row = [Fraction(0)] * (g * g)
-        for (pair, coeff) in zip(sym2, rel):
-            if coeff == 0:
-                continue
-            i, j = pair
-            if i == j:
-                row[i * g + i] += coeff
-            else:
-                row[i * g + j] += coeff
-                row[j * g + i] += coeff
-        rows.append(row)
-    return nullspace(rows, ncols=g * g)
+    rows = [
+        [c if i == j else 2 * c for (i, j), c in zip(sym2, integer_primitive(rel))]
+        for rel in p.relations
+    ]
+    basis = []
+    for sym in nullspace(rows, ncols=len(sym2)):
+        vec = [0] * (g * g)
+        for (i, j), x in zip(sym2, sym):
+            vec[i * g + j] = vec[j * g + i] = x
+        basis.append(vec)
+    return basis
 
 
 def quadratic_dual_dims(
@@ -245,21 +234,26 @@ def quadratic_dual_dims(
     Builds bases of ``T(V*)/(R_perp)`` iteratively: weight w is the quotient
     of ``A_{w-1} (x) V*`` by the image of ``A_{w-2} (x) R_perp``.  Stops
     early (returning what it has) once the working dimension exceeds
-    ``column_budget``, since exact Gaussian elimination beyond desk scale is
-    pointless for a consistency check.
+    ``column_budget``, since exact elimination beyond desk scale is
+    pointless for a consistency check.  Quotient maps are integral, scaled
+    by the lcm ``L`` of the pivots: a free column maps to ``L`` times its
+    basis vector, a pivot column ``c`` with reduced row ``r`` to
+    ``-(L / r[c]) r[f]`` on each free column ``f``.  ``L`` scales every row
+    of the next weight alike, so no row space or dimension changes.
     """
     g = p.generators
-    dual_relations = _dual_relation_space(p)
+    dual_relations = [
+        [(divmod(k, g), c) for k, c in enumerate(s) if c]
+        for s in _dual_relation_space(p)
+    ]
     dims = [1, g]
     if max_weight < 2:
         return dims[: max_weight + 1]
-    # mult[i][b] = coordinates of (basis_b * f_i) in the next weight
+    # mult[i][b] = coordinates of (basis_b * f_i) in the next weight, up to
+    # one common scale
     prev_dim = 1
     cur_dim = g
-    mult: list[list[list[Fraction]]] = [
-        [[Fraction(1) if r == i else Fraction(0) for r in range(g)]]
-        for i in range(g)
-    ]
+    mult: list[list[dict[int, int]]] = [[{i: 1}] for i in range(g)]
     for w in range(2, max_weight + 1):
         ncols = cur_dim * g
         if ncols > column_budget:
@@ -267,41 +261,22 @@ def quadratic_dual_dims(
         rows = []
         for b in range(prev_dim):
             for s in dual_relations:
-                row = [Fraction(0)] * ncols
-                for i in range(g):
-                    for j in range(g):
-                        c = s[i * g + j]
-                        if c == 0:
-                            continue
-                        vec = mult[i][b]
-                        for u, x in enumerate(vec):
-                            if x != 0:
-                                row[u * g + j] += c * x
+                row = [0] * ncols
+                for (i, j), c in s:
+                    for u, x in mult[i][b].items():
+                        row[u * g + j] += c * x
                 rows.append(row)
-        if rows:
-            reduced, pivots = rref(rows)
-        else:
-            reduced, pivots = [], []
+        reduced, pivots = rref(rows)
         pivot_set = set(pivots)
         free_cols = [c for c in range(ncols) if c not in pivot_set]
-        col_to_quotient = {c: q for q, c in enumerate(free_cols)}
-        pivot_row = {p_: r for r, p_ in enumerate(pivots)}
-
-        def reduce_unit(col: int) -> list[Fraction]:
-            out = [Fraction(0)] * len(free_cols)
-            if col in col_to_quotient:
-                out[col_to_quotient[col]] = Fraction(1)
-                return out
-            row = reduced[pivot_row[col]]
-            for q, c in enumerate(free_cols):
-                out[q] = -row[c]
-            return out
-
-        new_mult = [
-            [reduce_unit(u * g + j) for u in range(cur_dim)] for j in range(g)
-        ]
+        quotient = {c: q for q, c in enumerate(free_cols)}
+        scale = lcm(*(row[c] for c, row in zip(pivots, reduced)))
+        image = {c: {quotient[c]: scale} for c in free_cols}
+        for c, row in zip(pivots, reduced):
+            factor = scale // row[c]
+            image[c] = {quotient[f]: -factor * x for f, x in row.items() if f != c}
+        mult = [[image[u * g + j] for u in range(cur_dim)] for j in range(g)]
         prev_dim, cur_dim = cur_dim, len(free_cols)
-        mult = new_mult
         dims.append(cur_dim)
     return dims
 
@@ -690,6 +665,26 @@ class CoformalityReport:
     details: dict
 
 
+def _coformal_report(
+    dual_ranks: GradedLieDims, decomposition_ranks: GradedLieDims, cutoff: int
+) -> CoformalityReport:
+    """The d >= 2 witness: both routes' ranks, which must agree through
+    ``cutoff``."""
+    if dual_ranks != decomposition_ranks:
+        raise KoszulInconsistency(
+            "Koszul-dual ranks disagree with decomposition ranks: "
+            f"{dual_ranks} vs {decomposition_ranks}"
+        )
+    return CoformalityReport(
+        status="coformal",
+        witness=(
+            f"dual and decomposition ranks agree through degree {cutoff}: "
+            f"{dual_ranks}"
+        ),
+        details={"ranks": list(dual_ranks.dims), "checked_through_degree": cutoff},
+    )
+
+
 def coformality_check(
     N: FourManifold, b: BundleData, cutoff: int = 8
 ) -> CoformalityReport:
@@ -705,25 +700,10 @@ def coformality_check(
         raise InputError("coformality_check needs d >= 1")
     presentation = quadratic_presentation(cohomology_ring(N, b))
     if N.d >= 2:
-        dual_ranks = lie_dims(presentation, cutoff)
-        decomposition_ranks = ranks_from_decomposition(
-            loop_factors(N, b, cutoff), cutoff
-        )
-        if dual_ranks != decomposition_ranks:
-            raise KoszulInconsistency(
-                "Koszul-dual ranks disagree with decomposition ranks: "
-                f"{dual_ranks} vs {decomposition_ranks}"
-            )
-        return CoformalityReport(
-            status="coformal",
-            witness=(
-                f"dual and decomposition ranks agree through degree {cutoff}: "
-                f"{dual_ranks}"
-            ),
-            details={
-                "ranks": list(dual_ranks.dims),
-                "checked_through_degree": cutoff,
-            },
+        return _coformal_report(
+            lie_dims(presentation, cutoff),
+            ranks_from_decomposition(loop_factors(N, b, cutoff), cutoff),
+            cutoff,
         )
     naive = koszul_dual_series(presentation, cutoff, check=False)
     actual = loop_homology_series(decompose(N, b), cutoff)

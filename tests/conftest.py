@@ -229,3 +229,108 @@ def lie_ring_weight_counts_by_log(
         assert value.denominator == 1 and value >= 0
         counts.append(int(value))
     return counts
+
+
+# ---------------------------------------------------------------------------
+# Dense Fraction elimination and the quadratic dual computed with it
+# ---------------------------------------------------------------------------
+
+
+def rref_by_fractions(rows):
+    """Textbook reduced row echelon form over Q; returns (rref, pivots)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def nullspace_by_fractions(rows, ncols):
+    """Right kernel basis in canonical RREF form (1 at each free column)."""
+    reduced, pivots = rref_by_fractions(rows) if rows else ([], [])
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -reduced[r][free]
+        basis.append(v)
+    return basis
+
+
+def dual_relation_space_by_fractions(p):
+    """R_perp inside V (x) V: the kernel of the commutators and the
+    symmetrized relations, solved over all g^2 coordinates."""
+    g = p.generators
+    sym2 = [(i, j) for i in range(g) for j in range(i, g)]
+    rows = []
+    for i in range(g):
+        for j in range(i + 1, g):
+            row = [Fraction(0)] * (g * g)
+            row[i * g + j] = Fraction(1)
+            row[j * g + i] = Fraction(-1)
+            rows.append(row)
+    for rel in p.relations:
+        row = [Fraction(0)] * (g * g)
+        for (i, j), coeff in zip(sym2, rel):
+            row[i * g + j] += coeff
+            if i != j:
+                row[j * g + i] += coeff
+        rows.append(row)
+    return nullspace_by_fractions(rows, g * g)
+
+
+def quadratic_dual_dims_by_fractions(p, max_weight, column_budget=320):
+    """Weight-by-weight dimensions of T(V*)/(R_perp) with Fraction quotient
+    maps, under the same column budget as the library."""
+    g = p.generators
+    dual_relations = dual_relation_space_by_fractions(p)
+    dims = [1, g]
+    if max_weight < 2:
+        return dims[: max_weight + 1]
+    prev_dim, cur_dim = 1, g
+    mult = [[[Fraction(int(r == i)) for r in range(g)]] for i in range(g)]
+    for _ in range(2, max_weight + 1):
+        ncols = cur_dim * g
+        if ncols > column_budget:
+            break
+        rows = []
+        for b in range(prev_dim):
+            for s in dual_relations:
+                row = [Fraction(0)] * ncols
+                for i in range(g):
+                    for j in range(g):
+                        c = s[i * g + j]
+                        if c:
+                            for u, x in enumerate(mult[i][b]):
+                                row[u * g + j] += c * x
+                rows.append(row)
+        reduced, pivots = rref_by_fractions(rows) if rows else ([], [])
+        free_cols = [c for c in range(ncols) if c not in pivots]
+
+        def reduce_unit(col):
+            if col in free_cols:
+                return [Fraction(int(c == col)) for c in free_cols]
+            row = reduced[pivots.index(col)]
+            return [-row[c] for c in free_cols]
+
+        mult = [[reduce_unit(u * g + j) for u in range(cur_dim)] for j in range(g)]
+        prev_dim, cur_dim = cur_dim, len(free_cols)
+        dims.append(cur_dim)
+    return dims

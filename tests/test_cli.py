@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from loopsix import rational
 from loopsix.cli import emit_report, run
 
 from conftest import INPUTS
@@ -185,3 +188,42 @@ class TestArgvRanges:
         code, out = run(["pi", path("d1.json"), "--max", "1"])
         assert code == 1
         assert out.startswith("usage error:") and "--max" in out
+
+    def test_koszul_negative_cutoff(self):
+        code, out = run(["koszul", path("d3.json"), "--cutoff", "-1"])
+        assert code == 1
+        assert out.startswith("usage error:") and "--cutoff" in out
+
+    def test_model_negative_cutoff_quadratic_branch(self):
+        code, out = run(["model", path("d3.json"), "--cutoff", "-1"])
+        assert code == 1
+        assert out.startswith("usage error:") and "--cutoff" in out
+
+    def test_model_negative_cutoff_d1(self):
+        code, out = run(["model", path("d1.json"), "--cutoff", "-1"])
+        assert code == 1
+        assert out.startswith("usage error:") and "--cutoff" in out
+
+    def test_rational_cutoff_zero(self):
+        code, out = run(["rational", path("d1.json"), "--cutoff", "0"])
+        assert code == 1
+        assert out.startswith("usage error:") and "--cutoff" in out
+
+
+class TestEachStageOnce:
+    """One command runs the direct quadratic-dual check at most once."""
+
+    @pytest.mark.parametrize("command", ["describe", "rational", "koszul", "model"])
+    @pytest.mark.parametrize("name", ["d2_spin.json", "d3.json"])
+    def test_one_dual_check(self, monkeypatch, command, name):
+        calls = []
+        original = rational.quadratic_dual_dims
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rational, "quadratic_dual_dims", counted)
+        code, _ = run([command, path(name)])
+        assert code == 0
+        assert len(calls) == 1

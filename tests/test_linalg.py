@@ -1,0 +1,112 @@
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from loopsix.linalg import nullspace, rank, rref
+from loopsix.manifold import bundle_from_classes, new_four_manifold
+from loopsix.rational import _d_monomial, d1_model, d1_model_parameter, monomial_basis
+
+from conftest import nullspace_by_fractions, rref_by_fractions
+
+
+def reference_rank(rows):
+    return len(rref_by_fractions(rows)[1]) if rows else 0
+
+
+def same_span(a, b):
+    return reference_rank(a) == reference_rank(b) == reference_rank(a + b)
+
+
+def random_matrix(rng, nrows, ncols, rank_bound):
+    """Rows mixed from ``rank_bound`` random rows, with small non-integral
+    entries, so that the rank is at most ``rank_bound``."""
+
+    def entry():
+        return Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4]))
+
+    seeds = [[entry() for _ in range(ncols)] for _ in range(rank_bound)]
+    return [
+        [sum((entry() * s[c] for s in seeds), Fraction(0)) for c in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+def d1_model_differentials(p1):
+    """Differential matrices of the d = 1 Sullivan model with k = -p1/4, one
+    per degree: rows are monomials, columns their images' monomials."""
+    N = new_four_manifold([[1]])
+    model = d1_model(d1_model_parameter(bundle_from_classes(N, [1], p1)))
+    bases = [monomial_basis(model, q) for q in range(9)]
+    matrices = []
+    for q in range(8):
+        index = {m: i for i, m in enumerate(bases[q + 1])}
+        rows = []
+        for mono in bases[q]:
+            row = [Fraction(0)] * len(bases[q + 1])
+            for m, c in _d_monomial(mono, model).items():
+                row[index[m]] = c
+            rows.append(row)
+        if rows and bases[q + 1]:
+            matrices.append(rows)
+    return matrices
+
+
+def matrices():
+    rng = random.Random(20)
+    shapes = [(6, 9, 4), (9, 6, 6), (5, 5, 0)] + [
+        (rng.randint(1, 8), rng.randint(1, 8), rng.randint(0, 6)) for _ in range(20)
+    ]
+    out = [random_matrix(rng, *shape) for shape in shapes]
+    out += [m for p1 in (1, 5, -3) for m in d1_model_differentials(p1)]
+    return out
+
+
+@pytest.mark.parametrize("rows", matrices())
+class TestAgainstFractionElimination:
+    def test_rref_is_the_scaled_rref(self, rows):
+        reduced, pivots = rref(rows)
+        expected, expected_pivots = rref_by_fractions(rows)
+        assert pivots == expected_pivots
+        for row, col, ref in zip(reduced, pivots, expected):
+            assert all(isinstance(x, int) and x for x in row.values())
+            assert gcd(*row.values()) == 1 and row[col] > 0
+            assert [row.get(c, 0) for c in range(len(ref))] == [
+                row[col] * x for x in ref
+            ]
+
+    def test_rank(self, rows):
+        assert rank(rows) == reference_rank(rows)
+
+    def test_nullspace_spans_the_kernel(self, rows):
+        ncols = len(rows[0])
+        basis = nullspace(rows)
+        assert all(isinstance(x, int) for v in basis for x in v)
+        assert all(
+            sum((a * x for a, x in zip(row, v)), Fraction(0)) == 0
+            for row in rows
+            for v in basis
+        )
+        assert same_span(basis, nullspace_by_fractions(rows, ncols))
+        assert len(basis) == ncols - reference_rank(rows)
+
+
+def test_d1_model_has_non_integral_entries():
+    entries = {x for m in d1_model_differentials(5) for row in m for x in row}
+    assert any(Fraction(x).denominator > 1 for x in entries)
+
+
+def test_empty_and_zero_matrices():
+    assert rref([]) == ([], [])
+    assert rank([[0, 0], [Fraction(0), 0]]) == 0
+    assert nullspace([], ncols=2) == [[1, 0], [0, 1]]
+    with pytest.raises(ValueError):
+        nullspace([])
+
+
+def test_input_is_not_modified():
+    rows = [[Fraction(1, 2), 2], [3, Fraction(-4, 3)]]
+    copy = [list(r) for r in rows]
+    rref(rows)
+    assert rows == copy

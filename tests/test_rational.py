@@ -5,8 +5,10 @@ import pytest
 
 from loopsix.homotopy import decompose, loop_factors, loop_homology_series
 from loopsix.manifold import bundle_from_classes, cohomology_ring, new_four_manifold
+from loopsix.linalg import rank
 from loopsix.rational import (
     DifferentialNotSquareZero,
+    _dual_relation_space,
     KoszulInconsistency,
     NotQuadratic,
     cdga_cohomology,
@@ -31,7 +33,13 @@ from loopsix.rational import (
 )
 from loopsix.series import NegativeLieDimension
 
-from conftest import graded_free_lie_dims_oracle, random_pair
+from conftest import (
+    INPUTS,
+    dual_relation_space_by_fractions,
+    graded_free_lie_dims_oracle,
+    quadratic_dual_dims_by_fractions,
+    random_pair,
+)
 
 
 def presentation_for(form, w2, p1):
@@ -266,3 +274,71 @@ class TestEllipticity:
         N, b = random_pair(rng, 3)
         ranks = ranks_from_decomposition(loop_factors(N, b, 12), 12)
         assert ranks.total() > 12
+
+
+def _input_presentations():
+    from loopsix.cli import load_manifold_spec
+
+    out = []
+    for path in sorted(INPUTS.glob("*.json")):
+        N, b, _ = load_manifold_spec(path)
+        if N.d >= 1:
+            presentation = quadratic_presentation(cohomology_ring(N, b))
+            out.append(pytest.param(presentation, id=path.stem))
+    return out
+
+
+def _generated_presentations():
+    rng = random.Random(3)
+    return [
+        pytest.param(
+            quadratic_presentation(cohomology_ring(*random_pair(rng, d))),
+            id=f"gen_d{d}",
+        )
+        for d in range(1, 7)
+    ]
+
+
+def _hand_built_presentations():
+    half = Fraction(1, 2)
+    return [
+        pytest.param(free_presentation(1), id="free1"),
+        pytest.param(free_presentation(3), id="free3"),
+        pytest.param(presentation_from_relations(1, [[1]]), id="x2"),
+        pytest.param(
+            presentation_from_relations(2, [[1, 0, Fraction(-3, 4)], [0, 1, 0]]),
+            id="fractional",
+        ),
+        pytest.param(
+            presentation_from_relations(
+                3, [[half, 1, 0, 0, 0, 2], [0, 0, 1, 0, half, 0]]
+            ),
+            id="two_relations",
+        ),
+    ]
+
+
+ALL_PRESENTATIONS = (
+    _input_presentations() + _generated_presentations() + _hand_built_presentations()
+)
+
+
+class TestIntegerDualKernel:
+    """The integer quadratic-dual check against the Fraction computation."""
+
+    @pytest.mark.parametrize("p", ALL_PRESENTATIONS)
+    def test_dims_match_fraction_reference(self, p):
+        assert quadratic_dual_dims(p, 6) == quadratic_dual_dims_by_fractions(p, 6)
+
+    @pytest.mark.parametrize("p", ALL_PRESENTATIONS)
+    def test_dual_relation_space_matches_reference(self, p):
+        ours = _dual_relation_space(p)
+        ref = dual_relation_space_by_fractions(p)
+        assert len(ours) == len(ref)
+        assert rank(ours) == rank(ref) == rank(ours + ref)
+
+    def test_weights_checked_per_rank(self):
+        _, _, p2 = presentation_for(*D2_TRIVIAL)
+        _, _, p3 = presentation_for(*D3)
+        assert len(quadratic_dual_dims(p2, 6)) - 1 == 6
+        assert len(quadratic_dual_dims(p3, 6)) - 1 == 4
