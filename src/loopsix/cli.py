@@ -14,6 +14,7 @@ whose case is outside the supported range.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -65,14 +66,17 @@ def load_manifold_spec(path: str | Path) -> tuple[FourManifold, BundleData, str]
         raise InputError(f"{path}: expected a JSON object")
     if "intersection_form" not in data:
         raise InputError(f"{path}: missing 'intersection_form'")
-    if "p1" not in data or not isinstance(data["p1"], int):
+    # exact types: JSON true, 1.7 and "1" are not integers, 3 is not a w2 bit
+    if "p1" not in data or type(data["p1"]) is not int:
         raise InputError(f"{path}: missing integer 'p1'")
     form = data["intersection_form"]
     if not isinstance(form, list) or any(not isinstance(r, list) for r in form):
         raise InputError(f"{path}: 'intersection_form' must be a matrix")
+    if any(type(x) is not int for row in form for x in row):
+        raise InputError(f"{path}: 'intersection_form' entries must be integers")
     N = new_four_manifold(form)
     w2 = data.get("w2", [])
-    if not isinstance(w2, list):
+    if not isinstance(w2, list) or any(type(x) is not int or x not in (0, 1) for x in w2):
         raise InputError(f"{path}: 'w2' must be a list of 0/1")
     if N.d == 0 and w2 not in ([],):
         raise InputError(f"{path}: 'w2' must be empty when the form is empty")
@@ -523,6 +527,7 @@ def _int_at_least(lower: int):
     return parse
 
 
+@functools.cache  # one parser per process; parse_args keeps no state
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="loopsix",

@@ -15,10 +15,12 @@ Sphere groups come from a shipped data file covering n, k <= 15 (see
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 from .errors import InputError, UnsupportedError
 from .homotopy import LoopFactorMultiset
@@ -139,9 +141,13 @@ class FGAbelianGroup:
 
 @dataclass(frozen=True, eq=False)
 class SphereTable:
-    """Lookup table for pi_k(S^n) with explicit coverage bounds."""
+    """Lookup table for pi_k(S^n) with explicit coverage bounds.
 
-    entries: dict
+    ``entries`` is a read-only mapping: the shipped table is shared by every
+    caller in the process.
+    """
+
+    entries: Mapping[tuple[int, int], FGAbelianGroup]
     max_n: int
     max_k: int
     source: str
@@ -159,9 +165,19 @@ def load_table(path: str | Path | None = None) -> SphereTable:
 
     Raises :class:`ParseError` with the offending line number on malformed
     input and :class:`CoverageViolation` when a stored entry contradicts
-    pi_k(S^n) = 0 for k < n or pi_n(S^n) = Z.
+    pi_k(S^n) = 0 for k < n or pi_n(S^n) = Z.  With no ``path`` the shipped
+    table is read once per process and the same object is returned; a given
+    ``path`` is read on every call, since the file may change.
     """
-    file_path = Path(path) if path is not None else default_table_path()
+    return _shipped_table() if path is None else _read_table(Path(path))
+
+
+@cache
+def _shipped_table() -> SphereTable:
+    return _read_table(default_table_path())
+
+
+def _read_table(file_path: Path) -> SphereTable:
     entries: dict[tuple[int, int], FGAbelianGroup] = {}
     max_n = 0
     max_k = 0
@@ -202,7 +218,7 @@ def load_table(path: str | Path | None = None) -> SphereTable:
         max_n = max(max_n, n)
         max_k = max(max_k, k)
     return SphereTable(
-        entries=entries, max_n=max_n, max_k=max_k, source=str(file_path)
+        MappingProxyType(entries), max_n=max_n, max_k=max_k, source=str(file_path)
     )
 
 

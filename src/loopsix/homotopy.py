@@ -124,11 +124,11 @@ def node_key(node: Node):
     if isinstance(node, Sphere):
         return (4, node.dim)
     if isinstance(node, Product):
-        return (5, tuple(node_key(f) for f in node.factors))
+        return (5, tuple([node_key(f) for f in node.factors]))
     if isinstance(node, Wedge):
-        return (6, tuple(node_key(s) for s in node.summands))
+        return (6, tuple([node_key(s) for s in node.summands]))
     if isinstance(node, Smash):
-        return (7, tuple(node_key(f) for f in node.factors))
+        return (7, tuple([node_key(f) for f in node.factors]))
     raise TypeError(f"not a homotopy expression: {node!r}")
 
 
@@ -271,7 +271,7 @@ def decompose(N: FourManifold, b: BundleData) -> Node:
         # total space is CP^3; its loop space is S^1 x Loop(S^7)
         return normalize(Product((Circle(), Loop(Sphere(7)))))
     if k % 2 == 1:
-        mods = tuple(SphereModN(q) for _, q in _prime_powers(k))
+        mods = tuple([SphereModN(q) for _, q in _prime_powers(k)])
         return normalize(Product((Circle(), *mods, Loop(Sphere(7)))))
     # k even
     if k == 2:
@@ -456,11 +456,11 @@ def hilton_milnor(
     letters = {dim - 1: count for dim, count in sphere_counts.items()}
     n_letters = sum(letters.values())
     weight_counts = lie_ring_weight_counts(letters, cutoff) if n_letters else []
-    loops = tuple(
+    loops = tuple([
         (w + 1, weight_counts[w - 1])
         for w in range(1, cutoff + 1)
         if weight_counts and weight_counts[w - 1]
-    )
+    ])
     return LoopFactorMultiset(
         circles=0,
         sphere_loops=loops,
@@ -483,9 +483,9 @@ def loop_factors(N: FourManifold, b: BundleData, cutoff: int) -> LoopFactorMulti
     d = N.d
     if d == 0:
         expr = decompose(N, b)  # may raise UnsupportedCase
-        mods = tuple(
+        mods = tuple([
             f.order for f in expr.factors if isinstance(f, SphereModN)
-        )
+        ])
         loops: dict[int, int] = {}
         dropped = False
         for f in expr.factors:

@@ -116,7 +116,7 @@ def nullspace(
     basis = []
     for free in sorted(set(range(ncols)).difference(pivots)):
         hits = [(p, row) for p, row in zip(pivots, reduced) if free in row]
-        scale = lcm(*(row[p] for p, row in hits))
+        scale = lcm(*[row[p] for p, row in hits])
         v = [0] * ncols
         v[free] = scale
         for p, row in hits:
@@ -127,7 +127,7 @@ def nullspace(
 
 def integer_primitive(vector: Sequence[Rational]) -> list[int]:
     """Clear denominators and divide by the content; first nonzero entry > 0."""
-    denom = lcm(*(x.denominator for x in vector))
+    denom = lcm(*[x.denominator for x in vector])
     ints = [x.numerator * (denom // x.denominator) for x in vector]
     content = gcd(*ints)
     if next((x for x in ints if x), 0) < 0:

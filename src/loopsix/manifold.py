@@ -81,7 +81,7 @@ def new_four_manifold(entries: Sequence[Sequence[int]]) -> FourManifold:
     >>> new_four_manifold([[0, 1], [1, 0]]).d
     2
     """
-    rows = tuple(tuple(int(x) for x in row) for row in entries)
+    rows = tuple([tuple([int(x) for x in row]) for row in entries])
     d = len(rows)
     for row in rows:
         if len(row) != d:
@@ -148,7 +148,7 @@ def bundle_from_classes(
     """
     if len(w2) != N.d:
         raise InvalidBundle(f"w2 must have length d={N.d}")
-    w = tuple(int(x) % 2 for x in w2)
+    w = tuple([int(x) % 2 for x in w2])
     alpha = w  # smallest lexicographic lift; gcd is 1 whenever w != 0
     square = N.pairing(alpha)
     quotient, remainder = divmod(int(p1) - square, 4)
@@ -237,7 +237,7 @@ class SixManifoldRing:
         return self._degrees[label]
 
     def basis_of_degree(self, degree: int) -> tuple[str, ...]:
-        return tuple(l for l in self.basis if self._degrees[l] == degree)
+        return tuple([l for l in self.basis if self._degrees[l] == degree])
 
     def betti(self) -> tuple[int, int, int, int]:
         """Dimensions in degrees (0, 2, 4, 6); odd degrees vanish."""

@@ -109,9 +109,9 @@ def quadratic_presentation(ring: SixManifoldRing) -> QuadraticPresentation:
     if rank(matrix) != len(deg4):
         raise NotQuadratic("Sym^2 of the degree-2 part does not surject onto H^4")
     kernel = nullspace(matrix, ncols=len(sym2))
-    relations = tuple(
-        tuple(Fraction(x) for x in integer_primitive(vec)) for vec in kernel
-    )
+    relations = tuple([
+        tuple([Fraction(x) for x in integer_primitive(vec)]) for vec in kernel
+    ])
     # weight-3 consistency: Sym^3 V must hit the top class
     top_hit = False
     for (i, j, k) in combinations_with_replacement(range(g), 3):
@@ -147,7 +147,7 @@ def presentation_from_relations(
             raise InputError(
                 f"relation vectors need length {expected} for {generators} generators"
             )
-        rels.append(tuple(Fraction(x) for x in vec))
+        rels.append(tuple([Fraction(x) for x in vec]))
     return QuadraticPresentation(generators=generators, relations=tuple(rels))
 
 
@@ -270,7 +270,7 @@ def quadratic_dual_dims(
         pivot_set = set(pivots)
         free_cols = [c for c in range(ncols) if c not in pivot_set]
         quotient = {c: q for q, c in enumerate(free_cols)}
-        scale = lcm(*(row[c] for c, row in zip(pivots, reduced)))
+        scale = lcm(*[row[c] for c, row in zip(pivots, reduced)])
         image = {c: {quotient[c]: scale} for c in free_cols}
         for c, row in zip(pivots, reduced):
             factor = scale // row[c]
@@ -415,11 +415,11 @@ class SullivanModel:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.generators)
+        return tuple([name for name, _ in self.generators])
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(deg for _, deg in self.generators)
+        return tuple([deg for _, deg in self.generators])
 
     def d_of(self, name: str) -> Polynomial:
         return self.differential.get(name, {})
@@ -499,7 +499,7 @@ def make_sullivan_model(
     differential: Mapping[str, Mapping[Monomial, Rational]],
 ) -> SullivanModel:
     """Validate and build a model; the differential must raise degree by 1."""
-    gens = tuple((str(n), int(d)) for n, d in generators)
+    gens = tuple([(str(n), int(d)) for n, d in generators])
     names = [n for n, _ in gens]
     if len(set(names)) != len(names):
         raise InputError("generator names must be distinct")
@@ -513,7 +513,7 @@ def make_sullivan_model(
         target = degrees[names.index(name)] + 1
         clean: Polynomial = {}
         for mono, coeff in poly.items():
-            mono = tuple(int(e) for e in mono)
+            mono = tuple([int(e) for e in mono])
             if len(mono) != len(gens):
                 raise InputError("monomial exponent tuple has the wrong length")
             if _mono_degree(mono, degrees) != target:

@@ -131,27 +131,30 @@ class TruncatedSeries:
         return TruncatedSeries(self.coeffs[: cutoff + 1])
 
     # -- arithmetic (always truncates to the smaller cutoff) --------------
+    # Tuples here and on the other hot paths are built from lists: CPython
+    # builds tuple(<generator>) in a borrowed size-10 tuple and shrinks it, so
+    # freed results pile up on the small-tuple free lists until a full gc.
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.cutoff, other.cutoff)
         return TruncatedSeries(
-            tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1))
+            tuple([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
         )
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.cutoff, other.cutoff)
         return TruncatedSeries(
-            tuple(self.coeffs[k] - other.coeffs[k] for k in range(n + 1))
+            tuple([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
         )
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-c for c in self.coeffs))
+        return TruncatedSeries(tuple([-c for c in self.coeffs]))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.cutoff, other.cutoff)
         a, b_reversed = self.coeffs, other.coeffs[n::-1]
         return TruncatedSeries(
-            tuple(sum(map(mul, a[: k + 1], b_reversed[n - k :])) for k in range(n + 1))
+            tuple([sum(map(mul, a[: k + 1], b_reversed[n - k :])) for k in range(n + 1)])
         )
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
@@ -170,7 +173,7 @@ class TruncatedSeries:
     def alternate(self) -> "TruncatedSeries":
         """The series evaluated at ``-t``."""
         return TruncatedSeries(
-            tuple(c if n % 2 == 0 else -c for n, c in enumerate(self.coeffs))
+            tuple([c if n % 2 == 0 else -c for n, c in enumerate(self.coeffs)])
         )
 
     def divide_by_t(self) -> "TruncatedSeries":
@@ -205,7 +208,7 @@ def series_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
     out = [inv0]
     for n in range(1, a.cutoff + 1):
         out.append(-inv0 * sum(map(mul, tail[:n], reversed(out))))
-    return TruncatedSeries(tuple(map(_exact, out)))
+    return TruncatedSeries(tuple([_exact(c) for c in out]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from loopsix import rational
+from loopsix import cli, rational
 from loopsix.cli import emit_report, run
 
 from conftest import INPUTS
@@ -227,3 +228,91 @@ class TestEachStageOnce:
         code, _ = run([command, path(name)])
         assert code == 0
         assert len(calls) == 1
+
+
+class TestStrictSpecTypes:
+    """A spec value of the wrong JSON type exits 2; nothing is coerced."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"intersection_form": [[1.7]], "w2": [1], "p1": 1},
+            {"intersection_form": [["1"]], "w2": [1], "p1": 1},
+            {"intersection_form": [[True]], "w2": [1], "p1": 1},
+            {"intersection_form": [[1]], "w2": [1], "p1": True},
+            {"intersection_form": [[1]], "w2": [3], "p1": 1},
+            {"intersection_form": [[1]], "w2": [True], "p1": 1},
+        ],
+        ids=["form_float", "form_string", "form_bool", "p1_bool", "w2_three", "w2_bool"],
+    )
+    def test_rejected(self, tmp_path, spec):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code, out = run(["describe", str(spec_path)])
+        assert code == 2
+        assert "InputError" in out
+
+    def test_int_valued_spec_still_accepted(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"intersection_form": [[1]], "w2": [1], "p1": 1}))
+        assert run(["describe", str(spec_path)])[0] == 0
+
+
+class TestParserReuse:
+    """``run`` builds one parser per process, and reusing it keeps no state."""
+
+    FORMATS = (["--format", "text"], ["--format", "json"])
+    USAGE_ERRORS = (
+        ["pi", path("d1.json"), "--max", "1"],
+        ["koszul", path("d3.json"), "--cutoff", "-1"],
+        ["rational", path("d1.json"), "--cutoff", "0"],
+        ["frobnicate", path("d1.json")],
+        ["describe"],
+    )
+
+    def argvs(self):
+        names = sorted(p.name for p in INPUTS.glob("*.json"))
+        out = []
+        for i, name in enumerate(names):
+            for fmt in self.FORMATS:
+                for command in ("describe", "decompose", "pi", "series",
+                                "rational", "koszul", "model"):
+                    out.append([command, path(name), *fmt])
+                other = names[(i + 1) % len(names)]
+                out.append(["compare", path(name), path(other), *fmt])
+        out.append(["pi", path("d1.json"), "--max", "3"])
+        return out + [list(argv) for argv in self.USAGE_ERRORS]
+
+    def test_outputs_independent_of_order(self, monkeypatch):
+        argvs = self.argvs()
+        first = {tuple(argv): run(argv) for argv in argvs}
+        assert all(first[tuple(argv)][0] == 1 for argv in self.USAGE_ERRORS)
+        inits = []
+        original = cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            inits.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        for order in (argvs[::-1], random.Random(4).sample(argvs, len(argvs))):
+            for argv in order:
+                assert run(argv) == first[tuple(argv)], argv
+        assert inits == []
+
+    def test_default_max_after_explicit_max(self):
+        code, out = run(["pi", path("d1.json"), "--max", "3", "--format", "json"])
+        assert code == 0 and json.loads(out)["result"]["max"] == 3
+        code, out = run(["pi", path("d1.json"), "--format", "json"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["result"]["max"] == 6
+        assert [g["k"] for g in report["result"]["groups"]] == [2, 3, 4, 5, 6]
+
+    def test_table_file_edits_seen(self, tmp_path):
+        custom = tmp_path / "table.txt"
+        argv = ["pi", path("d1.json"), "--max", "3", "--table", str(custom)]
+        custom.write_text("2 3 0 5\n5 3 0\n")
+        assert "pi_3(M) = Z/5" in run(argv)[1]
+        custom.write_text("2 3 0 7\n5 3 0\n")
+        assert "pi_3(M) = Z/7" in run(argv)[1]

@@ -201,3 +201,24 @@ class TestPiByMultiplicity:
         for k in range(2, 9):
             expected = self.one_summand_per_factor(factors, table, k)
             assert pi_manifold(factors, table, k) == expected
+
+
+class TestSharedTable:
+    """The shipped table is read once per process and cannot be changed."""
+
+    def test_same_object(self):
+        assert load_table() is load_table()
+
+    def test_entries_are_read_only(self):
+        table = load_table()
+        with pytest.raises(TypeError):
+            table.entries[(2, 3)] = FGAbelianGroup.from_orders(5)
+        assert pi_sphere(load_table(), 2, 3) == FGAbelianGroup.free(1)
+
+    def test_path_is_read_on_every_call(self, tmp_path):
+        custom = tmp_path / "table.txt"
+        custom.write_text("2 3 0 5\n")
+        first = load_table(custom)
+        custom.write_text("2 3 0 7\n")
+        assert load_table(custom) is not first
+        assert pi_sphere(load_table(custom), 2, 3) == FGAbelianGroup.from_orders(7)
