@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from loopsix import cli, rational
 from loopsix.cli import emit_report, run
 
-from conftest import INPUTS
+from conftest import INPUTS, REPO_ROOT
 
 
 def path(name):
@@ -316,3 +317,31 @@ class TestParserReuse:
         assert "pi_3(M) = Z/5" in run(argv)[1]
         custom.write_text("2 3 0 7\n5 3 0\n")
         assert "pi_3(M) = Z/7" in run(argv)[1]
+
+
+DIGESTS = REPO_ROOT / "tests" / "data" / "cli_digests.json"
+
+
+def output_digests():
+    """SHA-256 of ``(exit code, output)`` for each argv of the parser-reuse
+    corpus, keyed by the argv; the checkout path reads ``<root>`` in both."""
+    digests = {}
+    for argv in TestParserReuse().argvs():
+        code, out = run(argv)
+        key = " ".join(argv).replace(str(REPO_ROOT), "<root>")
+        text = f"{code}\n{out}".replace(str(REPO_ROOT), "<root>")
+        digests[key] = hashlib.sha256(text.encode()).hexdigest()
+    return digests
+
+
+class TestOutputDigests:
+    """Every output of the corpus is byte-identical to the recorded one.
+
+    Re-record (only for an intended output change) from the repo root::
+
+        PYTHONPATH=src:tests python -c "import json, test_cli; test_cli.DIGESTS.write_text(json.dumps(test_cli.output_digests(), indent=1, sort_keys=True) + '\\n')"
+    """
+
+    def test_digests_match_recorded(self):
+        recorded = json.loads(DIGESTS.read_text())
+        assert output_digests() == recorded
