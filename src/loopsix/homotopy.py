@@ -12,6 +12,7 @@ The decomposition of the based loop space, by rank d of H^2 of the base:
              k = 2^r, r >= 3:  S^1 x S^3{2^r} x Loop(S^7)
              k = 0, 1:         handled via classical splittings (flagged)
              k = 2, 4, 2^r*m:  refused (no decomposition of this shape known)
+             k odd > MAX_ODD_K: refused (factoring k would take too long)
 
 Here ``S^3{n}`` is the homotopy fiber of the degree-n self-map of the
 3-sphere; it is rationally trivial.  The wedge summand for d >= 3 is a
@@ -41,6 +42,10 @@ from .series import (
     lie_ring_weight_counts,
     series_reciprocal,
 )
+
+# Largest odd attaching number that decompose factors: trial division up to
+# its square root takes about 0.2 s for a prime just below 10^12 (2-vCPU host).
+MAX_ODD_K = 10**12
 
 
 class UnsupportedNode(InputError):
@@ -250,9 +255,9 @@ def decompose(N: FourManifold, b: BundleData) -> Node:
     """Normalized loop-space decomposition of the 6-manifold for (N, b).
 
     For ``d >= 1`` the answer depends only on ``d``.  For ``d = 0`` the
-    supported attaching numbers are ``k`` odd, ``k = 2^r`` with ``r >= 3``,
-    and the classical extensions ``k in {0, 1}``; everything else raises
-    :class:`UnsupportedCase`.
+    supported attaching numbers are ``k`` odd up to :data:`MAX_ODD_K`,
+    ``k = 2^r`` with ``r >= 3``, and the classical extensions
+    ``k in {0, 1}``; everything else raises :class:`UnsupportedCase`.
     """
     d = N.d
     if d == 1:
@@ -271,6 +276,11 @@ def decompose(N: FourManifold, b: BundleData) -> Node:
         # total space is CP^3; its loop space is S^1 x Loop(S^7)
         return normalize(Product((Circle(), Loop(Sphere(7)))))
     if k % 2 == 1:
+        if k > MAX_ODD_K:
+            raise UnsupportedCase(
+                f"k = {k} is odd and larger than {MAX_ODD_K}; factoring it "
+                "is outside the supported size"
+            )
         mods = tuple([SphereModN(q) for _, q in _prime_powers(k)])
         return normalize(Product((Circle(), *mods, Loop(Sphere(7)))))
     # k even

@@ -41,6 +41,14 @@ from .series import (
 )
 
 
+# The direct Koszul check compares weights through min(cutoff, this) ...
+DUAL_CHECK_WEIGHT = 6
+# ... and stops early once a weight would need more columns than this, since
+# exact elimination beyond desk scale is pointless for a consistency check
+# (it reaches weight 6 at d = 2, 4 at d = 3, 3 at d = 4 and 6, 2 at d = 10, 16).
+DUAL_COLUMN_BUDGET = 320
+
+
 class NotQuadratic(UnsupportedError):
     """The cohomology is not presented by degree-2 generators and quadratic
     relations (d = 0, or a structural failure)."""
@@ -226,16 +234,13 @@ def _dual_relation_space(p: QuadraticPresentation) -> list[list[int]]:
     return basis
 
 
-def quadratic_dual_dims(
-    p: QuadraticPresentation, max_weight: int, column_budget: int = 320
-) -> list[int]:
+def quadratic_dual_dims(p: QuadraticPresentation, max_weight: int) -> list[int]:
     """Dimensions of the quadratic dual algebra, degree by degree.
 
     Builds bases of ``T(V*)/(R_perp)`` iteratively: weight w is the quotient
     of ``A_{w-1} (x) V*`` by the image of ``A_{w-2} (x) R_perp``.  Stops
     early (returning what it has) once the working dimension exceeds
-    ``column_budget``, since exact elimination beyond desk scale is
-    pointless for a consistency check.  Quotient maps are integral, scaled
+    :data:`DUAL_COLUMN_BUDGET`.  Quotient maps are integral, scaled
     by the lcm ``L`` of the pivots: a free column maps to ``L`` times its
     basis vector, a pivot column ``c`` with reduced row ``r`` to
     ``-(L / r[c]) r[f]`` on each free column ``f``.  ``L`` scales every row
@@ -256,7 +261,7 @@ def quadratic_dual_dims(
     mult: list[list[dict[int, int]]] = [[{i: 1}] for i in range(g)]
     for w in range(2, max_weight + 1):
         ncols = cur_dim * g
-        if ncols > column_budget:
+        if ncols > DUAL_COLUMN_BUDGET:
             break
         rows = []
         for b in range(prev_dim):
@@ -282,21 +287,16 @@ def quadratic_dual_dims(
 
 
 def koszul_dual_series(
-    p: QuadraticPresentation,
-    cutoff: int,
-    *,
-    check: bool = True,
-    check_weight: int = 6,
-    column_budget: int = 320,
+    p: QuadraticPresentation, cutoff: int, *, check: bool = True
 ) -> TruncatedSeries:
     """Hilbert series of the Koszul dual: reciprocal of the Hilbert series
     at ``-s``.
 
     With ``check=True`` the result is validated two ways: all coefficients
     must be nonnegative, and they must match the directly computed quadratic
-    dual dimensions through ``min(cutoff, check_weight)`` (subject to the
-    dimension budget).  ``check=False`` returns the naive series unverified,
-    which is what the d = 1 non-coformality witness needs.
+    dual dimensions through ``min(cutoff, DUAL_CHECK_WEIGHT)`` (subject to
+    :data:`DUAL_COLUMN_BUDGET`).  ``check=False`` returns the naive series
+    unverified, which is what the d = 1 non-coformality witness needs.
     """
     hs = hilbert_series(p, cutoff)
     dual = series_reciprocal(hs.alternate())
@@ -308,7 +308,7 @@ def koszul_dual_series(
                 f"dual series coefficient at weight {n} is negative ({dual[n]}); "
                 "the input algebra is not Koszul"
             )
-    direct = quadratic_dual_dims(p, min(cutoff, check_weight), column_budget)
+    direct = quadratic_dual_dims(p, min(cutoff, DUAL_CHECK_WEIGHT))
     for w, dim in enumerate(direct):
         if dual[w] != dim:
             raise KoszulInconsistency(

@@ -1,13 +1,17 @@
 import hashlib
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loopsix import cli, rational
+from loopsix import cli, homotopy, rational
 from loopsix.cli import emit_report, run
 
-from conftest import INPUTS, REPO_ROOT
+from conftest import INPUTS, REPO_ROOT, random_unimodular_form
 
 
 def path(name):
@@ -258,6 +262,22 @@ class TestStrictSpecTypes:
         spec_path.write_text(json.dumps({"intersection_form": [[1]], "w2": [1], "p1": 1}))
         assert run(["describe", str(spec_path)])[0] == 0
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"intersection_form": [], "p1": 4, "name": "\xff"}',
+            b'{"intersection_form": [], "p1": 4' + b"0" * 4300 + b"}",
+            b"[" * 100_000 + b"]" * 100_000,
+        ],
+        ids=["not_utf8", "integer_past_digit_limit", "nesting_past_recursion_limit"],
+    )
+    def test_unreadable(self, tmp_path, content):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_bytes(content)
+        code, out = run(["describe", str(spec_path)])
+        assert code == 2
+        assert "InputError" in out and str(spec_path) in out
+
 
 class TestParserReuse:
     """``run`` builds one parser per process, and reusing it keeps no state."""
@@ -345,3 +365,77 @@ class TestOutputDigests:
     def test_digests_match_recorded(self):
         recorded = json.loads(DIGESTS.read_text())
         assert output_digests() == recorded
+
+
+class TestSizeBound:
+    """Odd attaching numbers past ``MAX_ODD_K`` exit 3 instead of being
+    factored by trial division."""
+
+    def test_prime_just_above_bound(self, tmp_path):
+        k = 1_000_000_000_039  # the least prime above 10^12
+        assert k > homotopy.MAX_ODD_K
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"intersection_form": [], "p1": 4 * k}))
+        code, out = run(["decompose", str(spec_path)])
+        assert code == 3 and "UnsupportedCase" in out
+        code, out = run(["describe", str(spec_path)])
+        assert code == 0 and f"k: {k}" in out
+
+
+# an explicit alphabet keeps Hypothesis from building its Unicode table
+TEXT = st.text(alphabet='ab"\\\u00e9\u2603', max_size=4)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@st.composite
+def spec_files(draw):
+    """File contents: raw bytes, or a valid spec over a unimodular form of
+    rank <= 4 with a few keys dropped or replaced by any JSON value."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    d = draw(st.integers(0, 4))
+    form = random_unimodular_form(draw(st.randoms()), d)
+    w2 = draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
+    pairing = sum(w2[i] * form[i][j] * w2[j] for i in range(d) for j in range(d))
+    ell = draw(st.integers(-40, 40) | st.integers())
+    spec = {"intersection_form": form, "w2": w2, "p1": 4 * ell + pairing, "name": "x"}
+    for key in draw(st.lists(st.sampled_from(sorted(spec)), max_size=3, unique=True)):
+        if draw(st.booleans()):
+            del spec[key]
+        else:
+            spec[key] = draw(JSON_VALUES)
+    return json.dumps(spec).encode()
+
+
+class TestFuzz:
+    """Any spec file through every command and format exits 0-3 without an
+    uncaught exception."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        content=spec_files(),
+        cutoff=st.integers(1, 12),
+        pi_max=st.integers(2, 8),
+    )
+    def test_every_command(self, content, cutoff, pi_max):
+        with tempfile.TemporaryDirectory() as tmp:
+            spec = str(Path(tmp) / "spec.json")
+            Path(spec).write_bytes(content)
+            options = {
+                "describe": [],
+                "decompose": [],
+                "pi": ["--max", str(pi_max)],
+                "series": ["--cutoff", str(cutoff - 1)],
+                "rational": ["--cutoff", str(cutoff)],
+                "koszul": ["--cutoff", str(cutoff - 1)],
+                "model": ["--cutoff", str(cutoff - 1)],
+                "compare": [spec],
+            }
+            for command, extra in options.items():
+                for fmt in ("text", "json"):
+                    code, _ = run([command, spec, *extra, "--format", fmt])
+                    assert code in (0, 1, 2, 3)
