@@ -339,14 +339,16 @@ class TestParserReuse:
         assert "pi_3(M) = Z/7" in run(argv)[1]
 
 
-DIGESTS = REPO_ROOT / "tests" / "data" / "cli_digests.json"
+DATA = REPO_ROOT / "tests" / "data"
+DIGESTS = DATA / "cli_digests.json"
 
 
-def output_digests():
-    """SHA-256 of ``(exit code, output)`` for each argv of the parser-reuse
-    corpus, keyed by the argv; the checkout path reads ``<root>`` in both."""
+def output_digests(argvs=None):
+    """SHA-256 of ``(exit code, output)`` for each argv (by default those of
+    the parser-reuse corpus), keyed by the argv; the checkout path reads
+    ``<root>`` in both."""
     digests = {}
-    for argv in TestParserReuse().argvs():
+    for argv in TestParserReuse().argvs() if argvs is None else argvs:
         code, out = run(argv)
         key = " ".join(argv).replace(str(REPO_ROOT), "<root>")
         text = f"{code}\n{out}".replace(str(REPO_ROOT), "<root>")
@@ -365,6 +367,37 @@ class TestOutputDigests:
     def test_digests_match_recorded(self):
         recorded = json.loads(DIGESTS.read_text())
         assert output_digests() == recorded
+
+
+def diagonal(d):
+    """A spec over the diagonal form of rank d (w2 all ones, p1 = d)."""
+    return str(DATA / f"diag{d}.json")
+
+
+class TestLargePi:
+    """``pi`` where pi_2..pi_max have 10^4 to 10^9 torsion summands."""
+
+    ARGVS = (
+        ["pi", path("d3.json"), "--max", "15"],
+        ["pi", diagonal(6), "--max", "8"],
+        ["pi", diagonal(10), "--max", "6"],
+        ["pi", diagonal(32)],
+    )
+    DIGESTS = DATA / "pi_digests.json"
+
+    def test_digests_match_recorded(self):
+        """Recorded while the torsion was a flat tuple of summands.
+
+        Re-record (only for an intended output change) from the repo root::
+
+            PYTHONPATH=src:tests python -c "import json, test_cli; t = test_cli.TestLargePi; t.DIGESTS.write_text(json.dumps(test_cli.output_digests(t.argvs()), indent=1, sort_keys=True) + '\\n')"
+        """
+        recorded = json.loads(self.DIGESTS.read_text())
+        assert output_digests(self.argvs()) == recorded
+
+    @classmethod
+    def argvs(cls):
+        return [argv + fmt for argv in cls.ARGVS for fmt in TestParserReuse.FORMATS]
 
 
 class TestSizeBound:
