@@ -37,6 +37,15 @@ from .series import pbw_invert
 
 SCHEMA_VERSION = 1
 
+#: Most torsion summands (cyclic, of prime-power order, counted with
+#: multiplicity) that ``pi`` renders over pi_2..pi_max.  1.1-1.3 million
+#: take about 0.6 s as text and 3 s as JSON (2-vCPU host).
+MAX_PI_SUMMANDS = 10**6
+
+
+class TooManySummands(UnsupportedError):
+    """pi_2..pi_max have more torsion summands than MAX_PI_SUMMANDS."""
+
 
 class _UsageError(Exception):
     pass
@@ -190,10 +199,19 @@ def _decompose(args, N: FourManifold, b: BundleData, case) -> Output:
 @_one_spec
 def _pi(args, N: FourManifold, b: BundleData, case) -> Output:
     table = load_table(args.table)
-    factors = homotopy.loop_factors(N, b, max(args.max - 1, 1))
-    groups, lines = [], []
-    for k in range(2, args.max + 1):
-        group = pi_manifold(factors, table, k)
+    # Every spec has a loop-sphere factor of dimension <= 7, and the table
+    # nothing past max_k, so pi_k fails by k = max(max_k, 7) + 1 at the
+    # latest: no factor above that dimension is ever read.
+    factors = homotopy.loop_factors(N, b, min(args.max, max(table.max_k, 7) + 1) - 1)
+    groups = [pi_manifold(factors, table, k) for k in range(2, args.max + 1)]
+    summands = sum(group.summands() for group in groups)
+    if summands > MAX_PI_SUMMANDS:
+        raise TooManySummands(
+            f"pi_2..pi_{args.max} have {summands} torsion summands, more than "
+            f"the {MAX_PI_SUMMANDS} that are rendered"
+        )
+    payloads, lines = [], []
+    for k, group in enumerate(groups, start=2):
         text = group.text()
         payload = {
             "free_rank": group.free_rank,
@@ -201,11 +219,11 @@ def _pi(args, N: FourManifold, b: BundleData, case) -> Output:
             "invariant_factors": group.invariant_factors(),
             "text": text,
         }
-        groups.append({"k": k, "group": payload})
+        payloads.append({"k": k, "group": payload})
         lines.append(f"pi_{k}(M) = {text}")
     cut = f"loop factor enumeration truncated at dimension {factors.cutoff + 1}"
     warnings = [cut] if factors.truncated else []
-    result = {"max": args.max, "table": str(table.source), "groups": groups}
+    result = {"max": args.max, "table": str(table.source), "groups": payloads}
     return result, lines, warnings
 
 

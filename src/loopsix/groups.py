@@ -15,10 +15,12 @@ Sphere groups come from a shipped data file covering n, k <= 15 (see
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from importlib import resources
+from itertools import chain, repeat
+from math import prod
 from pathlib import Path
 from types import MappingProxyType
 
@@ -43,82 +45,72 @@ class UnsupportedDegree(UnsupportedError):
     """pi_k through an S^3{n} factor with k >= 4."""
 
 
-@lru_cache(maxsize=1024)  # called once per torsion summand by every sort
-def _prime_of(q: int) -> int:
-    return _prime_powers(q)[0][0]
-
-
 @dataclass(frozen=True)
 class FGAbelianGroup:
     """A finitely generated abelian group in primary decomposition.
 
-    ``torsion`` holds prime-power orders sorted by (prime, exponent), so the
-    representation is canonical and equality is structural.
+    ``counts`` holds ``((p, q), n)``: the group has ``n > 0`` cyclic
+    summands Z/q for the prime power ``q = p^r``, sorted by (prime, order),
+    so the representation is canonical and equality is structural.  Sums
+    add counts, so ``n`` copies of a group cost no more than one; the
+    ``torsion`` tuple and the invariant factors are expanded on request.
 
     >>> FGAbelianGroup.from_orders(12, 2) == FGAbelianGroup.from_orders(4, 3, 2)
     True
     """
 
     free_rank: int
-    torsion: tuple[int, ...]
+    counts: tuple[tuple[tuple[int, int], int], ...] = ()
 
     @classmethod
     def from_orders(cls, *orders: int, free_rank: int = 0) -> "FGAbelianGroup":
-        torsion: list[int] = []
+        counts: dict[tuple[int, int], int] = {}
         for n in orders:
             n = abs(int(n))
             if n == 0:
                 free_rank += 1
-            elif n == 1:
-                continue
-            else:
-                torsion.extend(q for _, q in _prime_powers(n))
-        torsion.sort(key=lambda q: (_prime_of(q), q))
-        return cls(free_rank=free_rank, torsion=tuple(torsion))
+            for key in _prime_powers(n):
+                counts[key] = counts.get(key, 0) + 1
+        return cls(free_rank, tuple(sorted(counts.items())))
 
     @classmethod
     def trivial(cls) -> "FGAbelianGroup":
-        return cls(0, ())
+        return cls(0)
 
     @classmethod
     def free(cls, rank: int) -> "FGAbelianGroup":
-        return cls(rank, ())
+        return cls(rank)
 
     def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
+        return self.free_rank == 0 and not self.counts
+
+    @property
+    def torsion(self) -> tuple[int, ...]:
+        """Prime-power orders of the cyclic summands, by (prime, order)."""
+        return tuple(chain.from_iterable(repeat(q, n) for (_, q), n in self.counts))
+
+    def summands(self) -> int:
+        """Number of cyclic torsion summands, each of prime-power order."""
+        return sum(n for _, n in self.counts)
 
     def order(self) -> int | None:
         """Order of the group, or None if infinite."""
         if self.free_rank:
             return None
-        result = 1
-        for q in self.torsion:
-            result *= q
-        return result
+        return prod(q**n for (_, q), n in self.counts)
 
     def direct_sum(self, *others: "FGAbelianGroup") -> "FGAbelianGroup":
-        rank = self.free_rank + sum(g.free_rank for g in others)
-        torsion = list(self.torsion)
-        for g in others:
-            torsion.extend(g.torsion)
-        torsion.sort(key=lambda q: (_prime_of(q), q))
-        return FGAbelianGroup(rank, tuple(torsion))
+        return _sum_of_copies((g, 1) for g in (self, *others))
 
     def invariant_factors(self) -> list[int]:
         """Cyclic orders n_1 >= n_2 >= ... with n_{i+1} | n_i."""
-        by_prime: dict[int, list[int]] = {}
-        for q in self.torsion:
-            by_prime.setdefault(_prime_of(q), []).append(q)
-        for qs in by_prime.values():
-            qs.sort(reverse=True)
-        depth = max((len(qs) for qs in by_prime.values()), default=0)
-        factors = []
-        for i in range(depth):
-            f = 1
-            for qs in by_prime.values():
-                if i < len(qs):
-                    f *= qs[i]
-            factors.append(f)
+        factors: list[int] = []
+        placed: dict[int, int] = {}  # per prime, summands placed so far
+        for (p, q), n in reversed(self.counts):
+            i = placed.get(p, 0)
+            placed[p] = i + n
+            factors += [1] * (i + n - len(factors))
+            factors[i : i + n] = [f * q for f in factors[i : i + n]]
         return factors
 
     def text(self) -> str:
@@ -250,20 +242,23 @@ def pi_manifold(
             f"pi_{k} needs loop factors up to dimension {k}, but the "
             f"enumeration was truncated at {factors.cutoff + 1}"
         )
-    parts = []
-    if factors.circles and k == 2:
-        parts.append(FGAbelianGroup.free(factors.circles))
-    for order in factors.mod_factors:
-        if k == 3:
-            parts.append(FGAbelianGroup.from_orders(order))
-        elif k >= 4:
-            raise UnsupportedDegree(
-                f"pi_{k} through an S^3{{{order}}} factor depends on the "
-                "degree map's action on sphere torsion and is not computed"
-            )
-    for dim, mult in factors.sphere_loops:
-        group = pi_sphere(table, dim, k)
-        parts.append(FGAbelianGroup(group.free_rank * mult, group.torsion * mult))
-    if not parts:
-        return FGAbelianGroup.trivial()
-    return parts[0].direct_sum(*parts[1:])
+    if factors.mod_factors and k >= 4:
+        raise UnsupportedDegree(
+            f"pi_{k} through an S^3{{{factors.mod_factors[0]}}} factor depends "
+            "on the degree map's action on sphere torsion and is not computed"
+        )
+    mods = factors.mod_factors if k == 3 else ()
+    base = FGAbelianGroup.from_orders(*mods, free_rank=factors.circles if k == 2 else 0)
+    loops = [(pi_sphere(table, m, k), mult) for m, mult in factors.sphere_loops if m <= k]
+    return _sum_of_copies([(base, 1), *loops])
+
+
+def _sum_of_copies(terms: Iterable[tuple[FGAbelianGroup, int]]) -> FGAbelianGroup:
+    """The direct sum of ``mult`` copies of each ``group``, counts added."""
+    rank = 0
+    counts: dict[tuple[int, int], int] = {}
+    for group, mult in terms:
+        rank += group.free_rank * mult
+        for key, n in group.counts:
+            counts[key] = counts.get(key, 0) + n * mult
+    return FGAbelianGroup(rank, tuple(sorted(c for c in counts.items() if c[1])))

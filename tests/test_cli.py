@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopsix import cli, homotopy, rational
@@ -399,6 +399,40 @@ class TestLargePi:
     def argvs(cls):
         return [argv + fmt for argv in cls.ARGVS for fmt in TestParserReuse.FORMATS]
 
+    @pytest.mark.parametrize("d, pi_max", [(6, 12), (6, 15), (24, 15), (60, 15)])
+    def test_too_many_summands_exit_three(self, d, pi_max):
+        code, out = run(["pi", diagonal(d), "--max", str(pi_max), "--format", "json"])
+        assert code == 3
+        assert json.loads(out)["error"]["type"] == "TooManySummands"
+
+    def test_bound_counts_summands(self, monkeypatch):
+        argv = ["pi", path("d3.json"), "--max", "15"]
+        monkeypatch.setattr(cli, "MAX_PI_SUMMANDS", 64_713)
+        assert run(argv)[0] == 0
+        monkeypatch.setattr(cli, "MAX_PI_SUMMANDS", 64_712)
+        code, out = run(argv)
+        assert code == 3 and "TooManySummands: pi_2..pi_15 have 64713" in out
+
+    def test_huge_max_enumerates_to_the_table(self, monkeypatch):
+        cutoffs = []
+        original = homotopy.loop_factors
+
+        def recorded(N, b, cutoff):
+            cutoffs.append(cutoff)
+            return original(N, b, cutoff)
+
+        monkeypatch.setattr(homotopy, "loop_factors", recorded)
+        code, out = run(["pi", path("d3.json"), "--max", "1000000000"])
+        assert code == 3 and "TableOutOfRange: pi_16(S^2)" in out
+        assert cutoffs == [15]
+
+    def test_small_table_still_reaches_degree_seven(self, tmp_path):
+        table = tmp_path / "table.txt"
+        table.write_text("2 3 0 5\n")
+        argv = ["pi", path("d0_k1.json"), "--max", "7", "--table", str(table)]
+        code, out = run(argv)
+        assert code == 0 and "pi_7(M) = Z\n" in out
+
 
 class TestSizeBound:
     """Odd attaching numbers past ``MAX_ODD_K`` exit 3 instead of being
@@ -444,16 +478,24 @@ def spec_files(draw):
     return json.dumps(spec).encode()
 
 
+#: ``pi --max`` over its whole accepted range, weighted toward the degrees
+#: the table covers and the edges of the summand and enumeration bounds
+PI_MAX = (
+    st.integers(2, 16)
+    | st.sampled_from([2, 13, 14, 15, 16, 17, 10**9])
+    | st.integers(2, 10**9)
+)
+
+
 class TestFuzz:
     """Any spec file through every command and format exits 0-3 without an
     uncaught exception."""
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        content=spec_files(),
-        cutoff=st.integers(1, 12),
-        pi_max=st.integers(2, 8),
-    )
+    @given(content=spec_files(), cutoff=st.integers(1, 12), pi_max=PI_MAX)
+    # both pi bounds: the table at --max 10^9, and 1,267,838 summands at d = 4
+    @example(content=(INPUTS / "d3.json").read_bytes(), cutoff=1, pi_max=10**9)
+    @example(content=Path(diagonal(4)).read_bytes(), cutoff=1, pi_max=14)
     def test_every_command(self, content, cutoff, pi_max):
         with tempfile.TemporaryDirectory() as tmp:
             spec = str(Path(tmp) / "spec.json")
