@@ -22,7 +22,7 @@ from typing import Any, Callable, Sequence
 
 from . import homotopy, rational
 from .errors import InputError, LoopSixError, UnsupportedError
-from .groups import load_table, pi_manifold
+from .groups import group_text, load_table, pi_manifold
 from .manifold import (
     BundleData,
     FourManifold,
@@ -212,11 +212,12 @@ def _pi(args, N: FourManifold, b: BundleData, case) -> Output:
         )
     payloads, lines = [], []
     for k, group in enumerate(groups, start=2):
-        text = group.text()
+        invariant_factors = group.invariant_factors()
+        text = group_text(group.free_rank, invariant_factors)
         payload = {
             "free_rank": group.free_rank,
             "torsion": list(group.torsion),
-            "invariant_factors": group.invariant_factors(),
+            "invariant_factors": invariant_factors,
             "text": text,
         }
         payloads.append({"k": k, "group": payload})

@@ -119,16 +119,21 @@ class FGAbelianGroup:
         >>> FGAbelianGroup.from_orders(4, 3, 2).text()
         'Z/12 + Z/2'
         """
-        parts = []
-        if self.free_rank == 1:
-            parts.append("Z")
-        elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{n}" for n in self.invariant_factors())
-        return " + ".join(parts) if parts else "0"
+        return group_text(self.free_rank, self.invariant_factors())
 
     def __str__(self) -> str:
         return self.text()
+
+
+def group_text(free_rank: int, invariant_factors: Iterable[int]) -> str:
+    """``Z^a + Z/n1 + Z/n2 ...`` from a free rank and invariant factors."""
+    parts = []
+    if free_rank == 1:
+        parts.append("Z")
+    elif free_rank > 1:
+        parts.append(f"Z^{free_rank}")
+    parts.extend(f"Z/{n}" for n in invariant_factors)
+    return " + ".join(parts) if parts else "0"
 
 
 @dataclass(frozen=True, eq=False)

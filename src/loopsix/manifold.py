@@ -20,7 +20,6 @@ associativity, Poincare duality) that pin this choice down rationally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Literal, Sequence
 
@@ -223,7 +222,7 @@ class SixManifoldRing:
 
     Basis labels: ``1``, ``x1..xd`` and ``t`` in degree 2, ``t*x1..t*xd`` and
     ``y`` in degree 4, ``top`` in degree 6.  The product table is complete
-    and graded-commutative; all structure constants are rational.
+    and graded-commutative; all structure constants are integers.
     """
 
     d: int
@@ -243,15 +242,13 @@ class SixManifoldRing:
         """Dimensions in degrees (0, 2, 4, 6); odd degrees vanish."""
         return (1, self.d + 1, self.d + 1, 1)
 
-    def product(self, a: str, b: str) -> dict[str, Fraction]:
+    def product(self, a: str, b: str) -> dict[str, int]:
         """Product of two basis elements as a sparse vector."""
         return dict(self._table[(a, b)])
 
-    def multiply(
-        self, u: dict[str, Fraction], v: dict[str, Fraction]
-    ) -> dict[str, Fraction]:
+    def multiply(self, u: dict[str, int], v: dict[str, int]) -> dict[str, int]:
         """Bilinear extension of the basis product table."""
-        out: dict[str, Fraction] = {}
+        out: dict[str, int] = {}
         for la, ca in u.items():
             if ca == 0:
                 continue
@@ -259,18 +256,15 @@ class SixManifoldRing:
                 if cb == 0:
                     continue
                 for lc, cc in self._table[(la, lb)].items():
-                    out[lc] = out.get(lc, Fraction(0)) + ca * cb * cc
+                    out[lc] = out.get(lc, 0) + ca * cb * cc
         return {k: v for k, v in out.items() if v != 0}
 
-    def top_coefficient(self, u: dict[str, Fraction]) -> Fraction:
-        return u.get("top", Fraction(0))
-
-    def pairing_matrix(self) -> list[list[Fraction]]:
+    def pairing_matrix(self) -> list[list[int]]:
         """Poincare pairing H^2 x H^4 -> H^6 in the stored bases."""
         deg2 = self.basis_of_degree(2)
         deg4 = self.basis_of_degree(4)
         return [
-            [self._table[(a, b)].get("top", Fraction(0)) for b in deg4]
+            [self._table[(a, b)].get("top", 0) for b in deg4]
             for a in deg2
         ]
 
@@ -297,10 +291,10 @@ def cohomology_ring(N: FourManifold, b: BundleData) -> SixManifoldRing:
 
     q_alpha = [sum(Q[i][j] * alpha[j] for j in range(d)) for i in range(d)]
 
-    table: dict[tuple[str, str], dict[str, Fraction]] = {}
+    table: dict[tuple[str, str], dict[str, int]] = {}
 
-    def put(a: str, c: str, value: dict[str, int | Fraction]) -> None:
-        entry = {k: Fraction(v) for k, v in value.items() if v != 0}
+    def put(a: str, c: str, value: dict[str, int]) -> None:
+        entry = {k: v for k, v in value.items() if v != 0}
         table[(a, c)] = entry
         table[(c, a)] = dict(entry)
 

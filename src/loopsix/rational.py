@@ -75,15 +75,16 @@ def _sym2_basis(g: int) -> list[tuple[int, int]]:
 class QuadraticPresentation:
     """Degree-2 generators and the quadratic relation space of H^*(M; Q).
 
-    ``relations`` are vectors over the monomial basis of Sym^2 (pairs (i, j)
-    with i <= j in lexicographic order).  ``weight_dims`` records the true
+    ``relations`` are integer vectors over the monomial basis of Sym^2
+    (pairs (i, j) with i <= j in lexicographic order); only their span
+    matters, not their scale.  ``weight_dims`` records the true
     degree-wise dimensions of the presented algebra when it is known (the
     Betti numbers, for presentations built from a manifold ring); ``d_rank``
     remembers the rank d of the base when there is one.
     """
 
     generators: int
-    relations: tuple[tuple[Fraction, ...], ...]
+    relations: tuple[tuple[int, ...], ...]
     weight_dims: tuple[int, ...] | None = None
     d_rank: int | None = None
 
@@ -114,17 +115,15 @@ def quadratic_presentation(ring: SixManifoldRing) -> QuadraticPresentation:
     # columns: sym2 monomials; rows: H^4 coordinates
     products = [ring.product(deg2[i], deg2[j]) for (i, j) in sym2]
     matrix = [[product.get(lbl, 0) for product in products] for lbl in deg4]
-    if rank(matrix) != len(deg4):
-        raise NotQuadratic("Sym^2 of the degree-2 part does not surject onto H^4")
     kernel = nullspace(matrix, ncols=len(sym2))
-    relations = tuple([
-        tuple([Fraction(x) for x in integer_primitive(vec)]) for vec in kernel
-    ])
+    if len(sym2) - len(kernel) != len(deg4):
+        raise NotQuadratic("Sym^2 of the degree-2 part does not surject onto H^4")
+    relations = tuple([tuple(vec) for vec in kernel])
     # weight-3 consistency: Sym^3 V must hit the top class
     top_hit = False
     for (i, j, k) in combinations_with_replacement(range(g), 3):
         uv = ring.product(deg2[i], deg2[j])
-        w = ring.multiply(uv, {deg2[k]: Fraction(1)})
+        w = ring.multiply(uv, {deg2[k]: 1})
         if w.get("top", 0) != 0:
             top_hit = True
             break
@@ -147,7 +146,11 @@ def free_presentation(generators: int) -> QuadraticPresentation:
 def presentation_from_relations(
     generators: int, relations: Iterable[Sequence[Rational]]
 ) -> QuadraticPresentation:
-    """A hand-built quadratic presentation (vectors over the Sym^2 basis)."""
+    """A hand-built quadratic presentation (vectors over the Sym^2 basis).
+
+    The one place rational relations enter a presentation: each vector's
+    denominators are cleared here, once.
+    """
     expected = generators * (generators + 1) // 2
     rels = []
     for vec in relations:
@@ -155,7 +158,9 @@ def presentation_from_relations(
             raise InputError(
                 f"relation vectors need length {expected} for {generators} generators"
             )
-        rels.append(tuple([Fraction(x) for x in vec]))
+        if not all(isinstance(x, (int, Fraction)) for x in vec):
+            raise InputError("relation entries must be int or Fraction")
+        rels.append(tuple(integer_primitive(vec)))
     return QuadraticPresentation(generators=generators, relations=tuple(rels))
 
 
@@ -177,7 +182,7 @@ def quadratic_algebra_dims(p: QuadraticPresentation, cutoff: int) -> list[int]:
         rows = []
         for rel in p.relations:
             for lower in combinations_with_replacement(range(g), w - 2):
-                row = [Fraction(0)] * len(monos)
+                row = [0] * len(monos)
                 for (pair, coeff) in zip(sym2, rel):
                     if coeff == 0:
                         continue
@@ -222,7 +227,7 @@ def _dual_relation_space(p: QuadraticPresentation) -> list[list[int]]:
     g = p.generators
     sym2 = _sym2_basis(g)
     rows = [
-        [c if i == j else 2 * c for (i, j), c in zip(sym2, integer_primitive(rel))]
+        [c if i == j else 2 * c for (i, j), c in zip(sym2, rel)]
         for rel in p.relations
     ]
     basis = []
@@ -247,13 +252,14 @@ def quadratic_dual_dims(p: QuadraticPresentation, max_weight: int) -> list[int]:
     of the next weight alike, so no row space or dimension changes.
     """
     g = p.generators
+    dims = [1, g]
+    # weight 2 alone spans g * g columns
+    if max_weight < 2 or g * g > DUAL_COLUMN_BUDGET:
+        return dims[: max_weight + 1]
     dual_relations = [
         [(divmod(k, g), c) for k, c in enumerate(s) if c]
         for s in _dual_relation_space(p)
     ]
-    dims = [1, g]
-    if max_weight < 2:
-        return dims[: max_weight + 1]
     # mult[i][b] = coordinates of (basis_b * f_i) in the next weight, up to
     # one common scale
     prev_dim = 1
@@ -318,23 +324,21 @@ def koszul_dual_series(
     return dual
 
 
-def lie_dims(
-    p: QuadraticPresentation, cutoff: int, *, force: bool = False
-) -> GradedLieDims:
+def lie_dims(p: QuadraticPresentation, cutoff: int) -> GradedLieDims:
     """Degree-wise ranks of the homotopy Lie algebra via the Koszul dual.
 
     Valid for d >= 2 (the Koszul range).  For d = 1 the dual reading is
-    wrong; pass ``force=True`` to run the naive inversion anyway, which
-    fails with :class:`~loopsix.series.NegativeLieDimension` -- that failure
-    is itself the non-coformality signal.
+    wrong: PBW inversion of the naive series
+    ``koszul_dual_series(p, cutoff, check=False)`` fails with
+    :class:`~loopsix.series.NegativeLieDimension`, and that failure is itself
+    the non-coformality signal.
     """
-    if p.d_rank == 1 and not force:
+    if p.d_rank == 1:
         raise KoszulInconsistency(
             "d = 1 cohomology is not Koszul; its naive dual series does not "
-            "give homotopy ranks (pass force=True to see it fail)"
+            "give homotopy ranks"
         )
-    dual = koszul_dual_series(p, cutoff, check=not force)
-    return pbw_invert(dual)
+    return pbw_invert(koszul_dual_series(p, cutoff))
 
 
 # ---------------------------------------------------------------------------
@@ -604,23 +608,6 @@ def model_to_json(model: SullivanModel) -> dict:
             for name, poly in sorted(model.differential.items())
         },
     }
-
-
-def model_from_json(data: Mapping) -> SullivanModel:
-    gens = [(g["name"], int(g["degree"])) for g in data["generators"]]
-    names = [n for n, _ in gens]
-    diff: dict[str, dict[Monomial, Fraction]] = {}
-    for name, terms in data.get("differential", {}).items():
-        poly: dict[Monomial, Fraction] = {}
-        for term in terms:
-            mono = [0] * len(gens)
-            for gname, e in term["exponents"].items():
-                mono[names.index(gname)] = int(e)
-            poly[tuple(mono)] = poly.get(tuple(mono), Fraction(0)) + Fraction(
-                term["coefficient"]
-            )
-        diff[name] = poly
-    return make_sullivan_model(gens, diff)
 
 
 def s2_model() -> SullivanModel:

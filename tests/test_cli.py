@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from loopsix import cli, homotopy, rational
 from loopsix.cli import emit_report, run
+from loopsix.groups import FGAbelianGroup
 
 from conftest import INPUTS, REPO_ROOT, random_unimodular_form
 
@@ -233,6 +234,20 @@ class TestEachStageOnce:
         code, _ = run([command, path(name)])
         assert code == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+    def test_pi_invariant_factors_once_per_group(self, monkeypatch, fmt):
+        calls = []
+        original = FGAbelianGroup.invariant_factors
+
+        def counted(group):
+            calls.append(group)
+            return original(group)
+
+        monkeypatch.setattr(FGAbelianGroup, "invariant_factors", counted)
+        code, _ = run(["pi", path("d3.json"), "--max", "8", *fmt])
+        assert code == 0
+        assert len(calls) == 7  # pi_2..pi_8
 
 
 class TestStrictSpecTypes:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from loopsix import linalg, rational
+from loopsix.errors import InputError
 from loopsix.homotopy import decompose, loop_factors, loop_homology_series
 from loopsix.manifold import bundle_from_classes, cohomology_ring, new_four_manifold
 from loopsix.linalg import rank
@@ -22,8 +24,6 @@ from loopsix.rational import (
     koszul_dual_series,
     lie_dims,
     make_sullivan_model,
-    model_from_json,
-    model_to_json,
     presentation_from_relations,
     quadratic_algebra_dims,
     quadratic_dual_dims,
@@ -31,7 +31,7 @@ from loopsix.rational import (
     ranks_from_decomposition,
     s2_model,
 )
-from loopsix.series import NegativeLieDimension
+from loopsix.series import NegativeLieDimension, pbw_invert
 
 from conftest import (
     INPUTS,
@@ -72,6 +72,11 @@ class TestQuadraticPresentation:
             ring = cohomology_ring(N, bundle_from_classes(N, [], p1))
             with pytest.raises(NotQuadratic):
                 quadratic_presentation(ring)
+
+    @pytest.mark.parametrize("entry", [0.5, "1/2"])
+    def test_hand_built_relations_take_exact_entries_only(self, entry):
+        with pytest.raises(InputError):
+            presentation_from_relations(1, [[entry]])
 
     def test_free_algebra_hilbert(self):
         p = free_presentation(2)
@@ -134,7 +139,7 @@ class TestLieDims:
     def test_d1_forced_fails_with_negative_dimension(self):
         _, _, p = presentation_for(*D1)
         with pytest.raises(NegativeLieDimension):
-            lie_dims(p, 6, force=True)
+            pbw_invert(koszul_dual_series(p, 6, check=False))
 
 
 class TestRanks:
@@ -226,12 +231,6 @@ class TestCdga:
     def test_degree_raising_enforced(self):
         with pytest.raises(Exception):
             make_sullivan_model([("a", 2), ("b", 3)], {"b": {(1, 0): 1}})
-
-    def test_json_round_trip(self):
-        model = d1_model(Fraction(-5, 4))
-        clone = model_from_json(model_to_json(model))
-        assert clone.generators == model.generators
-        assert cdga_cohomology(clone, 6) == cdga_cohomology(model, 6)
 
     def test_exterior_generators_square_to_zero(self):
         model = make_sullivan_model([("u", 3)], {})
@@ -342,3 +341,46 @@ class TestIntegerDualKernel:
         _, _, p3 = presentation_for(*D3)
         assert len(quadratic_dual_dims(p2, 6)) - 1 == 6
         assert len(quadratic_dual_dims(p3, 6)) - 1 == 4
+
+
+class TestIntegerPath:
+    """The Koszul route stays on ``int`` from the ring to the dual check."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    def test_structure_constants_and_relations_are_int(self, monkeypatch, d):
+        N, b = random_pair(random.Random(d), d)
+
+        def no_fraction(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was built on the Koszul route")
+
+        monkeypatch.setattr(Fraction, "__new__", no_fraction)
+        ring = cohomology_ring(N, b)
+        p = quadratic_presentation(ring)
+        quadratic_dual_dims(p, 6)
+        monkeypatch.undo()
+        for x in ring.basis:
+            for y in ring.basis:
+                assert all(type(c) is int for c in ring.product(x, y).values())
+        assert all(type(c) is int for rel in p.relations for c in rel)
+
+    def test_presentation_eliminates_once(self, monkeypatch):
+        ring = cohomology_ring(*random_pair(random.Random(3), 3))
+        calls = []
+        original = linalg.rref
+
+        def counted(rows):
+            calls.append(rows)
+            return original(rows)
+
+        monkeypatch.setattr(linalg, "rref", counted)
+        quadratic_presentation(ring)
+        assert len(calls) == 1
+
+    def test_over_budget_skips_dual_relations(self, monkeypatch):
+        p = quadratic_presentation(cohomology_ring(*random_pair(random.Random(17), 17)))
+
+        def unreachable(p):
+            raise AssertionError("R_perp built for a weight over budget")
+
+        monkeypatch.setattr(rational, "_dual_relation_space", unreachable)
+        assert quadratic_dual_dims(p, 6) == [1, 18]
