@@ -38,8 +38,9 @@ from .series import pbw_invert
 SCHEMA_VERSION = 1
 
 #: Most torsion summands (cyclic, of prime-power order, counted with
-#: multiplicity) that ``pi`` renders over pi_2..pi_max.  1.1-1.3 million
-#: take about 0.6 s as text and 3 s as JSON (2-vCPU host).
+#: multiplicity) that ``pi`` renders over pi_2..pi_max.  1.27 million take
+#: about 0.1 s as text and 2.5-3 s as JSON, whose indented encoder is pure
+#: Python (2-vCPU host).
 MAX_PI_SUMMANDS = 10**6
 
 
@@ -418,8 +419,8 @@ def _compare(args) -> tuple[dict[str, Any], list[str]]:
     return {"result": result, "warnings": warnings}, lines
 
 
-def _int_at_least(lower: int):
-    """An argparse type: an integer that is at least ``lower``."""
+def _int_in(lower: int, upper: int | None = None):
+    """An argparse type: an integer from ``lower`` to ``upper`` (if given)."""
 
     def parse(text: str) -> int:
         try:
@@ -428,6 +429,8 @@ def _int_at_least(lower: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < lower:
             raise argparse.ArgumentTypeError(f"must be at least {lower}, got {value}")
+        if upper is not None and value > upper:
+            raise argparse.ArgumentTypeError(f"must be at most {upper}, got {value}")
         return value
 
     return parse
@@ -461,17 +464,19 @@ def _build_parser() -> _Parser:
     add("decompose", _decompose, "loop-space decomposition of the 6-manifold")
     p_pi = add("pi", _pi, "homotopy groups pi_2..pi_K assembled from sphere tables")
     p_pi.add_argument(
-        "--max", type=_int_at_least(2), default=6, help="largest degree K (>= 2)"
+        "--max", type=_int_in(2), default=6, help="largest degree K (>= 2)"
     )
     p_pi.add_argument("--table", default=None, help="override the sphere table file")
+    # --cutoff upper bounds: each command takes about 0.2 s at its bound
+    # (README, "Size bounds of --cutoff"); the cost grows at least as its square
     p_series = add("series", _series, "rational loop-homology series of the decomposition")
-    p_series.add_argument("--cutoff", type=_int_at_least(0), default=12)
+    p_series.add_argument("--cutoff", type=_int_in(0, 500), default=12)
     p_rational = add("rational", _rational, "rational homotopy ranks and coformality")
-    p_rational.add_argument("--cutoff", type=_int_at_least(1), default=10)
+    p_rational.add_argument("--cutoff", type=_int_in(1, 150), default=10)
     p_koszul = add("koszul", _koszul, "Hilbert series and Koszul dual of the cohomology")
-    p_koszul.add_argument("--cutoff", type=_int_at_least(0), default=10)
+    p_koszul.add_argument("--cutoff", type=_int_in(0, 150), default=10)
     p_model = add("model", _model, "Sullivan model data")
-    p_model.add_argument("--cutoff", type=_int_at_least(0), default=8)
+    p_model.add_argument("--cutoff", type=_int_in(0, 150), default=8)
     add("compare", _compare, "loop-space equivalence of two inputs", two_files=True)
     return parser
 

@@ -15,12 +15,14 @@ Sphere groups come from a shipped data file covering n, k <= 15 (see
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from bisect import bisect_right
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 from itertools import chain, repeat
 from math import prod
+from operator import neg
 from pathlib import Path
 from types import MappingProxyType
 
@@ -103,14 +105,28 @@ class FGAbelianGroup:
         return _sum_of_copies((g, 1) for g in (self, *others))
 
     def invariant_factors(self) -> list[int]:
-        """Cyclic orders n_1 >= n_2 >= ... with n_{i+1} | n_i."""
-        factors: list[int] = []
-        placed: dict[int, int] = {}  # per prime, summands placed so far
+        """Cyclic orders n_1 >= n_2 >= ... with n_{i+1} | n_i.
+
+        Each prime's powers, largest first, fill positions 0, 1, ... of the
+        list, one run per power; the runs of all primes are merged, so the
+        work is per distinct prime power and each run of equal orders is
+        one list repetition.
+        """
+        # per prime: (where its run of a power ends, power), last run first
+        runs: dict[int, list[tuple[int, int]]] = {}
         for (p, q), n in reversed(self.counts):
-            i = placed.get(p, 0)
-            placed[p] = i + n
-            factors += [1] * (i + n - len(factors))
-            factors[i : i + n] = [f * q for f in factors[i : i + n]]
+            prime_runs = runs.setdefault(p, [])
+            prime_runs.insert(0, (n + (prime_runs[0][0] if prime_runs else 0), q))
+        factors: list[int] = []
+        for end in sorted({end for prime_runs in runs.values() for end, _ in prime_runs}):
+            order = 1
+            for prime_runs in runs.values():
+                if prime_runs:
+                    run_end, q = prime_runs[-1]
+                    order *= q
+                    if run_end == end:
+                        prime_runs.pop()
+            factors += [order] * (end - len(factors))
         return factors
 
     def text(self) -> str:
@@ -125,14 +141,27 @@ class FGAbelianGroup:
         return self.text()
 
 
-def group_text(free_rank: int, invariant_factors: Iterable[int]) -> str:
-    """``Z^a + Z/n1 + Z/n2 ...`` from a free rank and invariant factors."""
+def group_text(free_rank: int, invariant_factors: Sequence[int]) -> str:
+    """``Z^a + Z/n1 + Z/n2 ...`` from a free rank and invariant factors.
+
+    ``invariant_factors`` must be non-increasing, as
+    :meth:`FGAbelianGroup.invariant_factors` returns them: each run of
+    equal orders is found by bisection and joined at once.
+
+    >>> group_text(2, [4, 4, 2])
+    'Z^2 + Z/4 + Z/4 + Z/2'
+    """
     parts = []
     if free_rank == 1:
         parts.append("Z")
     elif free_rank > 1:
         parts.append(f"Z^{free_rank}")
-    parts.extend(f"Z/{n}" for n in invariant_factors)
+    i, size = 0, len(invariant_factors)
+    while i < size:
+        n = invariant_factors[i]
+        j = bisect_right(invariant_factors, -n, i, size, key=neg)
+        parts.append(" + ".join([f"Z/{n}"] * (j - i)))
+        i = j
     return " + ".join(parts) if parts else "0"
 
 

@@ -49,17 +49,18 @@ class WrongDimension(InputError):
 
 @dataclass(frozen=True)
 class FourManifold:
-    """A simply connected closed 4-manifold, encoded by its intersection form."""
+    """A simply connected closed 4-manifold, encoded by its intersection form.
+
+    ``determinant`` is the form's, +1 or -1: :func:`new_four_manifold`
+    computes it once to validate the form and keeps it.
+    """
 
     form: tuple[tuple[int, ...], ...]
+    determinant: int
 
     @property
     def d(self) -> int:
         return len(self.form)
-
-    @property
-    def determinant(self) -> int:
-        return det_int(self.form)
 
     def pairing(self, u: Sequence[int], v: Sequence[int] | None = None) -> int:
         """``u^T Q v`` (``v`` defaults to ``u``)."""
@@ -94,7 +95,7 @@ def new_four_manifold(entries: Sequence[Sequence[int]]) -> FourManifold:
     det = det_int(rows)
     if det not in (1, -1):
         raise NotUnimodular(f"|det Q| must be 1, got det = {det}")
-    return FourManifold(rows)
+    return FourManifold(rows, det)
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loopsix import cli, homotopy, rational
+from loopsix import cli, homotopy, manifold, rational
 from loopsix.cli import emit_report, run
 from loopsix.groups import FGAbelianGroup
 
 from conftest import INPUTS, REPO_ROOT, random_unimodular_form
+
+
+#: ``--cutoff`` upper bounds (README, "Size bounds of --cutoff")
+CUTOFF_MAX = {"series": 500, "rational": 150, "koszul": 150, "model": 150}
 
 
 def path(name):
@@ -211,6 +215,14 @@ class TestArgvRanges:
         assert code == 1
         assert out.startswith("usage error:") and "--cutoff" in out
 
+    @pytest.mark.parametrize("command", sorted(CUTOFF_MAX))
+    def test_cutoff_above_bound(self, command):
+        bound = CUTOFF_MAX[command]
+        code, out = run([command, path("d3.json"), "--cutoff", str(bound + 1)])
+        assert code == 1
+        assert out.startswith("usage error:") and "--cutoff" in out
+        assert f"must be at most {bound}" in out
+
     def test_rational_cutoff_zero(self):
         code, out = run(["rational", path("d1.json"), "--cutoff", "0"])
         assert code == 1
@@ -248,6 +260,19 @@ class TestEachStageOnce:
         code, _ = run(["pi", path("d3.json"), "--max", "8", *fmt])
         assert code == 0
         assert len(calls) == 7  # pi_2..pi_8
+
+    def test_describe_form_determinant_once(self, monkeypatch):
+        calls = []
+        original = manifold.det_int
+
+        def counted(rows):
+            calls.append(rows)
+            return original(rows)
+
+        monkeypatch.setattr(manifold, "det_int", counted)
+        code, out = run(["describe", path("d2_spin.json")])
+        assert code == 0 and "form determinant: -1" in out
+        assert len(calls) == 1  # validation in new_four_manifold
 
 
 class TestStrictSpecTypes:
@@ -502,16 +527,39 @@ PI_MAX = (
 )
 
 
+def cutoff_range(bound):
+    """``--cutoff`` from 0 to 10 past its bound, weighted toward the small
+    values (the ``@example``s below take the edges of the bound)."""
+    return st.integers(0, 12) | st.integers(0, bound + 10)
+
+
+#: the smallest accepted ``--cutoff`` of each command
+SMALL_CUTOFFS = {"series": 0, "rational": 1, "koszul": 0, "model": 0}
+
+
 class TestFuzz:
     """Any spec file through every command and format exits 0-3 without an
     uncaught exception."""
 
     @settings(max_examples=40, deadline=None)
-    @given(content=spec_files(), cutoff=st.integers(1, 12), pi_max=PI_MAX)
+    @given(
+        content=spec_files(),
+        cutoffs=st.fixed_dictionaries(
+            {command: cutoff_range(bound) for command, bound in CUTOFF_MAX.items()}
+        ),
+        pi_max=PI_MAX,
+    )
     # both pi bounds: the table at --max 10^9, and 1,267,838 summands at d = 4
-    @example(content=(INPUTS / "d3.json").read_bytes(), cutoff=1, pi_max=10**9)
-    @example(content=Path(diagonal(4)).read_bytes(), cutoff=1, pi_max=14)
-    def test_every_command(self, content, cutoff, pi_max):
+    @example(content=(INPUTS / "d3.json").read_bytes(), cutoffs=SMALL_CUTOFFS, pi_max=10**9)
+    @example(content=Path(diagonal(4)).read_bytes(), cutoffs=SMALL_CUTOFFS, pi_max=14)
+    # every --cutoff at its bound, and one past it
+    @example(content=(INPUTS / "d3.json").read_bytes(), cutoffs=CUTOFF_MAX, pi_max=6)
+    @example(
+        content=(INPUTS / "d3.json").read_bytes(),
+        cutoffs={command: bound + 1 for command, bound in CUTOFF_MAX.items()},
+        pi_max=6,
+    )
+    def test_every_command(self, content, cutoffs, pi_max):
         with tempfile.TemporaryDirectory() as tmp:
             spec = str(Path(tmp) / "spec.json")
             Path(spec).write_bytes(content)
@@ -519,10 +567,7 @@ class TestFuzz:
                 "describe": [],
                 "decompose": [],
                 "pi": ["--max", str(pi_max)],
-                "series": ["--cutoff", str(cutoff - 1)],
-                "rational": ["--cutoff", str(cutoff)],
-                "koszul": ["--cutoff", str(cutoff - 1)],
-                "model": ["--cutoff", str(cutoff - 1)],
+                **{command: ["--cutoff", str(c)] for command, c in cutoffs.items()},
                 "compare": [spec],
             }
             for command, extra in options.items():

@@ -20,6 +20,9 @@ from loopsix.manifold import bundle_from_classes, new_four_manifold
 from conftest import random_pair
 
 
+ORDERS = st.lists(st.integers(min_value=0, max_value=24), max_size=4)
+
+
 @pytest.fixture(scope="module")
 def table():
     return load_table()
@@ -52,11 +55,7 @@ class TestFGAbelianGroup:
         assert FGAbelianGroup.from_orders(15).order() == 15
         assert FGAbelianGroup.free(1).order() is None
 
-    @given(
-        st.lists(st.integers(min_value=0, max_value=24), max_size=4),
-        st.lists(st.integers(min_value=0, max_value=24), max_size=4),
-        st.lists(st.integers(min_value=0, max_value=24), max_size=4),
-    )
+    @given(ORDERS, ORDERS, ORDERS)
     @settings(max_examples=50)
     def test_direct_sum_commutative_associative(self, a, b, c):
         A = FGAbelianGroup.from_orders(*a)
@@ -64,6 +63,79 @@ class TestFGAbelianGroup:
         C = FGAbelianGroup.from_orders(*c)
         assert A.direct_sum(B) == B.direct_sum(A)
         assert A.direct_sum(B).direct_sum(C) == A.direct_sum(B.direct_sum(C))
+
+
+def one_summand_at_a_time(group):
+    """Invariant factors built by multiplying each summand's slot in turn."""
+    factors = []
+    placed = {}
+    for (p, q), n in reversed(group.counts):
+        i = placed.get(p, 0)
+        placed[p] = i + n
+        factors += [1] * (i + n - len(factors))
+        factors[i : i + n] = [f * q for f in factors[i : i + n]]
+    return factors
+
+
+def one_string_per_summand(free_rank, factors):
+    free = {0: [], 1: ["Z"]}.get(free_rank, [f"Z^{free_rank}"])
+    return " + ".join(free + [f"Z/{n}" for n in factors]) or "0"
+
+
+@st.composite
+def groups_with_long_runs(draw):
+    """A group from a few small orders, plus runs of up to 10^4 copies of
+    one prime power, over several primes."""
+    group = FGAbelianGroup.from_orders(*draw(ORDERS), free_rank=draw(st.integers(0, 3)))
+    runs = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([2, 3, 5, 7]),
+                st.integers(1, 5),
+                st.integers(1, 10**4),
+            ),
+            max_size=8,
+        )
+    )
+    return group.direct_sum(*[FGAbelianGroup(0, (((p, p**r), n),)) for p, r, n in runs])
+
+
+class TestRunsOfEqualOrders:
+    """``invariant_factors`` and ``text`` work per run of equal orders and
+    agree with the summand-at-a-time versions."""
+
+    @given(groups_with_long_runs())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_one_summand_at_a_time(self, group):
+        factors = group.invariant_factors()
+        assert factors == one_summand_at_a_time(group)
+        assert all(a % b == 0 for a, b in zip(factors, factors[1:]))
+        assert group.text() == one_string_per_summand(group.free_rank, factors)
+
+    def test_interleaved_prime_runs(self):
+        group = FGAbelianGroup.from_orders(8, 8, 4, 2, 9, 3, 3, 5)
+        assert group.invariant_factors() == [360, 24, 12, 2]
+        assert group.text() == "Z/360 + Z/24 + Z/12 + Z/2"
+
+    @pytest.mark.parametrize(
+        "free_rank, orders, text",
+        [
+            (0, (), "0"),
+            (1, (), "Z"),
+            (2, (), "Z^2"),
+            (0, (4, 4, 2), "Z/4 + Z/4 + Z/2"),
+            (1, (4, 4, 2), "Z + Z/4 + Z/4 + Z/2"),
+            (2, (4, 4, 2), "Z^2 + Z/4 + Z/4 + Z/2"),
+        ],
+    )
+    def test_free_rank_with_and_without_torsion(self, free_rank, orders, text):
+        group = FGAbelianGroup.from_orders(*orders, free_rank=free_rank)
+        assert group.text() == text
+
+    def test_a_million_equal_summands(self):
+        group = FGAbelianGroup(0, (((2, 2), 10**6),))
+        assert group.invariant_factors() == [2] * 10**6
+        assert group.text() == " + ".join(["Z/2"] * 10**6)
 
 
 class TestSphereTable:
