@@ -91,7 +91,9 @@ def load_manifold_spec(path: str | Path) -> tuple[FourManifold, BundleData, str]
     if N.d == 0 and w2 not in ([],):
         raise InputError(f"{path}: 'w2' must be empty when the form is empty")
     bundle = bundle_from_classes(N, w2, data["p1"])
-    name = str(data.get("name", Path(path).stem))
+    name = data.get("name", Path(path).stem)
+    if type(name) is not str:
+        raise InputError(f"{path}: 'name' must be a string")
     return N, bundle, name
 
 

@@ -178,9 +178,6 @@ class SphereTable:
     max_k: int
     source: str
 
-    def coverage(self, n: int, k: int) -> bool:
-        return k < n or k == n or (n, k) in self.entries
-
 
 def default_table_path() -> Path:
     return Path(resources.files("loopsix").joinpath("data/sphere_table.txt"))

@@ -25,6 +25,7 @@ computes the rational loop-homology series of any decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Mapping, Union
 
 from .errors import InputError, UnsupportedCase
@@ -251,6 +252,18 @@ def _sphere_wedge_pairs(count: int) -> Node:
     return Wedge(tuple([Sphere(2)] * count + [Sphere(3)] * count))
 
 
+# For d >= 1 the loop space depends only on d, so each rank is built once per
+# process and every spec of that rank shares the (frozen) expression.
+@cache
+def _decompose_rank(d: int) -> Node:
+    if d == 1:
+        return normalize(Product((Circle(), Loop(Sphere(2)), Loop(Sphere(5)))))
+    J = _sphere_wedge_pairs(d - 2)
+    loops_z = Loop(Product((Sphere(2), Sphere(3))))
+    wedge = Wedge((J, Smash((J, loops_z))))
+    return normalize(Product((Circle(), Loop(Sphere(2)), loops_z, Loop(wedge))))
+
+
 def decompose(N: FourManifold, b: BundleData) -> Node:
     """Normalized loop-space decomposition of the 6-manifold for (N, b).
 
@@ -259,15 +272,8 @@ def decompose(N: FourManifold, b: BundleData) -> Node:
     ``k = 2^r`` with ``r >= 3``, and the classical extensions
     ``k in {0, 1}``; everything else raises :class:`UnsupportedCase`.
     """
-    d = N.d
-    if d == 1:
-        return normalize(Product((Circle(), Loop(Sphere(2)), Loop(Sphere(5)))))
-    if d >= 2:
-        J = _sphere_wedge_pairs(d - 2)
-        loops_z = Loop(Product((Sphere(2), Sphere(3))))
-        wedge = Wedge((J, Smash((J, loops_z))))
-        return normalize(Product((Circle(), Loop(Sphere(2)), loops_z, Loop(wedge))))
-
+    if N.d >= 1:
+        return _decompose_rank(N.d)
     k = abs(b.ell)
     if k == 0:
         # trivial bundle: Loop(S^2 x S^4), with Loop(S^2) = S^1 x Loop(S^3)
@@ -481,53 +487,41 @@ def hilton_milnor(
 
 
 def loop_factors(N: FourManifold, b: BundleData, cutoff: int) -> LoopFactorMultiset:
-    """Expand the decomposition of (N, b) into circle/loop-sphere factors.
+    """Expand the factors of :func:`decompose` into circle/loop-sphere factors.
 
     ``Loop(S^2 x S^3)`` contributes ``Loop(S^2)`` and ``Loop(S^3)``; the
-    wedge summand for d >= 3 is expanded through Hilton-Milnor.  Factors
+    wedge summand for d >= 3 is expanded through Hilton-Milnor, with its
+    spheres counted by :func:`bouquet_spheres`.  Factors
     ``Loop(S^m)`` are enumerated for ``m <= cutoff + 1``, which determines
     rational homotopy ranks through degree ``cutoff``.
     """
     if cutoff < 1:
         raise InputError("cutoff must be >= 1")
-    d = N.d
-    if d == 0:
-        expr = decompose(N, b)  # may raise UnsupportedCase
-        mods = tuple([
-            f.order for f in expr.factors if isinstance(f, SphereModN)
-        ])
-        loops: dict[int, int] = {}
-        dropped = False
-        for f in expr.factors:
-            if isinstance(f, Loop) and isinstance(f.space, Sphere):
-                m = f.space.dim
-                if m <= cutoff + 1:
-                    loops[m] = loops.get(m, 0) + 1
+    circles = 0
+    mods: list[int] = []
+    loops: dict[int, int] = {}
+    truncated = False
+    for f in decompose(N, b).factors:  # may raise UnsupportedCase
+        if isinstance(f, Circle):
+            circles += 1
+        elif isinstance(f, SphereModN):
+            mods.append(f.order)
+        elif isinstance(f.space, Wedge):
+            expansion = hilton_milnor(bouquet_spheres(N.d, cutoff + 1), cutoff)
+            for m, c in expansion.sphere_loops:
+                loops[m] = loops.get(m, 0) + c
+            truncated = truncated or expansion.truncated
+        else:  # Loop of a sphere or of a product of spheres
+            space = f.space
+            for sphere in space.factors if isinstance(space, Product) else (space,):
+                if sphere.dim <= cutoff + 1:
+                    loops[sphere.dim] = loops.get(sphere.dim, 0) + 1
                 else:
-                    dropped = True
-        return LoopFactorMultiset(
-            circles=1,
-            sphere_loops=tuple(sorted(loops.items())),
-            mod_factors=mods,
-            truncated=dropped,
-            cutoff=cutoff,
-        )
-    if d == 1:
-        base = {2: 1, 5: 1}
-    else:
-        base = {2: 2, 3: 1}
-    loops = {m: c for m, c in base.items() if m <= cutoff + 1}
-    truncated = any(m > cutoff + 1 for m in base)
-    if d >= 3:
-        wedge = bouquet_spheres(d, cutoff + 1)
-        expansion = hilton_milnor(wedge, cutoff)
-        for m, c in expansion.sphere_loops:
-            loops[m] = loops.get(m, 0) + c
-        truncated = truncated or expansion.truncated
+                    truncated = True
     return LoopFactorMultiset(
-        circles=1,
+        circles=circles,
         sphere_loops=tuple(sorted(loops.items())),
-        mod_factors=(),
+        mod_factors=tuple(mods),
         truncated=truncated,
         cutoff=cutoff,
     )

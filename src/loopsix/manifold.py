@@ -233,9 +233,6 @@ class SixManifoldRing:
     _degrees: dict
     _table: dict
 
-    def degree_of(self, label: str) -> int:
-        return self._degrees[label]
-
     def basis_of_degree(self, degree: int) -> tuple[str, ...]:
         return tuple([l for l in self.basis if self._degrees[l] == degree])
 

@@ -441,7 +441,6 @@ def _mono_mul(
     n = len(degrees)
     out = []
     sign_exp = 0
-    odd_suffix_a = 0  # number of odd-degree slots of a strictly above current j
     odd_counts_a = [a[i] * (degrees[i] % 2) for i in range(n)]
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):

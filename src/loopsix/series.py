@@ -125,11 +125,6 @@ class TruncatedSeries:
             out.append(int(c))
         return tuple(out)
 
-    def truncate(self, cutoff: int) -> "TruncatedSeries":
-        if cutoff >= self.cutoff:
-            return self
-        return TruncatedSeries(self.coeffs[: cutoff + 1])
-
     # -- arithmetic (always truncates to the smaller cutoff) --------------
     # Tuples here and on the other hot paths are built from lists: CPython
     # builds tuple(<generator>) in a borrowed size-10 tuple and shrinks it, so
@@ -146,9 +141,6 @@ class TruncatedSeries:
         return TruncatedSeries(
             tuple([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
         )
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple([-c for c in self.coeffs]))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.cutoff, other.cutoff)
@@ -438,8 +430,5 @@ def pbw_invert(series: TruncatedSeries) -> GradedLieDims:
         dims.append(dim)
         # divide out the factor just determined
         if dim:
-            if degree % 2 == 1:
-                remainder = remainder * _binomial_factor(degree, -dim, +1, cutoff)
-            else:
-                remainder = remainder * _binomial_factor(degree, dim, -1, cutoff)
+            remainder = remainder * pbw_factor(degree, -dim, cutoff)
     return GradedLieDims(tuple(dims))

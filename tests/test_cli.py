@@ -287,8 +287,12 @@ class TestStrictSpecTypes:
             {"intersection_form": [[1]], "w2": [1], "p1": True},
             {"intersection_form": [[1]], "w2": [3], "p1": 1},
             {"intersection_form": [[1]], "w2": [True], "p1": 1},
+            {"intersection_form": [[1]], "w2": [1], "p1": 1, "name": None},
+            {"intersection_form": [[1]], "w2": [1], "p1": 1, "name": {"a": 1}},
+            {"intersection_form": [[1]], "w2": [1], "p1": 1, "name": 7},
         ],
-        ids=["form_float", "form_string", "form_bool", "p1_bool", "w2_three", "w2_bool"],
+        ids=["form_float", "form_string", "form_bool", "p1_bool", "w2_three", "w2_bool",
+             "name_null", "name_object", "name_int"],
     )
     def test_rejected(self, tmp_path, spec):
         spec_path = tmp_path / "spec.json"
@@ -317,6 +321,14 @@ class TestStrictSpecTypes:
         code, out = run(["describe", str(spec_path)])
         assert code == 2
         assert "InputError" in out and str(spec_path) in out
+
+    def test_name_string_or_file_stem(self, tmp_path):
+        spec_path = tmp_path / "stem.json"
+        spec = {"intersection_form": [[1]], "w2": [1], "p1": 1}
+        spec_path.write_text(json.dumps(spec))
+        assert "name: stem" in run(["describe", str(spec_path)])[1]
+        spec_path.write_text(json.dumps({**spec, "name": "given"}))
+        assert "name: given" in run(["describe", str(spec_path)])[1]
 
 
 class TestParserReuse:

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsix import UnsupportedCase
+from loopsix import InputError, UnsupportedCase, homotopy
 from loopsix.homotopy import (
     Circle,
     Loop,
+    LoopFactorMultiset,
     Product,
     Smash,
     Sphere,
@@ -229,6 +230,105 @@ class TestLoopFactors:
         factors = loop_factors(*d0(60), cutoff=3)
         assert factors.loops_by_dim() == {}
         assert factors.truncated
+
+
+def hand_loop_factors(N, b, cutoff):
+    """The hand-written expansion that ``loop_factors`` used before it read
+    every rank from ``decompose``; kept as a reference."""
+    if cutoff < 1:
+        raise InputError("cutoff must be >= 1")
+    d = N.d
+    if d == 0:
+        expr = decompose(N, b)
+        mods = tuple([f.order for f in expr.factors if isinstance(f, SphereModN)])
+        loops = {}
+        dropped = False
+        for f in expr.factors:
+            if isinstance(f, Loop) and isinstance(f.space, Sphere):
+                m = f.space.dim
+                if m <= cutoff + 1:
+                    loops[m] = loops.get(m, 0) + 1
+                else:
+                    dropped = True
+        return LoopFactorMultiset(
+            circles=1,
+            sphere_loops=tuple(sorted(loops.items())),
+            mod_factors=mods,
+            truncated=dropped,
+            cutoff=cutoff,
+        )
+    base = {2: 1, 5: 1} if d == 1 else {2: 2, 3: 1}
+    loops = {m: c for m, c in base.items() if m <= cutoff + 1}
+    truncated = any(m > cutoff + 1 for m in base)
+    if d >= 3:
+        expansion = hilton_milnor(bouquet_spheres(d, cutoff + 1), cutoff)
+        for m, c in expansion.sphere_loops:
+            loops[m] = loops.get(m, 0) + c
+        truncated = truncated or expansion.truncated
+    return LoopFactorMultiset(
+        circles=1,
+        sphere_loops=tuple(sorted(loops.items())),
+        mod_factors=(),
+        truncated=truncated,
+        cutoff=cutoff,
+    )
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (InputError, UnsupportedCase) as exc:
+        return type(exc), str(exc)
+
+
+class TestLoopFactorsWalk:
+    """``loop_factors`` walks ``decompose`` and matches the hand expansion."""
+
+    CUTOFFS = range(0, 25)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_matches_hand_expansion_d_positive(self, d):
+        rng = random.Random(100 + d)
+        for _ in range(3):
+            N, b = random_pair(rng, d)
+            for cutoff in self.CUTOFFS:
+                assert outcome(loop_factors, N, b, cutoff) == outcome(
+                    hand_loop_factors, N, b, cutoff
+                )
+
+    def test_matches_hand_expansion_d0(self):
+        supported = 0
+        for k in range(65):
+            N, b = d0(4 * k)
+            supported += not isinstance(outcome(decompose, N, b), tuple)
+            for cutoff in self.CUTOFFS:
+                assert outcome(loop_factors, N, b, cutoff) == outcome(
+                    hand_loop_factors, N, b, cutoff
+                )
+        assert supported == 2 + 31 + 4  # k = 0, 1; odd 3..63; 8, 16, 32, 64
+
+    def test_each_rank_built_once(self, monkeypatch):
+        calls = []
+        original = homotopy.normalize
+
+        def counted(node):
+            calls.append(node)
+            return original(node)
+
+        monkeypatch.setattr(homotopy, "normalize", counted)
+        rng = random.Random(9)
+        specs = [random_pair(rng, 4) for _ in range(5)]
+        homotopy._decompose_rank.cache_clear()
+        decompose(*specs[0])
+        single = len(calls)
+        assert single > 0
+        homotopy._decompose_rank.cache_clear()
+        calls.clear()
+        for i in range(25):
+            N, b = specs[i % len(specs)]
+            loop_factors(N, b, 1 + i % 12)
+            decompose(N, b)
+        assert len(calls) <= single
 
 
 class TestLoopHomology:
