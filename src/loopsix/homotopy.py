@@ -25,7 +25,8 @@ computes the rational loop-homology series of any decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
+from operator import mul
 from typing import Iterable, Mapping, Union
 
 from .errors import InputError, UnsupportedCase
@@ -113,6 +114,19 @@ def is_trivial(node: Node) -> bool:
     return isinstance(node, Wedge) and not node.summands
 
 
+#: The n-ary nodes: (rank in node_key, JSON kind, field of the children,
+#: separator in render).
+_NARY = {
+    Product: (5, "product", "factors", " x "),
+    Wedge: (6, "wedge", "summands", " v "),
+    Smash: (7, "smash", "factors", " ^ "),
+}
+
+
+def _children(node: Node) -> tuple[Node, ...]:
+    return getattr(node, _NARY[type(node)][2])
+
+
 def node_key(node: Node):
     """Total deterministic order on normalized nodes.
 
@@ -129,12 +143,8 @@ def node_key(node: Node):
         return (3, node_key(node.space))
     if isinstance(node, Sphere):
         return (4, node.dim)
-    if isinstance(node, Product):
-        return (5, tuple([node_key(f) for f in node.factors]))
-    if isinstance(node, Wedge):
-        return (6, tuple([node_key(s) for s in node.summands]))
-    if isinstance(node, Smash):
-        return (7, tuple([node_key(f) for f in node.factors]))
+    if type(node) in _NARY:
+        return (_NARY[type(node)][0], tuple([node_key(c) for c in _children(node)]))
     raise TypeError(f"not a homotopy expression: {node!r}")
 
 
@@ -149,63 +159,26 @@ def normalize(node: Node) -> Node:
         if is_trivial(inner):
             return TRIVIAL
         return Loop(inner)
-    if isinstance(node, Product):
-        factors: list[Node] = []
-        for f in node.factors:
-            nf = normalize(f)
-            if is_trivial(nf):
-                continue  # X x pt = X
-            if isinstance(nf, Product):
-                factors.extend(nf.factors)
-            else:
-                factors.append(nf)
-        if not factors:
-            return TRIVIAL
-        if len(factors) == 1:
-            return factors[0]
-        return Product(tuple(sorted(factors, key=node_key)))
-    if isinstance(node, Wedge):
-        summands: list[Node] = []
-        for s in node.summands:
-            ns = normalize(s)
-            if is_trivial(ns):
-                continue  # X v pt = X
-            if isinstance(ns, Wedge):
-                summands.extend(ns.summands)
-            else:
-                summands.append(ns)
-        if not summands:
-            return TRIVIAL
-        if len(summands) == 1:
-            return summands[0]
-        return Wedge(tuple(sorted(summands, key=node_key)))
-    if isinstance(node, Smash):
-        factors = []
-        for f in node.factors:
-            nf = normalize(f)
-            if is_trivial(nf):
+    if type(node) not in _NARY:
+        raise TypeError(f"not a homotopy expression: {node!r}")
+    kind = type(node)
+    parts: list[Node] = []
+    for child in map(normalize, _children(node)):
+        if is_trivial(child):
+            if kind is Smash:
                 return TRIVIAL  # X ^ pt = pt
-            if isinstance(nf, Smash):
-                factors.extend(nf.factors)
-            else:
-                factors.append(nf)
-        if not factors:
-            return TRIVIAL
-        if len(factors) == 1:
-            return factors[0]
-        return Smash(tuple(sorted(factors, key=node_key)))
-    raise TypeError(f"not a homotopy expression: {node!r}")
+            continue  # X x pt = X v pt = X
+        if isinstance(child, kind):
+            parts.extend(_children(child))
+        else:
+            parts.append(child)
+    if len(parts) == 1:
+        return parts[0]
+    return kind(tuple(sorted(parts, key=node_key))) if parts else TRIVIAL
 
 
 def render(node: Node) -> str:
     """Stable text form: ``S^1 x Loop(S^2) x Loop(S^2 x S^3) x Loop(W)``."""
-
-    def atom(n: Node) -> str:
-        text = render(n)
-        if isinstance(n, (Product, Wedge, Smash)):
-            return f"({text})"
-        return text
-
     if isinstance(node, Circle):
         return "S^1"
     if isinstance(node, Sphere):
@@ -214,13 +187,12 @@ def render(node: Node) -> str:
         return f"S^3{{{node.order}}}"
     if isinstance(node, Loop):
         return f"Loop({render(node.space)})"
-    if isinstance(node, Product):
-        return " x ".join(atom(f) for f in node.factors) if node.factors else "pt"
-    if isinstance(node, Wedge):
-        return " v ".join(atom(s) for s in node.summands) if node.summands else "pt"
-    if isinstance(node, Smash):
-        return " ^ ".join(atom(f) for f in node.factors) if node.factors else "pt"
-    raise TypeError(f"not a homotopy expression: {node!r}")
+    if type(node) not in _NARY:
+        raise TypeError(f"not a homotopy expression: {node!r}")
+    parts = [
+        f"({render(c)})" if type(c) in _NARY else render(c) for c in _children(node)
+    ]
+    return _NARY[type(node)][3].join(parts) if parts else "pt"
 
 
 def ast_to_json(node: Node) -> dict:
@@ -233,13 +205,10 @@ def ast_to_json(node: Node) -> dict:
         return {"kind": "sphere_mod", "dim": 3, "order": node.order}
     if isinstance(node, Loop):
         return {"kind": "loop", "space": ast_to_json(node.space)}
-    if isinstance(node, Product):
-        return {"kind": "product", "factors": [ast_to_json(f) for f in node.factors]}
-    if isinstance(node, Wedge):
-        return {"kind": "wedge", "summands": [ast_to_json(s) for s in node.summands]}
-    if isinstance(node, Smash):
-        return {"kind": "smash", "factors": [ast_to_json(f) for f in node.factors]}
-    raise TypeError(f"not a homotopy expression: {node!r}")
+    if type(node) not in _NARY:
+        raise TypeError(f"not a homotopy expression: {node!r}")
+    _, kind, field, _ = _NARY[type(node)]
+    return {"kind": kind, field: [ast_to_json(c) for c in _children(node)]}
 
 
 # ---------------------------------------------------------------------------
@@ -406,21 +375,15 @@ def bouquet_spheres(d: int, cutoff: int) -> dict[int, int]:
     With ``J`` the wedge of (d-2) copies of S^2 v S^3, the reduced homology
     series of the bouquet is ``(d-2)(t^2+t^3)/((1-t)(1-t^2))``; since the
     space is a bouquet of spheres with free homology, the coefficient of
-    ``t^n`` is the number of n-spheres.  Dimensions above ``cutoff`` are
-    omitted.
+    ``t^n`` is the number of n-spheres.  That of ``t^m`` in
+    ``1/((1-t)(1-t^2))`` is ``m//2 + 1``, so there are ``(d-2)(n-1)``
+    n-spheres for every n >= 2.  Dimensions above ``cutoff`` are omitted.
     """
     if d < 2:
         raise InputError(f"the bouquet summand exists only for d >= 2, got d={d}")
     if d == 2:
         return {}
-    h_z = series_reciprocal(
-        TruncatedSeries.from_coefficients([1, -1], cutoff)
-        * TruncatedSeries.from_coefficients([1, 0, -1], cutoff)
-    )
-    j = TruncatedSeries.from_coefficients([0, 0, d - 2, d - 2], cutoff)
-    h = j * h_z
-    counts = h.integer_coefficients()
-    return {n: counts[n] for n in range(2, cutoff + 1) if counts[n]}
+    return {n: (d - 2) * (n - 1) for n in range(2, cutoff + 1)}
 
 
 @dataclass(frozen=True)
@@ -532,75 +495,43 @@ def loop_factors(N: FourManifold, b: BundleData, cutoff: int) -> LoopFactorMulti
 # ---------------------------------------------------------------------------
 
 
-def sphere_loop_series(dim: int, cutoff: int) -> TruncatedSeries:
-    """Rational homology series of ``Loop(S^dim)`` for ``dim >= 2``:
-    ``1/(1-t^{m-1})`` for odd spheres, ``(1+t^{m-1})/(1-t^{2m-2})`` even."""
-    if dim < 2:
-        raise UnsupportedNode(f"Loop(S^{dim}) needs dim >= 2")
-    if dim % 2 == 1:
-        return series_reciprocal(
-            TruncatedSeries.one(cutoff) - TruncatedSeries.monomial(dim - 1, 1, cutoff)
-        )
-    numerator = TruncatedSeries.one(cutoff) + TruncatedSeries.monomial(
-        dim - 1, 1, cutoff
-    )
-    denominator = TruncatedSeries.one(cutoff) - TruncatedSeries.monomial(
-        2 * dim - 2, 1, cutoff
-    )
-    return numerator * series_reciprocal(denominator)
+def _add_constant(series: TruncatedSeries, c: int) -> TruncatedSeries:
+    return TruncatedSeries((series.coeffs[0] + c, *series.coeffs[1:]))
 
 
-def _reduced_homology_series(node: Node, cutoff: int) -> TruncatedSeries:
-    """Reduced rational homology series of a (nice) space node."""
-    if isinstance(node, Sphere):
-        return TruncatedSeries.monomial(node.dim, 1, cutoff)
-    if isinstance(node, Circle):
-        return TruncatedSeries.monomial(1, 1, cutoff)
+def _homology(node: Node, cutoff: int) -> TruncatedSeries:
+    """Unreduced rational homology series of a normalized node."""
+    if isinstance(node, (Circle, Sphere)):
+        dim = 1 if isinstance(node, Circle) else node.dim
+        return _add_constant(TruncatedSeries.monomial(dim, 1, cutoff), 1)
     if isinstance(node, SphereModN):
-        return TruncatedSeries.zero(cutoff)  # rationally a point
-    if isinstance(node, Wedge):
-        total = TruncatedSeries.zero(cutoff)
-        for s in node.summands:
-            total = total + _reduced_homology_series(s, cutoff)
-        return total
-    if isinstance(node, Smash):
-        total = TruncatedSeries.one(cutoff)
-        for f in node.factors:
-            total = total * _reduced_homology_series(f, cutoff)
-        return total
-    if isinstance(node, Product):
-        total = TruncatedSeries.one(cutoff)
-        for f in node.factors:
-            total = total * (
-                TruncatedSeries.one(cutoff) + _reduced_homology_series(f, cutoff)
-            )
-        return total - TruncatedSeries.one(cutoff)
+        return TruncatedSeries.one(cutoff)  # rationally a point
     if isinstance(node, Loop):
-        return _loop_series(node.space, cutoff) - TruncatedSeries.one(cutoff)
-    raise UnsupportedNode(f"no homology series for {node!r}")
-
-
-def _loop_series(space: Node, cutoff: int) -> TruncatedSeries:
-    """Homology series of ``Loop(space)`` for spheres, products and bouquets."""
-    if isinstance(space, Sphere):
-        return sphere_loop_series(space.dim, cutoff)
-    if isinstance(space, Product):
-        total = TruncatedSeries.one(cutoff)
-        for f in space.factors:
-            total = total * _loop_series(f, cutoff)
-        return total
-    if isinstance(space, Wedge):
-        # The wedges produced here are bouquets of spheres (possibly given
-        # implicitly through smashes with loop spaces), so Loop of the wedge
-        # is a tensor algebra on the desuspended homology.
-        reduced = _reduced_homology_series(space, cutoff + 1)
-        if reduced[0] != 0 or reduced[1] != 0:
+        space = node.space
+        if isinstance(space, Product):  # Loop(X x Y) = Loop X x Loop Y
+            return _homology(Product(tuple([Loop(f) for f in space.factors])), cutoff)
+        if not isinstance(space, (Sphere, Wedge)):
+            raise UnsupportedNode(f"cannot take loop homology of {space!r}")
+        # Bott-Samelson: loops on a sphere or on a bouquet of spheres (possibly
+        # given implicitly through smashes with loop spaces) have the tensor
+        # algebra on the desuspended reduced homology.
+        generators = _add_constant(_homology(space, cutoff + 1), -1).divide_by_t()
+        if generators[0]:
+            name = "wedge summand" if isinstance(space, Wedge) else render(space)
             raise UnsupportedNode(
-                "wedge summand is not simply connected; cannot expand its loops"
+                f"{name} is not simply connected; cannot expand its loops"
             )
-        generators = reduced.divide_by_t()
         return series_reciprocal(TruncatedSeries.one(cutoff) - generators)
-    raise UnsupportedNode(f"cannot take loop homology of {space!r}")
+    if isinstance(node, Product):  # S^3{n} is skipped: its series is 1
+        hs = [
+            _homology(f, cutoff) for f in node.factors if not isinstance(f, SphereModN)
+        ]
+        return reduce(mul, hs) if hs else TruncatedSeries.one(cutoff)
+    hs = [_homology(c, cutoff) for c in _children(node)]
+    if isinstance(node, Wedge):  # 1 + sum(h - 1)
+        return _add_constant(sum(hs, TruncatedSeries.one(cutoff)), -len(hs))
+    # a smash of a normalized node has at least two factors: 1 + prod(h - 1)
+    return _add_constant(reduce(mul, [_add_constant(h, -1) for h in hs]), 1)
 
 
 def loop_homology_series(expr: Node, cutoff: int) -> TruncatedSeries:
@@ -611,17 +542,9 @@ def loop_homology_series(expr: Node, cutoff: int) -> TruncatedSeries:
     spheres (including the implicit bouquets coming from smash summands).
     """
     node = normalize(expr)
-    factors = node.factors if isinstance(node, Product) else (node,)
-    total = TruncatedSeries.one(cutoff)
-    for f in factors:
-        if isinstance(f, Circle):
-            total = total * TruncatedSeries.from_coefficients([1, 1], cutoff)
-        elif isinstance(f, SphereModN):
-            continue
-        elif isinstance(f, Loop):
-            total = total * _loop_series(f.space, cutoff)
-        elif is_trivial(f):
-            continue
-        else:
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
+    for f in node.factors if isinstance(node, Product) else (node,):
+        if not (isinstance(f, (Circle, SphereModN, Loop)) or is_trivial(f)):
             raise UnsupportedNode(f"not a loop-space factor: {render(f)}")
-    return total
+    return _homology(node, cutoff)

@@ -363,14 +363,10 @@ def ranks_from_decomposition(
     if cutoff >= 1:
         dims[0] += factors.circles
     for m, mult in factors.sphere_loops:
-        if m % 2 == 1:
-            if m - 1 <= cutoff:
-                dims[m - 2] += mult
-        else:
-            if m - 1 <= cutoff:
-                dims[m - 2] += mult
-            if 2 * m - 2 <= cutoff:
-                dims[2 * m - 3] += mult
+        if m - 1 <= cutoff:
+            dims[m - 2] += mult
+        if m % 2 == 0 and 2 * m - 2 <= cutoff:
+            dims[2 * m - 3] += mult
     return GradedLieDims(tuple(dims))
 
 

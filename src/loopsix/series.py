@@ -31,9 +31,6 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InputError
 
-#: Default truncation degree for series constructors.
-DEFAULT_CUTOFF = 16
-
 Rational = Union[int, Fraction]
 
 
@@ -86,17 +83,15 @@ class TruncatedSeries:
         return cls(tuple(coeffs))
 
     @classmethod
-    def zero(cls, cutoff: int = DEFAULT_CUTOFF) -> "TruncatedSeries":
+    def zero(cls, cutoff: int) -> "TruncatedSeries":
         return cls.from_coefficients([], cutoff=cutoff)
 
     @classmethod
-    def one(cls, cutoff: int = DEFAULT_CUTOFF) -> "TruncatedSeries":
+    def one(cls, cutoff: int) -> "TruncatedSeries":
         return cls.from_coefficients([1], cutoff=cutoff)
 
     @classmethod
-    def monomial(
-        cls, degree: int, coeff: Rational = 1, cutoff: int = DEFAULT_CUTOFF
-    ) -> "TruncatedSeries":
+    def monomial(cls, degree: int, coeff: Rational, cutoff: int) -> "TruncatedSeries":
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         if degree > cutoff:

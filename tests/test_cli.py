@@ -169,6 +169,23 @@ class TestReports:
             ["pi", path("d1.json"), "--max", "3", "--table", str(custom)]
         ) == (code, out)
 
+    @pytest.mark.parametrize(
+        "content, needle",
+        [
+            (None, "cannot read table file"),
+            ("2 3 0\n2 0 0\n", ":2: out-of-range values"),
+            ("3 4 0 2\n3 4 0 3\n", ":2: conflicting duplicate entry for (3, 4)"),
+        ],
+        ids=["missing_file", "out_of_range", "conflicting_duplicate"],
+    )
+    def test_bad_table_exits_two(self, tmp_path, content, needle):
+        table = tmp_path / "table.txt"
+        if content is not None:
+            table.write_text(content)
+        code, out = run(["pi", path("d1.json"), "--table", str(table)])
+        assert code == 2
+        assert "error: ParseError:" in out and needle in out
+
     def test_empty_warnings_omitted_in_text(self):
         code, out = run(["decompose", path("d1.json")])
         assert code == 0
@@ -223,10 +240,38 @@ class TestArgvRanges:
         assert out.startswith("usage error:") and "--cutoff" in out
         assert f"must be at most {bound}" in out
 
+    def test_pi_max_not_an_integer(self):
+        code, out = run(["pi", path("d1.json"), "--max", "abc"])
+        assert code == 1
+        assert out.startswith("usage error:") and "--max" in out
+
     def test_rational_cutoff_zero(self):
         code, out = run(["rational", path("d1.json"), "--cutoff", "0"])
         assert code == 1
         assert out.startswith("usage error:") and "--cutoff" in out
+
+
+class TestMain:
+    """``main`` returns the exit code and writes usage errors to stderr,
+    every other report to stdout."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["decompose", path("d1.json")], 0),
+            (["pi", path("d1.json"), "--max", "1"], 1),
+            (["decompose", path("does_not_exist.json")], 2),
+            (["decompose", path("d0_k2.json")], 3),
+        ],
+    )
+    def test_streams(self, capsys, argv, code):
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        expected = run(argv)[1]
+        if code == 1:
+            assert (captured.out, captured.err) == ("", expected)
+        else:
+            assert (captured.out, captured.err) == (expected, "")
 
 
 class TestEachStageOnce:
@@ -290,9 +335,14 @@ class TestStrictSpecTypes:
             {"intersection_form": [[1]], "w2": [1], "p1": 1, "name": None},
             {"intersection_form": [[1]], "w2": [1], "p1": 1, "name": {"a": 1}},
             {"intersection_form": [[1]], "w2": [1], "p1": 1, "name": 7},
+            [],
+            3,
+            {"w2": [1], "p1": 1},
+            {"intersection_form": [], "w2": [1], "p1": 4},
         ],
         ids=["form_float", "form_string", "form_bool", "p1_bool", "w2_three", "w2_bool",
-             "name_null", "name_object", "name_int"],
+             "name_null", "name_object", "name_int", "top_level_array",
+             "top_level_number", "form_missing", "w2_with_empty_form"],
     )
     def test_rejected(self, tmp_path, spec):
         spec_path = tmp_path / "spec.json"

@@ -1,12 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from loopsix import InputError, UnsupportedCase, homotopy
 from loopsix.homotopy import (
     Circle,
+    Node,
     Loop,
     LoopFactorMultiset,
     Product,
@@ -17,12 +18,14 @@ from loopsix.homotopy import (
     UnsupportedNode,
     Wedge,
     analyze_circle_bundle,
+    ast_to_json,
     bouquet_spheres,
     decompose,
     extension_notes,
     hilton_milnor,
     loop_factors,
     loop_homology_series,
+    node_key,
     normalize,
     render,
     y_space_report,
@@ -161,6 +164,25 @@ class TestBouquet:
 
     def test_d4_doubles_d3(self):
         assert bouquet_spheres(4, 4) == {2: 2, 3: 4, 4: 6}
+
+    def test_closed_form_matches_series(self):
+        for d in range(2, 13):
+            for cutoff in range(61):
+                assert bouquet_spheres(d, cutoff) == series_bouquet_spheres(d, cutoff)
+
+
+def series_bouquet_spheres(d, cutoff):
+    """``bouquet_spheres`` as the series ``(d-2)(t^2+t^3)/((1-t)(1-t^2))``,
+    the form it had before the closed form; kept as a reference."""
+    if d == 2:
+        return {}
+    h_z = series_reciprocal(
+        TruncatedSeries.from_coefficients([1, -1], cutoff)
+        * TruncatedSeries.from_coefficients([1, 0, -1], cutoff)
+    )
+    j = TruncatedSeries.from_coefficients([0, 0, d - 2, d - 2], cutoff)
+    counts = (j * h_z).integer_coefficients()
+    return {n: counts[n] for n in range(2, cutoff + 1) if counts[n]}
 
 
 class TestHiltonMilnor:
@@ -366,3 +388,323 @@ class TestLoopHomology:
         for n in dims:
             poly = poly + TruncatedSeries.monomial(n - 1, 1, cutoff)
         assert lhs == series_reciprocal(TruncatedSeries.one(cutoff) - poly)
+
+
+# ---------------------------------------------------------------------------
+# The AST rules as they were written before each was stated once, one arm per
+# node kind; kept as references for the table-driven rules and the single
+# homology evaluator.
+# ---------------------------------------------------------------------------
+
+
+def ref_node_key(node):
+    if isinstance(node, Circle):
+        return (0,)
+    if isinstance(node, SphereModN):
+        return (1, node.order)
+    if isinstance(node, Loop):
+        if isinstance(node.space, Sphere):
+            return (2, node.space.dim)
+        return (3, ref_node_key(node.space))
+    if isinstance(node, Sphere):
+        return (4, node.dim)
+    if isinstance(node, Product):
+        return (5, tuple([ref_node_key(f) for f in node.factors]))
+    if isinstance(node, Wedge):
+        return (6, tuple([ref_node_key(s) for s in node.summands]))
+    if isinstance(node, Smash):
+        return (7, tuple([ref_node_key(f) for f in node.factors]))
+    raise TypeError(f"not a homotopy expression: {node!r}")
+
+
+def ref_normalize(node):
+    if isinstance(node, (Circle, Sphere, SphereModN)):
+        return node
+    if isinstance(node, Loop):
+        inner = ref_normalize(node.space)
+        if inner == TRIVIAL:
+            return TRIVIAL
+        return Loop(inner)
+    if isinstance(node, Product):
+        factors = []
+        for f in node.factors:
+            nf = ref_normalize(f)
+            if nf == TRIVIAL:
+                continue
+            if isinstance(nf, Product):
+                factors.extend(nf.factors)
+            else:
+                factors.append(nf)
+        if not factors:
+            return TRIVIAL
+        if len(factors) == 1:
+            return factors[0]
+        return Product(tuple(sorted(factors, key=ref_node_key)))
+    if isinstance(node, Wedge):
+        summands = []
+        for s in node.summands:
+            ns = ref_normalize(s)
+            if ns == TRIVIAL:
+                continue
+            if isinstance(ns, Wedge):
+                summands.extend(ns.summands)
+            else:
+                summands.append(ns)
+        if not summands:
+            return TRIVIAL
+        if len(summands) == 1:
+            return summands[0]
+        return Wedge(tuple(sorted(summands, key=ref_node_key)))
+    if isinstance(node, Smash):
+        factors = []
+        for f in node.factors:
+            nf = ref_normalize(f)
+            if nf == TRIVIAL:
+                return TRIVIAL
+            if isinstance(nf, Smash):
+                factors.extend(nf.factors)
+            else:
+                factors.append(nf)
+        if not factors:
+            return TRIVIAL
+        if len(factors) == 1:
+            return factors[0]
+        return Smash(tuple(sorted(factors, key=ref_node_key)))
+    raise TypeError(f"not a homotopy expression: {node!r}")
+
+
+def ref_render(node):
+    def atom(n):
+        text = ref_render(n)
+        if isinstance(n, (Product, Wedge, Smash)):
+            return f"({text})"
+        return text
+
+    if isinstance(node, Circle):
+        return "S^1"
+    if isinstance(node, Sphere):
+        return f"S^{node.dim}"
+    if isinstance(node, SphereModN):
+        return f"S^3{{{node.order}}}"
+    if isinstance(node, Loop):
+        return f"Loop({ref_render(node.space)})"
+    if isinstance(node, Product):
+        return " x ".join(atom(f) for f in node.factors) if node.factors else "pt"
+    if isinstance(node, Wedge):
+        return " v ".join(atom(s) for s in node.summands) if node.summands else "pt"
+    if isinstance(node, Smash):
+        return " ^ ".join(atom(f) for f in node.factors) if node.factors else "pt"
+    raise TypeError(f"not a homotopy expression: {node!r}")
+
+
+def ref_ast_to_json(node):
+    if isinstance(node, Circle):
+        return {"kind": "circle"}
+    if isinstance(node, Sphere):
+        return {"kind": "sphere", "dim": node.dim}
+    if isinstance(node, SphereModN):
+        return {"kind": "sphere_mod", "dim": 3, "order": node.order}
+    if isinstance(node, Loop):
+        return {"kind": "loop", "space": ref_ast_to_json(node.space)}
+    if isinstance(node, Product):
+        return {"kind": "product", "factors": [ref_ast_to_json(f) for f in node.factors]}
+    if isinstance(node, Wedge):
+        return {"kind": "wedge", "summands": [ref_ast_to_json(s) for s in node.summands]}
+    if isinstance(node, Smash):
+        return {"kind": "smash", "factors": [ref_ast_to_json(f) for f in node.factors]}
+    raise TypeError(f"not a homotopy expression: {node!r}")
+
+
+def ref_sphere_loop_series(dim, cutoff):
+    if dim < 2:
+        raise UnsupportedNode(f"Loop(S^{dim}) needs dim >= 2")
+    one = TruncatedSeries.one(cutoff)
+    if dim % 2 == 1:
+        return series_reciprocal(one - TruncatedSeries.monomial(dim - 1, 1, cutoff))
+    numerator = one + TruncatedSeries.monomial(dim - 1, 1, cutoff)
+    denominator = one - TruncatedSeries.monomial(2 * dim - 2, 1, cutoff)
+    return numerator * series_reciprocal(denominator)
+
+
+def ref_reduced_homology_series(node, cutoff):
+    if isinstance(node, Sphere):
+        return TruncatedSeries.monomial(node.dim, 1, cutoff)
+    if isinstance(node, Circle):
+        return TruncatedSeries.monomial(1, 1, cutoff)
+    if isinstance(node, SphereModN):
+        return TruncatedSeries.zero(cutoff)
+    if isinstance(node, Wedge):
+        total = TruncatedSeries.zero(cutoff)
+        for s in node.summands:
+            total = total + ref_reduced_homology_series(s, cutoff)
+        return total
+    if isinstance(node, Smash):
+        total = TruncatedSeries.one(cutoff)
+        for f in node.factors:
+            total = total * ref_reduced_homology_series(f, cutoff)
+        return total
+    if isinstance(node, Product):
+        total = TruncatedSeries.one(cutoff)
+        for f in node.factors:
+            total = total * (
+                TruncatedSeries.one(cutoff) + ref_reduced_homology_series(f, cutoff)
+            )
+        return total - TruncatedSeries.one(cutoff)
+    if isinstance(node, Loop):
+        return ref_loop_series(node.space, cutoff) - TruncatedSeries.one(cutoff)
+    raise UnsupportedNode(f"no homology series for {node!r}")
+
+
+def ref_loop_series(space, cutoff):
+    if isinstance(space, Sphere):
+        return ref_sphere_loop_series(space.dim, cutoff)
+    if isinstance(space, Product):
+        total = TruncatedSeries.one(cutoff)
+        for f in space.factors:
+            total = total * ref_loop_series(f, cutoff)
+        return total
+    if isinstance(space, Wedge):
+        reduced = ref_reduced_homology_series(space, cutoff + 1)
+        if reduced[0] != 0 or reduced[1] != 0:
+            raise UnsupportedNode(
+                "wedge summand is not simply connected; cannot expand its loops"
+            )
+        generators = reduced.divide_by_t()
+        return series_reciprocal(TruncatedSeries.one(cutoff) - generators)
+    raise UnsupportedNode(f"cannot take loop homology of {space!r}")
+
+
+def ref_loop_homology_series(expr, cutoff):
+    node = ref_normalize(expr)
+    factors = node.factors if isinstance(node, Product) else (node,)
+    total = TruncatedSeries.one(cutoff)
+    for f in factors:
+        if isinstance(f, Circle):
+            total = total * TruncatedSeries.from_coefficients([1, 1], cutoff)
+        elif isinstance(f, SphereModN):
+            continue
+        elif isinstance(f, Loop):
+            total = total * ref_loop_series(f.space, cutoff)
+        elif f == TRIVIAL:
+            continue
+        else:
+            raise UnsupportedNode(f"not a loop-space factor: {ref_render(f)}")
+    return total
+
+
+LEAVES = st.one_of(
+    st.just(Circle()),
+    st.builds(Sphere, st.integers(1, 7)),
+    st.builds(SphereModN, st.integers(2, 9)),
+    st.just(TRIVIAL),
+)
+
+
+def expressions(depth: int) -> st.SearchStrategy[Node]:
+    """Homotopy expressions of depth at most ``depth`` over ``LEAVES``."""
+    if depth == 0:
+        return LEAVES
+    child = expressions(depth - 1)
+    children = st.lists(child, max_size=3).map(tuple)
+    return st.one_of(
+        LEAVES,
+        st.builds(Loop, child),
+        st.builds(Product, children),
+        st.builds(Wedge, children),
+        st.builds(Smash, children),
+    )
+
+
+def series_or_refusal(fn, expr, cutoff):
+    try:
+        return fn(expr, cutoff)
+    except InputError as exc:
+        return type(exc)
+
+
+class TestRulesMatchReference:
+    """Each AST rule, stated once for the three n-ary nodes, and the single
+    homology evaluator agree with the per-kind rules they replaced."""
+
+    @given(expressions(5))
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_ast_rules(self, expr):
+        for node in (expr, normalize(expr)):
+            assert normalize(node) == ref_normalize(node)
+            assert render(node) == ref_render(node)
+            assert ast_to_json(node) == ref_ast_to_json(node)
+            assert node_key(node) == ref_node_key(node)
+
+    @given(expressions(5), st.integers(0, 30))
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_loop_homology_series(self, expr, cutoff):
+        assert series_or_refusal(loop_homology_series, expr, cutoff) == (
+            series_or_refusal(ref_loop_homology_series, expr, cutoff)
+        )
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            Smash((Sphere(2), Smash((Sphere(3), Circle())))),  # nested smash
+            Smash((Sphere(4),)),  # singleton
+            Smash(()),  # empty
+            Loop(Wedge((Circle(), Sphere(3)))),
+            Loop(Wedge((SphereModN(3), Sphere(2), Product((Sphere(2), Sphere(3)))))),
+            Loop(Wedge((Sphere(2), Smash((Sphere(3), SphereModN(5)))))),
+            Loop(Sphere(1)),
+            Loop(Circle()),
+            Loop(Product((Sphere(4), Wedge((Sphere(2), Sphere(2)))))),
+            Product((SphereModN(3), SphereModN(5))),
+        ],
+    )
+    @pytest.mark.parametrize("cutoff", [0, 1, 2, 12])
+    def test_arms_without_other_callers(self, expr, cutoff):
+        assert normalize(expr) == ref_normalize(expr)
+        assert series_or_refusal(loop_homology_series, expr, cutoff) == (
+            series_or_refusal(ref_loop_homology_series, expr, cutoff)
+        )
+
+
+class TestSeriesOperationCount:
+    """``loop_homology_series`` of a decomposition at cutoff 40 makes no more
+    series multiplications and reciprocals than the per-kind evaluator did."""
+
+    # (spec, multiplications, reciprocals) of the reference evaluator
+    CASES = [
+        (d0(0), 4, 2),  # k = 0
+        (d0(60), 2, 1),  # k = 15
+        (D1, 4, 2),
+        (D2_SPIN, 7, 3),
+        (D3, 13, 6),
+        (random_pair(random.Random(10), 10), 13, 6),
+    ]
+
+    @pytest.mark.parametrize(
+        "spec, muls, reciprocals", CASES, ids=["k0", "k15", "d1", "d2", "d3", "d10"]
+    )
+    def test_at_most_the_reference(self, monkeypatch, spec, muls, reciprocals):
+        counts = {"mul": 0, "reciprocal": 0}
+        original_mul = TruncatedSeries.__mul__
+        original_reciprocal = series_reciprocal
+
+        def counted_mul(a, b):
+            counts["mul"] += 1
+            return original_mul(a, b)
+
+        def counted_reciprocal(a):
+            counts["reciprocal"] += 1
+            return original_reciprocal(a)
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
+        monkeypatch.setattr(homotopy, "series_reciprocal", counted_reciprocal)
+        monkeypatch.setitem(globals(), "series_reciprocal", counted_reciprocal)
+        expr = decompose(*spec)
+        ref = ref_loop_homology_series(expr, 40)
+        assert (counts["mul"], counts["reciprocal"]) == (muls, reciprocals)
+        counts.update(mul=0, reciprocal=0)
+        assert loop_homology_series(expr, 40) == ref
+        assert counts["mul"] <= muls and counts["reciprocal"] <= reciprocals

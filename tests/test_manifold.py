@@ -96,6 +96,28 @@ class TestBundles:
                     bundle_from_classes(N, list(b.w2), b.p1 + offset)
 
 
+    @pytest.mark.parametrize(
+        "form, b, error, needle",
+        [
+            ([[1]], BundleData(w2=(1, 0), p1=5, alpha=(1,), ell=1), WrongDimension,
+             "length d"),
+            ([[1]], BundleData(w2=(2,), p1=4, alpha=(2,), ell=0), InvalidBundle,
+             "0 or 1"),
+            ([[1]], BundleData(w2=(1,), p1=4, alpha=(2,), ell=0), InvalidBundle,
+             "reduce to w2"),
+            ([[1]], BundleData(w2=(1,), p1=5, alpha=(1,), ell=0), InvalidBundle,
+             "p1 != 4\\*ell"),
+            ([[1]], BundleData(w2=(1,), p1=9, alpha=(3,), ell=0), NotPrimitive,
+             "primitive lift"),
+        ],
+        ids=["wrong_length", "w2_not_a_bit", "alpha_not_w2", "p1_mismatch",
+             "imprimitive_alpha"],
+    )
+    def test_validate_bundle_rejects(self, form, b, error, needle):
+        with pytest.raises(error, match=needle):
+            validate_bundle(new_four_manifold(form), b)
+
+
 class TestPairingParity:
     def test_examples(self):
         assert pairing_parity(new_four_manifold([[1]]), [1]) == "odd"
