@@ -48,6 +48,15 @@ class TooManySummands(UnsupportedError):
     """pi_2..pi_max have more torsion summands than MAX_PI_SUMMANDS."""
 
 
+#: Largest rank d of an intersection form.  Loading costs O(d^3) (the
+#: determinant); at 192 the slowest command takes about 1 s (README).
+MAX_RANK = 192
+
+
+class RankTooLarge(UnsupportedError):
+    """The intersection form has rank above MAX_RANK."""
+
+
 class _UsageError(Exception):
     pass
 
@@ -84,6 +93,8 @@ def load_manifold_spec(path: str | Path) -> tuple[FourManifold, BundleData, str]
         raise InputError(f"{path}: 'intersection_form' must be a matrix")
     if any(type(x) is not int for row in form for x in row):
         raise InputError(f"{path}: 'intersection_form' entries must be integers")
+    if len(form) > MAX_RANK:
+        raise RankTooLarge(f"{path}: the form has rank {len(form)}, above {MAX_RANK}")
     N = new_four_manifold(form)
     w2 = data.get("w2", [])
     if not isinstance(w2, list) or any(type(x) is not int or x not in (0, 1) for x in w2):

@@ -1,10 +1,11 @@
 """Small exact linear algebra over the integers (and so over the rationals).
 
-One elimination kernel, :func:`rref`: fraction-free Gauss-Jordan elimination
-on sparse integer rows.  Denominators are cleared once on entry; rows are
-then combined by cross-multiplication and kept primitive, so no Fraction is
-ever formed and the entries stay small.  ``rank`` and ``nullspace`` are
-read off its result; ``det_int`` is Bareiss.
+Matrices are lists of sparse rows (:data:`Row`).  One elimination kernel,
+:func:`rref`: fraction-free Gauss-Jordan elimination.  Denominators are
+cleared once on entry; rows are then combined by cross-multiplication and
+kept primitive, so no Fraction is ever formed and the entries stay small.
+``rank`` and ``nullspace`` are read off its result; ``det_int`` is Bareiss
+on a square dense matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from math import gcd, lcm
 from typing import Sequence
 
 Rational = int | Fraction
-#: A sparse integer row: column index -> nonzero entry.
+#: A sparse row: column index -> nonzero entry.  ``rref`` and ``rank`` also
+#: take Fraction entries; every row they and ``nullspace`` return is integer.
 Row = dict[int, int]
 
 
@@ -68,17 +70,16 @@ def _eliminate(row: Row, pivot_row: Row, col: int) -> Row:
     return _primitive(out) if out else out
 
 
-def rref(rows: Sequence[Sequence[Rational]]) -> tuple[list[Row], list[int]]:
+def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form over the integers; returns (rows, pivots).
 
-    ``rows`` are dense rows of ints or Fractions.  Each returned row is a
-    sparse primitive integer row with a positive entry at its pivot and
-    zeros in every other pivot column; pivots ascend.  Up to these positive
-    scalars it is the reduced row echelon form over Q.
+    ``rows`` are sparse rows whose entries are ints or Fractions.  Each
+    returned row is a sparse primitive integer row with a positive entry at
+    its pivot and zeros in every other pivot column; pivots ascend.  Up to
+    these positive scalars it is the reduced row echelon form over Q.
     """
     reduced: dict[int, Row] = {}
-    for dense in rows:
-        row = {c: x for c, x in enumerate(dense) if x}
+    for row in rows:
         row = dict(zip(row, integer_primitive(list(row.values()))))
         for c in [c for c in row if c in reduced]:
             row = _eliminate(row, reduced[c], c)
@@ -96,30 +97,30 @@ def rref(rows: Sequence[Sequence[Rational]]) -> tuple[list[Row], list[int]]:
     return [reduced[c] for c in pivots], pivots
 
 
-def rank(rows: Sequence[Sequence[Rational]]) -> int:
+def rank(rows: list[Row]) -> int:
     return len(rref(rows)[1])
 
 
-def nullspace(
-    rows: Sequence[Sequence[Rational]], ncols: int | None = None
-) -> list[list[int]]:
-    """Integer basis of the right kernel ``{v : M v = 0}``.
+def nullspace(rows: list[Row], ncols: int) -> list[Row]:
+    """Integer basis of the right kernel ``{v : M v = 0}`` of the matrix
+    with these rows and ``ncols`` columns.
 
-    One vector per free column ``f`` of :func:`rref`, positive at ``f`` and
-    zero at the other free columns.
+    One sparse row per free column ``f`` of :func:`rref`, positive at ``f``
+    and zero at the other free columns.
     """
-    if rows:
-        ncols = len(rows[0])
-    elif ncols is None:
-        raise ValueError("need ncols for an empty matrix")
     reduced, pivots = rref(rows)
+    # free column -> the pivot rows that reach it
+    hits: dict[int, list[tuple[int, Row]]] = {}
+    for p, row in zip(pivots, reduced):
+        for c in row:
+            if c != p:
+                hits.setdefault(c, []).append((p, row))
     basis = []
     for free in sorted(set(range(ncols)).difference(pivots)):
-        hits = [(p, row) for p, row in zip(pivots, reduced) if free in row]
-        scale = lcm(*[row[p] for p, row in hits])
-        v = [0] * ncols
-        v[free] = scale
-        for p, row in hits:
+        column = hits.get(free, [])
+        scale = lcm(*[row[p] for p, row in column])
+        v = {free: scale}
+        for p, row in column:
             v[p] = -(scale // row[p]) * row[free]
         basis.append(v)
     return basis

@@ -31,7 +31,7 @@ from .homotopy import (
     loop_factors,
     loop_homology_series,
 )
-from .linalg import Rational, integer_primitive, nullspace, rank, rref
+from .linalg import Rational, Row, integer_primitive, nullspace, rank, rref
 from .manifold import BundleData, FourManifold, SixManifoldRing, cohomology_ring
 from .series import (
     GradedLieDims,
@@ -75,7 +75,7 @@ def _sym2_basis(g: int) -> list[tuple[int, int]]:
 class QuadraticPresentation:
     """Degree-2 generators and the quadratic relation space of H^*(M; Q).
 
-    ``relations`` are integer vectors over the monomial basis of Sym^2
+    ``relations`` are sparse integer rows over the monomial basis of Sym^2
     (pairs (i, j) with i <= j in lexicographic order); only their span
     matters, not their scale.  ``weight_dims`` records the true
     degree-wise dimensions of the presented algebra when it is known (the
@@ -84,7 +84,7 @@ class QuadraticPresentation:
     """
 
     generators: int
-    relations: tuple[tuple[int, ...], ...]
+    relations: tuple[Row, ...]
     weight_dims: tuple[int, ...] | None = None
     d_rank: int | None = None
 
@@ -113,12 +113,13 @@ def quadratic_presentation(ring: SixManifoldRing) -> QuadraticPresentation:
     g = len(deg2)
     sym2 = _sym2_basis(g)
     # columns: sym2 monomials; rows: H^4 coordinates
-    products = [ring.product(deg2[i], deg2[j]) for (i, j) in sym2]
-    matrix = [[product.get(lbl, 0) for product in products] for lbl in deg4]
-    kernel = nullspace(matrix, ncols=len(sym2))
+    matrix: dict[str, Row] = {lbl: {} for lbl in deg4}
+    for col, (i, j) in enumerate(sym2):
+        for lbl, x in ring.product(deg2[i], deg2[j]).items():
+            matrix[lbl][col] = x
+    kernel = nullspace(list(matrix.values()), len(sym2))
     if len(sym2) - len(kernel) != len(deg4):
         raise NotQuadratic("Sym^2 of the degree-2 part does not surject onto H^4")
-    relations = tuple([tuple(vec) for vec in kernel])
     # weight-3 consistency: Sym^3 V must hit the top class
     top_hit = False
     for (i, j, k) in combinations_with_replacement(range(g), 3):
@@ -132,7 +133,7 @@ def quadratic_presentation(ring: SixManifoldRing) -> QuadraticPresentation:
     betti = ring.betti()
     return QuadraticPresentation(
         generators=g,
-        relations=relations,
+        relations=tuple(kernel),
         weight_dims=(betti[0], betti[1], betti[2], betti[3]),
         d_rank=ring.d,
     )
@@ -149,7 +150,7 @@ def presentation_from_relations(
     """A hand-built quadratic presentation (vectors over the Sym^2 basis).
 
     The one place rational relations enter a presentation: each vector's
-    denominators are cleared here, once.
+    denominators are cleared here, once, and it is stored as a sparse row.
     """
     expected = generators * (generators + 1) // 2
     rels = []
@@ -160,7 +161,7 @@ def presentation_from_relations(
             )
         if not all(isinstance(x, (int, Fraction)) for x in vec):
             raise InputError("relation entries must be int or Fraction")
-        rels.append(tuple(integer_primitive(vec)))
+        rels.append({c: x for c, x in enumerate(integer_primitive(vec)) if x})
     return QuadraticPresentation(generators=generators, relations=tuple(rels))
 
 
@@ -179,16 +180,12 @@ def quadratic_algebra_dims(p: QuadraticPresentation, cutoff: int) -> list[int]:
     for w in range(2, cutoff + 1):
         monos = list(combinations_with_replacement(range(g), w))
         index = {m: i for i, m in enumerate(monos)}
-        rows = []
-        for rel in p.relations:
-            for lower in combinations_with_replacement(range(g), w - 2):
-                row = [0] * len(monos)
-                for (pair, coeff) in zip(sym2, rel):
-                    if coeff == 0:
-                        continue
-                    target = tuple(sorted(lower + pair))
-                    row[index[target]] += coeff
-                rows.append(row)
+        # distinct pairs times one lower monomial are distinct monomials
+        rows = [
+            {index[tuple(sorted(lower + sym2[k]))]: c for k, c in rel.items()}
+            for rel in p.relations
+            for lower in combinations_with_replacement(range(g), w - 2)
+        ]
         dims.append(len(monos) - rank(rows))
     return dims[: cutoff + 1]
 
@@ -214,7 +211,7 @@ def hilbert_series(p: QuadraticPresentation, cutoff: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def _dual_relation_space(p: QuadraticPresentation) -> list[list[int]]:
+def _dual_relation_space(p: QuadraticPresentation) -> list[Row]:
     """Basis of the orthogonal complement of the associative relation space.
 
     The associative presentation of the graded-commutative algebra adds the
@@ -227,13 +224,14 @@ def _dual_relation_space(p: QuadraticPresentation) -> list[list[int]]:
     g = p.generators
     sym2 = _sym2_basis(g)
     rows = [
-        [c if i == j else 2 * c for (i, j), c in zip(sym2, rel)]
+        {k: c if sym2[k][0] == sym2[k][1] else 2 * c for k, c in rel.items()}
         for rel in p.relations
     ]
     basis = []
-    for sym in nullspace(rows, ncols=len(sym2)):
-        vec = [0] * (g * g)
-        for (i, j), x in zip(sym2, sym):
+    for sym in nullspace(rows, len(sym2)):
+        vec: Row = {}
+        for k, x in sym.items():
+            i, j = sym2[k]
             vec[i * g + j] = vec[j * g + i] = x
         basis.append(vec)
     return basis
@@ -256,10 +254,7 @@ def quadratic_dual_dims(p: QuadraticPresentation, max_weight: int) -> list[int]:
     # weight 2 alone spans g * g columns
     if max_weight < 2 or g * g > DUAL_COLUMN_BUDGET:
         return dims[: max_weight + 1]
-    dual_relations = [
-        [(divmod(k, g), c) for k, c in enumerate(s) if c]
-        for s in _dual_relation_space(p)
-    ]
+    dual_relations = _dual_relation_space(p)
     # mult[i][b] = coordinates of (basis_b * f_i) in the next weight, up to
     # one common scale
     prev_dim = 1
@@ -272,11 +267,12 @@ def quadratic_dual_dims(p: QuadraticPresentation, max_weight: int) -> list[int]:
         rows = []
         for b in range(prev_dim):
             for s in dual_relations:
-                row = [0] * ncols
-                for (i, j), c in s:
+                row: Row = {}
+                for k, c in s.items():
+                    i, j = divmod(k, g)
                     for u, x in mult[i][b].items():
-                        row[u * g + j] += c * x
-                rows.append(row)
+                        row[u * g + j] = row.get(u * g + j, 0) + c * x
+                rows.append({col: x for col, x in row.items() if x})
         reduced, pivots = rref(rows)
         pivot_set = set(pivots)
         free_cols = [c for c in range(ncols) if c not in pivot_set]
@@ -568,14 +564,11 @@ def cdga_cohomology(model: SullivanModel, cutoff: int) -> list[int]:
     ranks = []
     for q in range(cutoff + 1):
         index = {m: i for i, m in enumerate(bases[q + 1])}
-        rows = []
-        for mono in bases[q]:
-            image = _d_monomial(mono, model)
-            row = [Fraction(0)] * len(bases[q + 1])
-            for m, c in image.items():
-                row[index[m]] = c
-            rows.append(row)
-        ranks.append(rank(rows) if rows and bases[q + 1] else 0)
+        rows = [
+            {index[m]: c for m, c in _d_monomial(mono, model).items()}
+            for mono in bases[q]
+        ]
+        ranks.append(rank(rows))
     dims = []
     for q in range(cutoff + 1):
         boundaries = ranks[q - 1] if q >= 1 else 0

@@ -236,6 +236,11 @@ def lie_ring_weight_counts_by_log(
 # ---------------------------------------------------------------------------
 
 
+def sparse(rows):
+    """Dense rows as the sparse rows (column -> nonzero entry) of ``linalg``."""
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
 def rref_by_fractions(rows):
     """Textbook reduced row echelon form over Q; returns (rref, pivots)."""
     m = [[Fraction(x) for x in row] for row in rows]
@@ -288,7 +293,8 @@ def dual_relation_space_by_fractions(p):
             rows.append(row)
     for rel in p.relations:
         row = [Fraction(0)] * (g * g)
-        for (i, j), coeff in zip(sym2, rel):
+        for k, coeff in rel.items():
+            i, j = sym2[k]
             row[i * g + j] += coeff
             if i != j:
                 row[j * g + i] += coeff

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -551,6 +552,37 @@ class TestSizeBound:
         assert code == 0 and f"k: {k}" in out
 
 
+def diagonal_spec(d):
+    """Spec file contents over the identity form of rank d (w2 all ones,
+    p1 = d), like the files behind :func:`diagonal`."""
+    form = [[int(i == j) for j in range(d)] for i in range(d)]
+    return json.dumps({"intersection_form": form, "w2": [1] * d, "p1": d}).encode()
+
+
+class TestRankBound:
+    """Forms of rank above ``MAX_RANK`` exit 3 before the O(d^3) determinant."""
+
+    COMMANDS = ("describe", "decompose", "pi", "series", "rational", "koszul", "model")
+
+    def test_every_command_refuses_quickly(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(diagonal_spec(cli.MAX_RANK + 1))
+        argvs = [[command, str(spec)] for command in self.COMMANDS]
+        argvs.append(["compare", str(INPUTS / "d3.json"), str(spec)])
+        for argv in argvs:
+            for fmt in ("text", "json"):
+                start = time.perf_counter()
+                code, out = run([*argv, "--format", fmt])
+                assert time.perf_counter() - start < 0.5
+                assert code == 3 and "RankTooLarge" in out
+
+    def test_bound_itself_loads(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(diagonal_spec(cli.MAX_RANK))
+        N, _, _ = cli.load_manifold_spec(spec)
+        assert N.d == cli.MAX_RANK
+
+
 # an explicit alphabet keeps Hypothesis from building its Unicode table
 TEXT = st.text(alphabet='ab"\\\u00e9\u2603', max_size=4)
 JSON_VALUES = st.recursive(
@@ -562,12 +594,22 @@ JSON_VALUES = st.recursive(
 
 @st.composite
 def spec_files(draw):
-    """File contents: raw bytes, or a valid spec over a unimodular form of
-    rank <= 4 with a few keys dropped or replaced by any JSON value."""
+    """File contents: raw bytes, or a valid spec over a unimodular form --
+    a random one of rank <= 4, or a diagonal or hyperbolic one of rank <= 64
+    -- with a few keys dropped or replaced by any JSON value."""
     if draw(st.booleans()):
         return draw(st.binary(max_size=64))
-    d = draw(st.integers(0, 4))
-    form = random_unimodular_form(draw(st.randoms()), d)
+    shape = draw(st.sampled_from(["random", "diagonal", "hyperbolic"]))
+    if shape == "random":
+        d = draw(st.integers(0, 4))
+        form = random_unimodular_form(draw(st.randoms()), d)
+    elif shape == "diagonal":
+        d = draw(st.integers(0, 64))
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=d, max_size=d))
+        form = [[signs[i] if i == j else 0 for j in range(d)] for i in range(d)]
+    else:
+        d = 2 * draw(st.integers(0, 32))
+        form = [[int(j == i ^ 1) for j in range(d)] for i in range(d)]
     w2 = draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
     pairing = sum(w2[i] * form[i][j] * w2[j] for i in range(d) for j in range(d))
     ell = draw(st.integers(-40, 40) | st.integers())
@@ -614,6 +656,8 @@ class TestFuzz:
     # both pi bounds: the table at --max 10^9, and 1,267,838 summands at d = 4
     @example(content=(INPUTS / "d3.json").read_bytes(), cutoffs=SMALL_CUTOFFS, pi_max=10**9)
     @example(content=Path(diagonal(4)).read_bytes(), cutoffs=SMALL_CUTOFFS, pi_max=14)
+    # one rank past MAX_RANK, refused by every command
+    @example(content=diagonal_spec(cli.MAX_RANK + 1), cutoffs=SMALL_CUTOFFS, pi_max=6)
     # every --cutoff at its bound, and one past it
     @example(content=(INPUTS / "d3.json").read_bytes(), cutoffs=CUTOFF_MAX, pi_max=6)
     @example(
