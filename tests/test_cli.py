@@ -537,6 +537,30 @@ class TestLargePi:
         assert code == 0 and "pi_7(M) = Z\n" in out
 
 
+class TestHighCutoff:
+    """``series`` and ``rational`` at their largest ``--cutoff`` on every input."""
+
+    DIGESTS = DATA / "cutoff_digests.json"
+
+    def test_digests_match_recorded(self):
+        """Re-record (only for an intended output change) from the repo root::
+
+            PYTHONPATH=src:tests python -c "import json, test_cli; t = test_cli.TestHighCutoff; t.DIGESTS.write_text(json.dumps(test_cli.output_digests(t.argvs()), indent=1, sort_keys=True) + '\\n')"
+        """
+        recorded = json.loads(self.DIGESTS.read_text())
+        assert output_digests(self.argvs()) == recorded
+
+    @staticmethod
+    def argvs():
+        names = sorted(p.name for p in INPUTS.glob("*.json"))
+        return [
+            [command, path(name), "--cutoff", cutoff, *fmt]
+            for name in names
+            for command, cutoff in (("series", "500"), ("rational", "150"))
+            for fmt in TestParserReuse.FORMATS
+        ]
+
+
 class TestSizeBound:
     """Odd attaching numbers past ``MAX_ODD_K`` exit 3 instead of being
     factored by trial division."""

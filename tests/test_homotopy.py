@@ -669,6 +669,28 @@ class TestRulesMatchReference:
         )
 
 
+class TestDecompositionsAtHighCutoff:
+    """The series of each decomposition shape matches the reference far past
+    the cutoffs the property tests reach."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            d0(0),  # k = 0
+            d0(60),  # k = 15
+            D1,
+            D2_SPIN,
+            D3,
+            random_pair(random.Random(6), 6),
+            random_pair(random.Random(10), 10),
+        ],
+        ids=["k0", "k15", "d1", "d2", "d3", "d6", "d10"],
+    )
+    def test_cutoff_200(self, spec):
+        expr = decompose(*spec)
+        assert loop_homology_series(expr, 200) == ref_loop_homology_series(expr, 200)
+
+
 class TestSeriesOperationCount:
     """``loop_homology_series`` of a decomposition at cutoff 40 makes no more
     series multiplications and reciprocals than the per-kind evaluator did."""

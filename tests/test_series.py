@@ -148,6 +148,38 @@ class TestNecklace:
         assert lie_ring_weight_counts({1: 2}, 8) == [2, 1, 2, 3, 6, 9, 18, 30]
 
 
+def trial_division_mobius(n):
+    mu = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
+class TestMobius:
+    def test_trial_division_reference(self):
+        assert [trial_division_mobius(n) for n in range(1, 13)] == [
+            1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0
+        ]
+
+    def test_weight_counts_through_1000(self):
+        """Binary necklace counts n * c_n = sum_{d | n} mu(d) 2^(n/d); the
+        term d = n holds mu(n) alone, so each n <= 1000 checks mu(n) once all
+        smaller values agree."""
+        cutoff = 1000
+        mu = [0] + [trial_division_mobius(n) for n in range(1, cutoff + 1)]
+        expected = []
+        for n in range(1, cutoff + 1):
+            acc = sum(mu[d] * 2 ** (n // d) for d in range(1, n + 1) if n % d == 0)
+            expected.append(acc // n)
+        assert lie_ring_weight_counts({1: 2}, cutoff) == expected
+
+
 class TestPbw:
     def test_expand_two_sphere_lie_algebra(self):
         dims = GradedLieDims.from_dims([1, 1], cutoff=6)
