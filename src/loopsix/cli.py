@@ -230,10 +230,11 @@ def _pi(args, N: FourManifold, b: BundleData, case) -> Output:
         text = group_text(group.free_rank, invariant_factors)
         payload = {
             "free_rank": group.free_rank,
-            "torsion": list(group.torsion),
             "invariant_factors": invariant_factors,
             "text": text,
         }
+        if args.format == "json":  # one entry per summand: only JSON prints it
+            payload["torsion"] = list(group.torsion)
         payloads.append({"k": k, "group": payload})
         lines.append(f"pi_{k}(M) = {text}")
     cut = f"loop factor enumeration truncated at dimension {factors.cutoff + 1}"

@@ -18,15 +18,15 @@ Here ``S^3{n}`` is the homotopy fiber of the degree-n self-map of the
 3-sphere; it is rationally trivial.  The wedge summand for d >= 3 is a
 bouquet of spheres, so a Hilton-Milnor expansion turns the whole thing into
 a product of loops on spheres with a circle; :func:`loop_factors` performs
-that expansion with exact Witt counts and :func:`loop_homology_series`
-computes the rational loop-homology series of any decomposition.
+that expansion with exact Witt counts.  :func:`loop_homology_series` gives
+the rational loop-homology series of any decomposition as one rational
+function of integer polynomials, expanded to the cutoff once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
-from operator import mul
+from functools import cache
 from typing import Iterable, Mapping, Union
 
 from .errors import InputError, UnsupportedCase
@@ -38,12 +38,7 @@ from .manifold import (
     is_spin,
     pairing_parity,
 )
-from .series import (
-    TruncatedSeries,
-    _prime_powers,
-    lie_ring_weight_counts,
-    series_reciprocal,
-)
+from .series import TruncatedSeries, _prime_powers, lie_ring_weight_counts
 
 # Largest odd attaching number that decompose factors: trial division up to
 # its square root takes about 0.2 s for a prime just below 10^12 (2-vCPU host).
@@ -495,17 +490,35 @@ def loop_factors(N: FourManifold, b: BundleData, cutoff: int) -> LoopFactorMulti
 # ---------------------------------------------------------------------------
 
 
-def _add_constant(series: TruncatedSeries, c: int) -> TruncatedSeries:
-    return TruncatedSeries((series.coeffs[0] + c, *series.coeffs[1:]))
+_Poly = tuple[int, ...]  # integer coefficients, constant term first
 
 
-def _homology(node: Node, cutoff: int) -> TruncatedSeries:
-    """Unreduced rational homology series of a normalized node."""
+def _add(a: _Poly, b: _Poly, sign: int = 1) -> _Poly:
+    """``a + sign * b``."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for k, y in enumerate(b):
+        out[k] += sign * y
+    return tuple(out)
+
+
+def _mul(a: _Poly, b: _Poly, cutoff: int) -> _Poly:
+    """``a * b`` through degree ``cutoff``."""
+    out = [0] * min(len(a) + len(b) - 1, cutoff + 1)
+    for i, x in enumerate(a[: cutoff + 1]):
+        if x:
+            for j, y in enumerate(b[: cutoff + 1 - i]):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def _homology(node: Node, cutoff: int) -> tuple[_Poly, _Poly]:
+    """Unreduced rational homology series of a normalized node as a quotient
+    ``(num, den)`` of polynomials, ``den(0) = 1``, known through ``cutoff``."""
     if isinstance(node, (Circle, Sphere)):
         dim = 1 if isinstance(node, Circle) else node.dim
-        return _add_constant(TruncatedSeries.monomial(dim, 1, cutoff), 1)
+        return ((1,) + (0,) * (dim - 1) + (1,) if dim <= cutoff else (1,)), (1,)
     if isinstance(node, SphereModN):
-        return TruncatedSeries.one(cutoff)  # rationally a point
+        return (1,), (1,)  # rationally a point
     if isinstance(node, Loop):
         space = node.space
         if isinstance(space, Product):  # Loop(X x Y) = Loop X x Loop Y
@@ -514,24 +527,32 @@ def _homology(node: Node, cutoff: int) -> TruncatedSeries:
             raise UnsupportedNode(f"cannot take loop homology of {space!r}")
         # Bott-Samelson: loops on a sphere or on a bouquet of spheres (possibly
         # given implicitly through smashes with loop spaces) have the tensor
-        # algebra on the desuspended reduced homology.
-        generators = _add_constant(_homology(space, cutoff + 1), -1).divide_by_t()
-        if generators[0]:
+        # algebra on g = (h - 1) / t, so 1 / (1 - g) = den / (den - (num - den) / t).
+        num, den = _homology(space, cutoff + 1)
+        reduced = _add(num, den, -1)
+        if len(reduced) > 1 and reduced[1]:
             name = "wedge summand" if isinstance(space, Wedge) else render(space)
             raise UnsupportedNode(
                 f"{name} is not simply connected; cannot expand its loops"
             )
-        return series_reciprocal(TruncatedSeries.one(cutoff) - generators)
-    if isinstance(node, Product):  # S^3{n} is skipped: its series is 1
-        hs = [
-            _homology(f, cutoff) for f in node.factors if not isinstance(f, SphereModN)
-        ]
-        return reduce(mul, hs) if hs else TruncatedSeries.one(cutoff)
+        return den[: cutoff + 1], _add(den, reduced[1:], -1)[: cutoff + 1]
     hs = [_homology(c, cutoff) for c in _children(node)]
-    if isinstance(node, Wedge):  # 1 + sum(h - 1)
-        return _add_constant(sum(hs, TruncatedSeries.one(cutoff)), -len(hs))
-    # a smash of a normalized node has at least two factors: 1 + prod(h - 1)
-    return _add_constant(reduce(mul, [_add_constant(h, -1) for h in hs]), 1)
+    if isinstance(node, Wedge):  # 1 + sum(h - 1), adding numerators over equal dens
+        num, den = (0,), (1,)  # the sum so far
+        for n, d in hs:
+            n = _add(n, d, -1)
+            if d != den:  # a / b + n / d = (a d + n b) / (b d)
+                num, n = _mul(num, d, cutoff), _mul(n, den, cutoff)
+                den = _mul(den, d, cutoff)
+            num = _add(num, n)
+        return _add(num, den), den
+    # prod(h), or for a smash (of at least two factors once normalized) 1 + prod(h - 1)
+    smash = isinstance(node, Smash)
+    num, den = (1,), (1,)
+    for n, d in hs:
+        num = _mul(num, _add(n, d, -1) if smash else n, cutoff)
+        den = _mul(den, d, cutoff)
+    return (_add(num, den) if smash else num), den
 
 
 def loop_homology_series(expr: Node, cutoff: int) -> TruncatedSeries:
@@ -540,6 +561,8 @@ def loop_homology_series(expr: Node, cutoff: int) -> TruncatedSeries:
     Supported factors: ``S^1`` (series ``1+t``), ``S^3{n}`` (series 1),
     ``Loop`` of a sphere, of a finite product of spheres, or of a bouquet of
     spheres (including the implicit bouquets coming from smash summands).
+    The series is a rational function ``num / den`` of integer polynomials,
+    built node by node and expanded once, in O(cutoff * deg den) steps.
     """
     node = normalize(expr)
     if cutoff < 0:
@@ -547,4 +570,9 @@ def loop_homology_series(expr: Node, cutoff: int) -> TruncatedSeries:
     for f in node.factors if isinstance(node, Product) else (node,):
         if not (isinstance(f, (Circle, SphereModN, Loop)) or is_trivial(f)):
             raise UnsupportedNode(f"not a loop-space factor: {render(f)}")
-    return _homology(node, cutoff)
+    num, den = _homology(node, cutoff)
+    # num = den * out through degree cutoff, solved degree by degree
+    out = list(num[: cutoff + 1]) + [0] * (cutoff + 1 - len(num))
+    for n in range(1, cutoff + 1):
+        out[n] -= sum([den[k] * out[n - k] for k in range(1, min(n + 1, len(den)))])
+    return TruncatedSeries(tuple(out))

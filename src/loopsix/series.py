@@ -221,17 +221,15 @@ def _prime_powers(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _mobius(n: int) -> int:
-    if n < 1:
-        raise ValueError("mobius needs a positive integer")
-    factors = _prime_powers(n)
-    if any(p != q for p, q in factors):
-        return 0
-    return (-1) ** len(factors)
-
-
-def _divisors(n: int) -> list[int]:
-    return [k for k in range(1, n + 1) if n % k == 0]
+def _mobius_sieve(n: int) -> list[int]:
+    """``mu(k)`` at index ``k`` for ``1 <= k <= n``, solved from
+    ``sum_{d | k} mu(d) = [k = 1]`` in increasing ``k``."""
+    mu = [0, 1] + [0] * (n - 1)
+    for k in range(1, n + 1):
+        if mu[k]:
+            for m in range(2 * k, n + 1, k):
+                mu[m] -= mu[k]
+    return mu
 
 
 def necklace_count(multidegree: Sequence[int]) -> int:
@@ -257,10 +255,9 @@ def necklace_count(multidegree: Sequence[int]) -> int:
     for x in m:
         g = gcd(g, x)
     acc = 0
-    for e in _divisors(g):
-        acc += _mobius(e) * factorial(total // e) // prod(
-            factorial(x // e) for x in m
-        )
+    for e, mu in enumerate(_mobius_sieve(g)):
+        if mu and g % e == 0:
+            acc += mu * factorial(total // e) // prod(factorial(x // e) for x in m)
     count, rem = divmod(acc, total)
     if rem:
         raise AssertionError(f"Witt formula gave a non-integer for {m}")
@@ -293,12 +290,16 @@ def lie_ring_weight_counts(
         power_sums[n] = n * f.get(n, 0) + sum(
             fk * power_sums[n - k] for k, fk in f.items() if k < n
         )
+    sums = [0] * (cutoff + 1)  # sums[n] = sum_{d | n} mu(d) p_{n/d}
+    for d, mu in enumerate(_mobius_sieve(cutoff)):
+        if mu:
+            for n in range(d, cutoff + 1, d):
+                sums[n] += mu * power_sums[n // d]
     counts = []
     for n in range(1, cutoff + 1):
-        acc = sum(_mobius(d) * power_sums[n // d] for d in _divisors(n))
-        value, rem = divmod(acc, n)
+        value, rem = divmod(sums[n], n)
         if rem or value < 0:
-            raise AssertionError(f"Witt inversion gave {acc}/{n} at weight {n}")
+            raise AssertionError(f"Witt inversion gave {sums[n]}/{n} at weight {n}")
         counts.append(value)
     return counts
 

@@ -692,8 +692,9 @@ class TestDecompositionsAtHighCutoff:
 
 
 class TestSeriesOperationCount:
-    """``loop_homology_series`` of a decomposition at cutoff 40 makes no more
-    series multiplications and reciprocals than the per-kind evaluator did."""
+    """``loop_homology_series`` of a decomposition at cutoff 40 makes no
+    series multiplication and no reciprocal, where the per-kind evaluator
+    made the counts below: it expands one rational function instead."""
 
     # (spec, multiplications, reciprocals) of the reference evaluator
     CASES = [
@@ -722,11 +723,14 @@ class TestSeriesOperationCount:
             return original_reciprocal(a)
 
         monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
-        monkeypatch.setattr(homotopy, "series_reciprocal", counted_reciprocal)
+        # homotopy no longer imports it; a name imported again is counted
+        monkeypatch.setattr(
+            homotopy, "series_reciprocal", counted_reciprocal, raising=False
+        )
         monkeypatch.setitem(globals(), "series_reciprocal", counted_reciprocal)
         expr = decompose(*spec)
         ref = ref_loop_homology_series(expr, 40)
         assert (counts["mul"], counts["reciprocal"]) == (muls, reciprocals)
         counts.update(mul=0, reciprocal=0)
         assert loop_homology_series(expr, 40) == ref
-        assert counts["mul"] <= muls and counts["reciprocal"] <= reciprocals
+        assert counts["mul"] <= 0 and counts["reciprocal"] <= 0

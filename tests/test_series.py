@@ -11,6 +11,7 @@ from loopsix.series import (
     NegativeLieDimension,
     TruncatedSeries,
     ZeroConstantTerm,
+    _mobius_sieve,
     lie_ring_weight_counts,
     necklace_count,
     pbw_expand,
@@ -165,6 +166,11 @@ class TestMobius:
     def test_trial_division_reference(self):
         assert [trial_division_mobius(n) for n in range(1, 13)] == [
             1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0
+        ]
+
+    def test_sieve_through_1000(self):
+        assert _mobius_sieve(1000)[1:] == [
+            trial_division_mobius(n) for n in range(1, 1001)
         ]
 
     def test_weight_counts_through_1000(self):
