@@ -481,8 +481,8 @@ def _build_parser() -> _Parser:
         "--max", type=_int_in(2), default=6, help="largest degree K (>= 2)"
     )
     p_pi.add_argument("--table", default=None, help="override the sphere table file")
-    # --cutoff upper bounds: each command takes about 0.2 s at its bound
-    # (README, "Size bounds of --cutoff"); the cost grows at least as its square
+    # --cutoff upper bounds (README, "Size bounds of --cutoff"): about 0.2 s
+    # in process for the three Koszul-route commands, output size for series
     p_series = add("series", _series, "rational loop-homology series of the decomposition")
     p_series.add_argument("--cutoff", type=_int_in(0, 500), default=12)
     p_rational = add("rational", _rational, "rational homotopy ranks and coformality")
