@@ -266,7 +266,7 @@ def _rational(args, N: FourManifold, b: BundleData, case) -> Output:
         "rationally_elliptic": elliptic,
     }
     warnings = list(homotopy.extension_notes(N, b))
-    checked = min(args.cutoff, 8)
+    checked = min(args.cutoff, rational.WITNESS_DEGREE)
     more = []
     if N.d == 0:
         coformal = _d0_type(b)[1]

@@ -222,8 +222,9 @@ class SixManifoldRing:
     """Rational cohomology ring of the sphere-bundle 6-manifold.
 
     Basis labels: ``1``, ``x1..xd`` and ``t`` in degree 2, ``t*x1..t*xd`` and
-    ``y`` in degree 4, ``top`` in degree 6.  The product table is complete
-    and graded-commutative; all structure constants are integers.
+    ``y`` in degree 4, ``top`` in degree 6.  The product table is
+    graded-commutative and stores only nonzero products: a pair of basis
+    labels it lacks multiplies to zero.  All structure constants are integers.
     """
 
     d: int
@@ -242,7 +243,7 @@ class SixManifoldRing:
 
     def product(self, a: str, b: str) -> dict[str, int]:
         """Product of two basis elements as a sparse vector."""
-        return dict(self._table[(a, b)])
+        return dict(self._table.get((a, b), {}))
 
     def multiply(self, u: dict[str, int], v: dict[str, int]) -> dict[str, int]:
         """Bilinear extension of the basis product table."""
@@ -253,7 +254,7 @@ class SixManifoldRing:
             for lb, cb in v.items():
                 if cb == 0:
                     continue
-                for lc, cc in self._table[(la, lb)].items():
+                for lc, cc in self._table.get((la, lb), {}).items():
                     out[lc] = out.get(lc, 0) + ca * cb * cc
         return {k: v for k, v in out.items() if v != 0}
 
@@ -262,7 +263,7 @@ class SixManifoldRing:
         deg2 = self.basis_of_degree(2)
         deg4 = self.basis_of_degree(4)
         return [
-            [self._table[(a, b)].get("top", 0) for b in deg4]
+            [self._table.get((a, b), {}).get("top", 0) for b in deg4]
             for a in deg2
         ]
 
@@ -293,8 +294,8 @@ def cohomology_ring(N: FourManifold, b: BundleData) -> SixManifoldRing:
 
     def put(a: str, c: str, value: dict[str, int]) -> None:
         entry = {k: v for k, v in value.items() if v != 0}
-        table[(a, c)] = entry
-        table[(c, a)] = dict(entry)
+        if entry:
+            table[(a, c)] = table[(c, a)] = entry
 
     for a in basis:
         put("1", a, {a: 1})
@@ -304,21 +305,10 @@ def cohomology_ring(N: FourManifold, b: BundleData) -> SixManifoldRing:
         put(xi, "t", {txs[i]: 1})
         for j, txj in enumerate(txs):
             put(xi, txj, {"top": Q[i][j]})
-        put(xi, "y", {})
-        put(xi, "top", {})
     put("t", "t", {**{txs[i]: alpha[i] for i in range(d)}, "y": b.ell})
     for i, txi in enumerate(txs):
         put("t", txi, {"top": q_alpha[i]})
     put("t", "y", {"top": 1})
-    put("t", "top", {})
-    for i, txi in enumerate(txs):
-        for j in range(i, d):
-            put(txi, txs[j], {})
-        put(txi, "y", {})
-        put(txi, "top", {})
-    put("y", "y", {})
-    put("y", "top", {})
-    put("top", "top", {})
 
     return SixManifoldRing(
         d=d, ell=b.ell, alpha=alpha, basis=basis, _degrees=degrees, _table=table

@@ -41,6 +41,8 @@ from .series import (
 )
 
 
+# The coformality witness compares the two routes' ranks through this degree.
+WITNESS_DEGREE = 8
 # The direct Koszul check compares weights through min(cutoff, this) ...
 DUAL_CHECK_WEIGHT = 6
 # ... and stops early once a weight would need more columns than this, since
@@ -380,11 +382,13 @@ def free_graded_lie_dims(
             counts[int(deg)] = counts.get(int(deg), 0) + 1
     if any(d < 1 for d in counts):
         raise InputError("generator degrees must be >= 1")
-    gen_poly = TruncatedSeries.zero(cutoff)
+    denominator = [1] + [0] * cutoff
     for deg, count in counts.items():
-        if count and deg <= cutoff:
-            gen_poly = gen_poly + TruncatedSeries.monomial(deg, count, cutoff)
-    tensor = series_reciprocal(TruncatedSeries.one(cutoff) - gen_poly)
+        if deg <= cutoff:
+            denominator[deg] -= count
+    tensor = series_reciprocal(
+        TruncatedSeries.from_coefficients(denominator, cutoff=cutoff)
+    )
     return pbw_invert(tensor)
 
 
@@ -661,7 +665,7 @@ def _coformal_report(
 
 
 def coformality_check(
-    N: FourManifold, b: BundleData, cutoff: int = 8
+    N: FourManifold, b: BundleData, cutoff: int = WITNESS_DEGREE
 ) -> CoformalityReport:
     """Decide coformality of M and produce a checkable witness.
 

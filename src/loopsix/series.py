@@ -18,14 +18,17 @@ The combinatorial entry points are
   dictionary between graded Lie algebra dimensions and the Hilbert series
   of the universal enveloping algebra, with the usual parity convention
   (odd degrees contribute exterior factors ``(1+t^n)``, even degrees
-  polynomial factors ``1/(1-t^n)``).
+  polynomial factors ``1/(1-t^n)``).  Both directions read one identity on
+  plain coefficient lists: the factors add up in ``c_m = m [t^m] log h``,
+  and Newton's identity ``m h_m = sum_{k=1..m} c_k h_{m-k}`` links ``c``
+  to ``h``, so no factor series is ever built or multiplied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, prod
+from math import factorial, gcd, prod
 from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -355,31 +358,14 @@ class GradedLieDims:
         return "(" + ", ".join(str(d) for d in self.dims) + ")"
 
 
-def _binomial_factor(
-    degree: int, exponent: int, sign: int, cutoff: int
-) -> TruncatedSeries:
-    """``(1 + sign * t^degree) ** exponent`` for any integer exponent."""
-    coeffs = [0] * (cutoff + 1)
-    coeffs[0] = 1
-    j = 1
-    while j * degree <= cutoff:
-        if exponent >= 0:
-            c = comb(exponent, j)
-            if c == 0:
-                break
-        else:
-            c = (-1) ** j * comb(-exponent + j - 1, j)
-        coeffs[j * degree] = c * sign**j
-        j += 1
-    return TruncatedSeries(tuple(coeffs))
+def _add_log_factor(c: list, degree: int, dim: int) -> None:
+    """Add ``dim`` classes of ``degree`` to ``c[m] = m [t^m] log h``.
 
-
-def pbw_factor(degree: int, dimension: int, cutoff: int) -> TruncatedSeries:
-    """The enveloping-algebra factor of ``dimension`` classes in one degree:
-    ``(1+t^n)^dim`` for odd ``n``, ``(1-t^n)^{-dim}`` for even ``n``."""
-    if degree % 2 == 1:
-        return _binomial_factor(degree, dimension, +1, cutoff)
-    return _binomial_factor(degree, -dimension, -1, cutoff)
+    ``log(1+t^n)`` (odd ``n``) and ``-log(1-t^n)`` (even ``n``) put ``n`` at
+    every multiple ``n j`` of the degree, negated at even ``j`` for odd ``n``.
+    """
+    for j, m in enumerate(range(degree, len(c), degree), 1):
+        c[m] += -degree * dim if degree % 2 and j % 2 == 0 else degree * dim
 
 
 def pbw_expand(dims: GradedLieDims, cutoff: int | None = None) -> TruncatedSeries:
@@ -387,44 +373,51 @@ def pbw_expand(dims: GradedLieDims, cutoff: int | None = None) -> TruncatedSerie
     algebra with the given degree-wise dimensions.
 
     Degrees beyond ``dims.cutoff`` are taken to be zero; pass an explicit
-    ``cutoff`` to expand further than the dimension vector reaches.
+    ``cutoff`` to expand further than the dimension vector reaches.  With
+    ``c_m = m [t^m] log h``, Newton's identity ``m h_m = sum_{k=1..m} c_k
+    h_{m-k}`` gives ``h`` degree by degree, on integers throughout.
     """
     n = dims.cutoff if cutoff is None else cutoff
-    result = TruncatedSeries.one(n)
-    for degree in range(1, min(n, dims.cutoff) + 1):
-        dim = dims.dim(degree)
-        if dim:
-            result = result * pbw_factor(degree, dim, n)
-    return result
+    c = [0] * (n + 1)
+    for degree, dim in enumerate(dims.dims[:n], 1):
+        _add_log_factor(c, degree, dim)
+    h = [1]
+    for m in range(1, n + 1):
+        h.append(sum(map(mul, c[1 : m + 1], h[::-1])) // m)
+    return TruncatedSeries.from_coefficients(h, cutoff=n)
 
 
 def pbw_invert(series: TruncatedSeries) -> GradedLieDims:
     """Recover graded Lie dimensions from an enveloping-algebra series.
 
-    Solves degree by degree, dividing out each determined factor; the
-    solution is unique.  Raises :class:`NegativeLieDimension` if a solved
-    dimension is negative (the series is not a PBW series) and
-    ``ValueError`` if one is non-integral.
+    Runs :func:`pbw_expand`'s identity backwards: ``c_m = m h_m - sum_{k<m}
+    h_k c_{m-k}``, and ``dim_m`` is what the lower degrees leave of ``c_m``,
+    divided by ``m``; the solution is unique.  Raises
+    :class:`NegativeLieDimension` if a solved dimension is negative (the
+    series is not a PBW series) and ``ValueError`` if one is non-integral.
     """
-    if series.coeffs[0] != 1:
+    h = series.coeffs
+    if h[0] != 1:
         raise InputError("PBW inversion needs constant term 1")
-    cutoff = series.cutoff
-    remainder = series
+    c = [0] * len(h)
+    lower = [0] * len(h)  # what the dimensions solved so far put into c
     dims: list[int] = []
-    for degree in range(1, cutoff + 1):
-        value = remainder[degree]
-        if value.denominator != 1:
+    for degree in range(1, len(h)):
+        c[degree] = degree * h[degree] - sum(
+            map(mul, h[1:degree], c[degree - 1 : 0 : -1])
+        )
+        left = c[degree] - lower[degree]
+        dim, rem = divmod(left, degree)
+        if rem:
+            value = Fraction(left, degree)
             raise ValueError(
                 f"non-integer dimension {value} at degree {degree}: not a PBW series"
             )
-        dim = int(value)
         if dim < 0:
             raise NegativeLieDimension(
                 f"degree {degree} solves to {dim}; the input is inconsistent "
                 "(not the series of a graded Lie algebra)"
             )
         dims.append(dim)
-        # divide out the factor just determined
-        if dim:
-            remainder = remainder * pbw_factor(degree, -dim, cutoff)
+        _add_log_factor(lower, degree, dim)
     return GradedLieDims(tuple(dims))

@@ -11,9 +11,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product as iter_product
+from math import comb
 from pathlib import Path
 
 from loopsix import BundleData, FourManifold, bundle_from_classes, new_four_manifold
+from loopsix.errors import InputError
+from loopsix.series import GradedLieDims, NegativeLieDimension, TruncatedSeries
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 INPUTS = REPO_ROOT / "inputs"
@@ -229,6 +232,76 @@ def lie_ring_weight_counts_by_log(
         assert value.denominator == 1 and value >= 0
         counts.append(int(value))
     return counts
+
+
+# ---------------------------------------------------------------------------
+# PBW by multiplying out the enveloping-algebra factors
+# ---------------------------------------------------------------------------
+
+
+def _binomial_factor(
+    degree: int, exponent: int, sign: int, cutoff: int
+) -> TruncatedSeries:
+    """``(1 + sign * t^degree) ** exponent`` for any integer exponent."""
+    coeffs = [0] * (cutoff + 1)
+    coeffs[0] = 1
+    j = 1
+    while j * degree <= cutoff:
+        if exponent >= 0:
+            c = comb(exponent, j)
+            if c == 0:
+                break
+        else:
+            c = (-1) ** j * comb(-exponent + j - 1, j)
+        coeffs[j * degree] = c * sign**j
+        j += 1
+    return TruncatedSeries(tuple(coeffs))
+
+
+def _pbw_factor(degree: int, dimension: int, cutoff: int) -> TruncatedSeries:
+    """``(1+t^n)^dim`` for odd ``n``, ``(1-t^n)^{-dim}`` for even ``n``."""
+    if degree % 2 == 1:
+        return _binomial_factor(degree, dimension, +1, cutoff)
+    return _binomial_factor(degree, -dimension, -1, cutoff)
+
+
+def pbw_expand_by_factors(
+    dims: GradedLieDims, cutoff: int | None = None
+) -> TruncatedSeries:
+    """The enveloping-algebra series as a product of one factor per degree."""
+    n = dims.cutoff if cutoff is None else cutoff
+    result = TruncatedSeries.one(n)
+    for degree in range(1, min(n, dims.cutoff) + 1):
+        dim = dims.dim(degree)
+        if dim:
+            result = result * _pbw_factor(degree, dim, n)
+    return result
+
+
+def pbw_invert_by_factors(series: TruncatedSeries) -> GradedLieDims:
+    """Lie dimensions read degree by degree, dividing out each factor found,
+    with the library's exceptions and messages."""
+    if series.coeffs[0] != 1:
+        raise InputError("PBW inversion needs constant term 1")
+    cutoff = series.cutoff
+    remainder = series
+    dims: list[int] = []
+    for degree in range(1, cutoff + 1):
+        value = remainder[degree]
+        if value.denominator != 1:
+            raise ValueError(
+                f"non-integer dimension {value} at degree {degree}: not a PBW series"
+            )
+        dim = int(value)
+        if dim < 0:
+            raise NegativeLieDimension(
+                f"degree {degree} solves to {dim}; the input is inconsistent "
+                "(not the series of a graded Lie algebra)"
+            )
+        dims.append(dim)
+        if dim:
+            remainder = remainder * _pbw_factor(degree, -dim, cutoff)
+    return GradedLieDims(tuple(dims))
 
 
 # ---------------------------------------------------------------------------

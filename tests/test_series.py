@@ -23,6 +23,8 @@ from loopsix.series import (
 from conftest import (
     lie_ring_weight_counts_by_log,
     lyndon_count_for_content,
+    pbw_expand_by_factors,
+    pbw_invert_by_factors,
     random_pair,
 )
 
@@ -232,6 +234,93 @@ class TestPbw:
         )
         assert vec.cutoff == 20
         assert pbw_invert(pbw_expand(vec)) == vec
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # the contract is the exception itself
+        return type(exc), str(exc)
+
+
+small_dims = st.lists(st.integers(min_value=0, max_value=6), max_size=16)
+small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=4)
+
+
+@st.composite
+def perturbed_pbw_series(draw):
+    """A PBW series with one coefficient moved by an integer or a Fraction,
+    so that inversion fails (or not) after solving the degrees below it."""
+    vec = GradedLieDims.from_dims(draw(small_dims), cutoff=draw(st.integers(1, 16)))
+    coeffs = list(pbw_expand(vec).coeffs)
+    degree = draw(st.integers(0, len(coeffs) - 1))
+    coeffs[degree] += draw(st.integers(-3, 3) | small_fractions)
+    return TruncatedSeries.from_coefficients(coeffs)
+
+
+class TestNewtonMatchesFactorProducts:
+    """Newton's identity gives what multiplying out the factors gave,
+    exceptions and their messages included, and multiplies no series."""
+
+    @given(small_dims, st.none() | st.integers(0, 30))
+    @settings(max_examples=120)
+    def test_expand(self, dims, cutoff):
+        vec = GradedLieDims.from_dims(dims)
+        ours = pbw_expand(vec, cutoff)
+        assert ours == pbw_expand_by_factors(vec, cutoff)
+        assert all_int(ours)
+
+    @given(
+        st.lists(st.integers(-4, 4), min_size=1, max_size=14)
+        | st.lists(st.integers(-4, 4) | small_fractions, min_size=1, max_size=14)
+        | st.lists(st.integers(-4, 4), max_size=13).map(lambda tail: [1, *tail])
+        | perturbed_pbw_series().map(lambda s: list(s.coeffs))
+    )
+    @settings(max_examples=250)
+    def test_invert(self, coeffs):
+        series = TruncatedSeries.from_coefficients(coeffs)
+        assert outcome(pbw_invert, series) == outcome(pbw_invert_by_factors, series)
+
+    def test_errors_at_depth(self):
+        vec = GradedLieDims.from_dims([2, 0, 1, 3, 0, 1])
+        coeffs = list(pbw_expand(vec, 9).coeffs)
+        for delta, kind in [(Fraction(1, 3), ValueError), (-40, NegativeLieDimension)]:
+            bad = TruncatedSeries.from_coefficients(coeffs[:7] + [coeffs[7] + delta])
+            with pytest.raises(kind, match="degree 7"):
+                pbw_invert(bad)
+            assert outcome(pbw_invert, bad) == outcome(pbw_invert_by_factors, bad)
+
+    def test_no_series_multiplication(self, monkeypatch):
+        dims = GradedLieDims.from_dims([3, 1, 4, 1, 5, 9, 2, 6])
+        tensor = series_reciprocal(S(1, -2, -1, cutoff=60))
+        calls = []
+        original = TruncatedSeries.__mul__
+
+        def counted(a, b):
+            calls.append((a.cutoff, b.cutoff))
+            return original(a, b)
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+        expanded = pbw_expand(dims, 60)
+        assert pbw_invert(expanded) == dims.truncate(60)
+        pbw_invert(tensor)
+        assert calls == []
+
+    def test_integral_input_builds_no_fraction(self, monkeypatch):
+        dims = GradedLieDims.from_dims([3, 1, 4, 1, 5, 9, 2, 6])
+        tensor = series_reciprocal(S(1, -2, -1, cutoff=60))
+        tensor_dims = pbw_invert_by_factors(tensor)
+        negative = S(1, 2, 2, 1, 0, 0)
+
+        def no_fraction(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was built from integral input")
+
+        monkeypatch.setattr(Fraction, "__new__", no_fraction)
+        assert pbw_invert(pbw_expand(dims, 60)) == dims.truncate(60)
+        assert pbw_invert(tensor) == tensor_dims
+        with pytest.raises(NegativeLieDimension):
+            pbw_invert(negative)
 
 
 def all_int(series):
