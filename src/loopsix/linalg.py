@@ -52,7 +52,7 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
 
 def _primitive(row: Row) -> Row:
     g = gcd(*row.values())
-    return row if g == 1 else {c: x // g for c, x in row.items()}
+    return row if g <= 1 else {c: x // g for c, x in row.items()}
 
 
 def _eliminate(row: Row, pivot_row: Row, col: int) -> Row:
@@ -60,7 +60,7 @@ def _eliminate(row: Row, pivot_row: Row, col: int) -> Row:
     ``b`` coprime, that cancels the entry at ``col``."""
     g = gcd(pivot_row[col], row[col])
     a, b = pivot_row[col] // g, row[col] // g
-    out = {c: a * x for c, x in row.items()}
+    out = dict(row) if a == 1 else {c: a * x for c, x in row.items()}
     for c, y in pivot_row.items():
         value = out.get(c, 0) - b * y
         if value:
@@ -80,7 +80,10 @@ def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
     """
     reduced: dict[int, Row] = {}
     for row in rows:
-        row = dict(zip(row, integer_primitive(list(row.values()))))
+        try:
+            row = _primitive(row)
+        except TypeError:  # a Fraction entry: clear denominators first
+            row = dict(zip(row, integer_primitive(list(row.values()))))
         for c in [c for c in row if c in reduced]:
             row = _eliminate(row, reduced[c], c)
         if not row:

@@ -68,10 +68,12 @@ class FourManifold:
             v = u
         if len(u) != self.d or len(v) != self.d:
             raise WrongDimension(f"vectors must have length d={self.d}")
+        v = [int(y) for y in v]
+        # alpha is a 0/1 vector: skip the rows its zeros select
         return sum(
-            int(u[i]) * self.form[i][j] * int(v[j])
-            for i in range(self.d)
-            for j in range(self.d)
+            x * sum([q * y for q, y in zip(row, v)])
+            for x, row in zip(map(int, u), self.form)
+            if x
         )
 
 

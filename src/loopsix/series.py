@@ -288,11 +288,15 @@ def lie_ring_weight_counts(
             raise ValueError("letter counts must be nonnegative")
         if count and weight <= cutoff:
             f[weight] = count
+    letters = sorted(f.items())
     power_sums = [0] * (cutoff + 1)
     for n in range(1, cutoff + 1):
-        power_sums[n] = n * f.get(n, 0) + sum(
-            fk * power_sums[n - k] for k, fk in f.items() if k < n
-        )
+        p_n = n * f.get(n, 0)
+        for k, fk in letters:
+            if k >= n:
+                break
+            p_n += fk * power_sums[n - k]
+        power_sums[n] = p_n
     sums = [0] * (cutoff + 1)  # sums[n] = sum_{d | n} mu(d) p_{n/d}
     for d, mu in enumerate(_mobius_sieve(cutoff)):
         if mu:

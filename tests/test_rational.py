@@ -345,6 +345,47 @@ class TestIntegerDualKernel:
         assert len(quadratic_dual_dims(p3, 6)) - 1 == 4
 
 
+#: The desk workload's ``desk d2 #0`` and ``desk d3 #0`` specs as (form,
+#: w2, p1), the more elimination-heavy of its two pooled specs per rank,
+#: with the most ``_eliminate`` calls allowed in ``quadratic_dual_dims(p,
+#: 6)``.  Prefix-major columns (basis index times g plus last letter) take
+#: 442 and 194 calls.
+DESK_D2_0 = ([[5, 2], [2, 1]], [1, 1], 10)
+DESK_D3_0 = ([[0, 0, 1], [0, 1, 1], [1, 1, 1]], [1, 0, 0], -12)
+DUAL_CHECK_WORK = [
+    pytest.param(DESK_D2_0, 200, id="desk_d2_0"),
+    pytest.param(DESK_D3_0, 70, id="desk_d3_0"),
+]
+
+
+class TestDualCheckWork:
+    """The direct dual check stays cheap without changing its answer."""
+
+    @pytest.mark.parametrize("spec, most_calls", DUAL_CHECK_WORK)
+    def test_eliminations_bounded(self, monkeypatch, spec, most_calls):
+        _, _, p = presentation_for(*spec)
+        calls = []
+        original = linalg._eliminate
+
+        def counted(row, pivot_row, col):
+            calls.append(col)
+            return original(row, pivot_row, col)
+
+        monkeypatch.setattr(linalg, "_eliminate", counted)
+        quadratic_dual_dims(p, 6)
+        assert 0 < len(calls) <= most_calls
+
+    @pytest.mark.parametrize("spec", [DESK_D2_0, DESK_D3_0], ids=["desk_d2_0", "desk_d3_0"])
+    def test_desk_dims_match_fraction_reference(self, spec):
+        _, _, p = presentation_for(*spec)
+        assert quadratic_dual_dims(p, 6) == quadratic_dual_dims_by_fractions(p, 6)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_random_dims_match_fraction_reference(self, d):
+        p = quadratic_presentation(cohomology_ring(*random_pair(random.Random(100 + d), d)))
+        assert quadratic_dual_dims(p, 6) == quadratic_dual_dims_by_fractions(p, 6)
+
+
 class TestIntegerPath:
     """The Koszul route stays on ``int`` from the ring to the dual check."""
 
