@@ -25,6 +25,7 @@ function of integer polynomials, expanded to the cutoff once.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Mapping, Union
@@ -311,7 +312,6 @@ class YSpaceReport:
     parity: str
     case: str
     wedge_pairs: int
-    top_cell: int
     route: str
     y_cells: str
 
@@ -341,7 +341,6 @@ def y_space_report(N: FourManifold, b: BundleData) -> YSpaceReport:
         parity=parity,
         case=case,
         wedge_pairs=wedge_pairs,
-        top_cell=5,
         route=route,
         y_cells=y_cells,
     )
@@ -400,10 +399,7 @@ class LoopFactorMultiset:
     cutoff: int
 
     def loop_multiplicity(self, dim: int) -> int:
-        for m, mult in self.sphere_loops:
-            if m == dim:
-                return mult
-        return 0
+        return self.loops_by_dim().get(dim, 0)
 
     def loops_by_dim(self) -> dict[int, int]:
         return dict(self.sphere_loops)
@@ -419,12 +415,7 @@ def hilton_milnor(
     factor ``Loop(S^{w+1})``.  Factors are enumerated up to dimension
     ``cutoff + 1`` with exact Witt counts; no word lists are built.
     """
-    if isinstance(spheres, Mapping):
-        sphere_counts = {int(k): int(v) for k, v in spheres.items() if v}
-    else:
-        sphere_counts = {}
-        for dim in spheres:
-            sphere_counts[int(dim)] = sphere_counts.get(int(dim), 0) + 1
+    sphere_counts = {dim: c for dim, c in Counter(spheres).items() if c}
     if any(dim < 2 for dim in sphere_counts):
         raise InputError("Hilton-Milnor needs a wedge of simply connected spheres")
     letters = {dim - 1: count for dim, count in sphere_counts.items()}

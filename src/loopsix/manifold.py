@@ -62,17 +62,15 @@ class FourManifold:
     def d(self) -> int:
         return len(self.form)
 
-    def pairing(self, u: Sequence[int], v: Sequence[int] | None = None) -> int:
-        """``u^T Q v`` (``v`` defaults to ``u``)."""
-        if v is None:
-            v = u
-        if len(u) != self.d or len(v) != self.d:
+    def pairing(self, u: Sequence[int]) -> int:
+        """The self-pairing ``u^T Q u``."""
+        if len(u) != self.d:
             raise WrongDimension(f"vectors must have length d={self.d}")
-        v = [int(y) for y in v]
+        u = [int(x) for x in u]
         # alpha is a 0/1 vector: skip the rows its zeros select
         return sum(
-            x * sum([q * y for q, y in zip(row, v)])
-            for x, row in zip(map(int, u), self.form)
+            x * sum([q * y for q, y in zip(row, u)])
+            for x, row in zip(u, self.form)
             if x
         )
 
@@ -83,7 +81,9 @@ def new_four_manifold(entries: Sequence[Sequence[int]]) -> FourManifold:
     >>> new_four_manifold([[0, 1], [1, 0]]).d
     2
     """
-    rows = tuple([tuple([int(x) for x in row]) for row in entries])
+    rows = tuple([tuple(row) for row in entries])
+    if any(type(x) is not int for row in rows for x in row):
+        raise InputError("intersection form entries must be integers")
     d = len(rows)
     for row in rows:
         if len(row) != d:
@@ -129,12 +129,8 @@ def validate_bundle(N: FourManifold, b: BundleData) -> None:
         raise InvalidBundle("alpha must reduce to w2 mod 2")
     if b.p1 != 4 * b.ell + N.pairing(b.alpha):
         raise InvalidBundle("p1 != 4*ell + alpha^T Q alpha")
-    if any(b.w2):
-        g = 0
-        for x in b.alpha:
-            g = gcd(g, x)
-        if g != 1:
-            raise NotPrimitive("non-Spin bundles need a primitive lift alpha")
+    if any(b.w2) and gcd(*b.alpha) != 1:
+        raise NotPrimitive("non-Spin bundles need a primitive lift alpha")
 
 
 def bundle_from_classes(
@@ -147,21 +143,23 @@ def bundle_from_classes(
     Raises :class:`InvalidBundle` when the congruence
     ``p1 = alpha^T Q alpha (mod 4)`` fails -- no rank-3 bundle realizes the
     pair -- since the congruence class does not depend on the chosen lift.
+    Every condition of :func:`validate_bundle` holds by construction.
     """
     if len(w2) != N.d:
         raise InvalidBundle(f"w2 must have length d={N.d}")
-    w = tuple([int(x) % 2 for x in w2])
-    alpha = w  # smallest lexicographic lift; gcd is 1 whenever w != 0
+    alpha = tuple(w2)  # smallest lexicographic lift; gcd is 1 whenever w2 != 0
+    if any(type(x) is not int or x not in (0, 1) for x in alpha):
+        raise InvalidBundle("w2 entries must be 0 or 1")
+    if type(p1) is not int:
+        raise InvalidBundle(f"p1 must be an integer, got {p1!r}")
     square = N.pairing(alpha)
-    quotient, remainder = divmod(int(p1) - square, 4)
+    quotient, remainder = divmod(p1 - square, 4)
     if remainder:
         raise InvalidBundle(
             f"p1 = {p1} is not congruent to alpha^T Q alpha = {square} mod 4; "
             "no rank-3 bundle has these classes"
         )
-    b = BundleData(w2=w, p1=int(p1), alpha=alpha, ell=quotient)
-    validate_bundle(N, b)
-    return b
+    return BundleData(w2=alpha, p1=p1, alpha=alpha, ell=quotient)
 
 
 def is_spin(b: BundleData) -> bool:
@@ -173,9 +171,7 @@ def pairing_parity(N: FourManifold, beta: Sequence[int]) -> Literal["odd", "even
     """Parity of the self-pairing ``beta^T Q beta`` of a primitive class."""
     if len(beta) != N.d or N.d == 0:
         raise NotPrimitive(f"beta must be a primitive class of length d={N.d}")
-    g = 0
-    for x in beta:
-        g = gcd(g, int(x))
+    g = gcd(*map(int, beta))
     if g != 1:
         raise NotPrimitive(f"beta has content {g}, expected a primitive class")
     return "odd" if N.pairing(beta) % 2 else "even"
@@ -230,8 +226,6 @@ class SixManifoldRing:
     """
 
     d: int
-    ell: int
-    alpha: tuple[int, ...]
     basis: tuple[str, ...]
     _degrees: dict
     _table: dict
@@ -312,6 +306,4 @@ def cohomology_ring(N: FourManifold, b: BundleData) -> SixManifoldRing:
         put("t", txi, {"top": q_alpha[i]})
     put("t", "y", {"top": 1})
 
-    return SixManifoldRing(
-        d=d, ell=b.ell, alpha=alpha, basis=basis, _degrees=degrees, _table=table
-    )
+    return SixManifoldRing(d=d, basis=basis, _degrees=degrees, _table=table)

@@ -18,6 +18,7 @@ module compare directly with the decomposition series of
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -381,12 +382,7 @@ def free_graded_lie_dims(
     """Dimensions of the free graded Lie algebra on generators of the given
     degrees: PBW inversion of the tensor-algebra series ``1/(1 - sum t^deg)``.
     """
-    counts: dict[int, int] = {}
-    if isinstance(degrees, Mapping):
-        counts = {int(k): int(v) for k, v in degrees.items()}
-    else:
-        for deg in degrees:
-            counts[int(deg)] = counts.get(int(deg), 0) + 1
+    counts = Counter(degrees)
     if any(d < 1 for d in counts):
         raise InputError("generator degrees must be >= 1")
     denominator = [1] + [0] * cutoff
@@ -458,18 +454,6 @@ def _mono_mul(
     return tuple(out), (-1) ** (sign_exp % 2)
 
 
-def _poly_mul(p: Polynomial, q: Polynomial, degrees: Sequence[int]) -> Polynomial:
-    out: Polynomial = {}
-    for ma, ca in p.items():
-        for mb, cb in q.items():
-            prod = _mono_mul(ma, mb, degrees)
-            if prod is None:
-                continue
-            mono, sign = prod
-            out[mono] = out.get(mono, Fraction(0)) + sign * ca * cb
-    return {m: c for m, c in out.items() if c != 0}
-
-
 def _d_monomial(mono: Monomial, model: SullivanModel) -> Polynomial:
     degrees = model.degrees
     names = model.names
@@ -484,10 +468,12 @@ def _d_monomial(mono: Monomial, model: SullivanModel) -> Polynomial:
                 lowered = list(mono)
                 lowered[i] = e - 1
                 suffix_deg = sum(mono[j] * degrees[j] for j in range(i + 1, n))
-                sign = (-1) ** ((prefix_odd + (degrees[i] + 1) * suffix_deg) % 2)
-                base = _poly_mul({tuple(lowered): Fraction(e)}, dg, degrees)
-                for m, c in base.items():
-                    out[m] = out.get(m, Fraction(0)) + sign * c
+                scale = e * (-1) ** ((prefix_odd + (degrees[i] + 1) * suffix_deg) % 2)
+                for mb, cb in dg.items():
+                    prod = _mono_mul(lowered, mb, degrees)
+                    if prod is not None:
+                        m, sign = prod
+                        out[m] = out.get(m, Fraction(0)) + scale * sign * cb
         prefix_odd += e * (degrees[i] % 2)
     return {m: c for m, c in out.items() if c != 0}
 

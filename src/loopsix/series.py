@@ -254,9 +254,7 @@ def necklace_count(multidegree: Sequence[int]) -> int:
     total = sum(m)
     if total == 0:
         raise ValueError("multidegree must have a positive entry")
-    g = 0
-    for x in m:
-        g = gcd(g, x)
+    g = gcd(*m)
     acc = 0
     for e, mu in enumerate(_mobius_sieve(g)):
         if mu and g % e == 0:

@@ -1,15 +1,17 @@
 import hashlib
 import json
 import random
+import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loopsix import cli, homotopy, manifold, rational
+from loopsix import cli, homotopy, linalg, manifold, rational, series
 from loopsix.cli import emit_report, run
 from loopsix.groups import FGAbelianGroup
 
@@ -319,6 +321,63 @@ class TestEachStageOnce:
         code, out = run(["describe", path("d2_spin.json")])
         assert code == 0 and "form determinant: -1" in out
         assert len(calls) == 1  # validation in new_four_manifold
+
+    STAGES = (
+        (cli, "load_manifold_spec"),
+        (linalg, "det_int"),
+        (manifold, "validate_bundle"),
+        (manifold, "cohomology_ring"),
+        (rational, "quadratic_presentation"),
+        (rational, "koszul_dual_series"),
+        (rational, "quadratic_dual_dims"),
+        (series, "pbw_invert"),
+        (homotopy, "loop_factors"),
+        (homotopy, "hilton_milnor"),
+        (homotopy, "loop_homology_series"),
+        (rational, "cdga_cohomology"),
+        (cli, "emit_report"),
+    )
+
+    def test_each_stage_at_most_once(self, monkeypatch):
+        """Each single-spec command, on every committed spec and in both
+        formats, runs each stage in ``STAGES`` at most once.
+
+        Every ``loopsix`` module that imports a stage gets the counting
+        wrapper.  Two known repeats stay outside the list: ``koszul`` builds
+        ``hilbert_series`` twice (for its own line and inside
+        ``koszul_dual_series``), and ``rational`` at d = 1 calls ``decompose``
+        twice (it is cached per rank).
+        """
+        counts = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "loopsix"]
+        for owner, attr in self.STAGES:
+            original = getattr(owner, attr)
+            wrapper = counting(f"{owner.__name__}.{attr}", original)
+            for module in modules:
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, wrapper)
+        commands = ["describe", "decompose", "pi", "series", "rational", "koszul", "model"]
+        repeats = []
+        for command in commands:
+            for spec in sorted(INPUTS.glob("*.json")):
+                for fmt in ("text", "json"):
+                    counts.clear()
+                    run([command, str(spec), "--format", fmt])
+                    repeats += [
+                        (command, spec.name, fmt, name, n)
+                        for name, n in sorted(counts.items())
+                        if n > 1
+                    ]
+        assert repeats == []
 
 
 class TestStrictSpecTypes:

@@ -5,6 +5,7 @@ from itertools import product as iter_product
 import pytest
 
 from loopsix import UnsupportedCase
+from loopsix.errors import InputError
 from loopsix.linalg import det_int
 from loopsix.manifold import (
     BundleData,
@@ -55,6 +56,15 @@ class TestFourManifold:
         N = new_four_manifold([])
         assert N.d == 0 and N.determinant == 1
 
+    @pytest.mark.parametrize(
+        "entries",
+        [[[1.7]], [[1.0]], [["1"]], [[True]], [[Fraction(1)]], [[0, 1], [1, False]]],
+        ids=["float", "integral_float", "string", "bool", "fraction", "bool_in_row"],
+    )
+    def test_entries_must_be_exact_integers(self, entries):
+        with pytest.raises(InputError, match="must be integers"):
+            new_four_manifold(entries)
+
 
 class TestBundles:
     def test_non_spin_example(self):
@@ -71,6 +81,25 @@ class TestBundles:
         N = new_four_manifold([[1]])
         with pytest.raises(InvalidBundle):
             bundle_from_classes(N, [1], 6)
+
+    @pytest.mark.parametrize(
+        "form, w2, p1",
+        [
+            ([[1]], [3], 5),
+            ([[1]], [-1], 5),
+            ([[1]], [True], 5),
+            ([[1]], [1.0], 5),
+            ([[1]], [1], 5.9),
+            ([[1]], [1], 5.0),
+            ([], [], Fraction(4)),
+            ([[1]], [1], True),
+        ],
+        ids=["w2_three", "w2_negative", "w2_bool", "w2_float", "p1_float",
+             "p1_integral_float", "p1_fraction", "p1_bool"],
+    )
+    def test_classes_must_be_exact(self, form, w2, p1):
+        with pytest.raises(InvalidBundle):
+            bundle_from_classes(new_four_manifold(form), w2, p1)
 
     def test_wrong_w2_length(self):
         with pytest.raises(InvalidBundle):

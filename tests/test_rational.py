@@ -3,10 +3,12 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopsix import linalg, rational
 from loopsix.errors import InputError
-from loopsix.homotopy import decompose, loop_factors, loop_homology_series
+from loopsix.homotopy import decompose, hilton_milnor, loop_factors, loop_homology_series
 from loopsix.manifold import bundle_from_classes, cohomology_ring, new_four_manifold
 from loopsix.linalg import rank
 from loopsix.rational import (
@@ -185,6 +187,19 @@ class TestRanks:
         assert ranks_from_decomposition(factors, 10) == free_graded_lie_dims(
             [1, 1], 10
         )
+
+    @given(
+        st.lists(st.integers(2, 6), min_size=1, max_size=4),
+        st.sets(st.integers(2, 8), max_size=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_list_and_mapping_forms_agree(self, dims, zero_keys):
+        """A multiset given as a list, or as a mapping that also holds keys
+        of count zero, gives the same Hilton-Milnor expansion and the same
+        free graded Lie algebra."""
+        mapping = {dim: dims.count(dim) for dim in set(dims) | zero_keys}
+        assert hilton_milnor(dims, 8) == hilton_milnor(mapping, 8)
+        assert free_graded_lie_dims(dims, 8) == free_graded_lie_dims(mapping, 8)
 
 
 class TestTwoPathAgreement:
