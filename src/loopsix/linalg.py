@@ -4,8 +4,9 @@ Matrices are lists of sparse rows (:data:`Row`).  One elimination kernel,
 :func:`rref`: fraction-free Gauss-Jordan elimination.  Denominators are
 cleared once on entry; rows are then combined by cross-multiplication and
 kept primitive, so no Fraction is ever formed and the entries stay small.
-``rank`` and ``nullspace`` are read off its result; ``det_int`` is Bareiss
-on a square dense matrix.
+``rank`` and ``nullspace`` are read off its result, and ``nullspace`` also
+gives the quadratic dual check its quotient maps; ``det_int`` is Bareiss on
+a square dense matrix.
 """
 
 from __future__ import annotations

@@ -66,7 +66,8 @@ class FourManifold:
         """The self-pairing ``u^T Q u``."""
         if len(u) != self.d:
             raise WrongDimension(f"vectors must have length d={self.d}")
-        u = [int(x) for x in u]
+        if any(type(x) is not int for x in u):
+            raise InputError("vector entries must be integers")
         # alpha is a 0/1 vector: skip the rows its zeros select
         return sum(
             x * sum([q * y for q, y in zip(row, u)])
@@ -123,6 +124,8 @@ def validate_bundle(N: FourManifold, b: BundleData) -> None:
     """
     if b.d != N.d or len(b.alpha) != N.d:
         raise WrongDimension("bundle vectors must have length d")
+    if any(type(x) is not int for x in (*b.w2, *b.alpha, b.p1, b.ell)):
+        raise InvalidBundle("w2, alpha, p1 and ell must be integers")
     if any(x not in (0, 1) for x in b.w2):
         raise InvalidBundle("w2 entries must be 0 or 1")
     if any((a - w) % 2 for a, w in zip(b.alpha, b.w2)):
@@ -171,10 +174,11 @@ def pairing_parity(N: FourManifold, beta: Sequence[int]) -> Literal["odd", "even
     """Parity of the self-pairing ``beta^T Q beta`` of a primitive class."""
     if len(beta) != N.d or N.d == 0:
         raise NotPrimitive(f"beta must be a primitive class of length d={N.d}")
-    g = gcd(*map(int, beta))
+    parity = N.pairing(beta) % 2  # refuses inexact entries before gcd reads them
+    g = gcd(*beta)
     if g != 1:
         raise NotPrimitive(f"beta has content {g}, expected a primitive class")
-    return "odd" if N.pairing(beta) % 2 else "even"
+    return "odd" if parity else "even"
 
 
 @dataclass(frozen=True)

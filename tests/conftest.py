@@ -413,3 +413,31 @@ def quadratic_dual_dims_by_fractions(p, max_weight, column_budget=320):
         prev_dim, cur_dim = cur_dim, len(free_cols)
         dims.append(cur_dim)
     return dims
+
+
+# ---------------------------------------------------------------------------
+# Sullivan monomials by a recursive walk, one degree at a time
+# ---------------------------------------------------------------------------
+
+
+def monomial_basis_by_recursion(model, degree: int) -> list[tuple[int, ...]]:
+    """All normal-form monomials of one degree: one recursion level per
+    generator, exponents ascending, so exponent tuples come out in
+    lexicographic order."""
+    degrees = model.degrees
+    n = len(degrees)
+    out: list[tuple[int, ...]] = []
+
+    def extend(i: int, remaining: int, current: list[int]) -> None:
+        if i == n:
+            if remaining == 0:
+                out.append(tuple(current))
+            return
+        max_e = 1 if degrees[i] % 2 == 1 else remaining // degrees[i]
+        for e in range(min(max_e, remaining // degrees[i]) + 1):
+            current.append(e)
+            extend(i + 1, remaining - e * degrees[i], current)
+            current.pop()
+
+    extend(0, degree, [])
+    return out

@@ -65,6 +65,14 @@ class TestFourManifold:
         with pytest.raises(InputError, match="must be integers"):
             new_four_manifold(entries)
 
+    @pytest.mark.parametrize(
+        "u", [[1.9], [1.0], [True], [Fraction(1)], ["1"]],
+        ids=["float", "integral_float", "bool", "fraction", "string"],
+    )
+    def test_pairing_takes_exact_integers(self, u):
+        with pytest.raises(InputError, match="must be integers"):
+            new_four_manifold([[1]]).pairing(u)
+
 
 class TestBundles:
     def test_non_spin_example(self):
@@ -146,6 +154,26 @@ class TestBundles:
         with pytest.raises(error, match=needle):
             validate_bundle(new_four_manifold(form), b)
 
+    @pytest.mark.parametrize(
+        "b",
+        [
+            BundleData(w2=(True,), p1=5, alpha=(1,), ell=1),
+            BundleData(w2=(1,), p1=5.0, alpha=(1,), ell=1),
+            BundleData(w2=(1,), p1=5, alpha=(1.0,), ell=1),
+            BundleData(w2=(1,), p1=5, alpha=(True,), ell=1),
+            BundleData(w2=(1,), p1=5, alpha=(1,), ell=Fraction(1)),
+            BundleData(w2=(True,), p1=5.0, alpha=(1,), ell=1),
+        ],
+        ids=["bool_w2", "float_p1", "float_alpha", "bool_alpha", "fraction_ell",
+             "bool_w2_float_p1"],
+    )
+    def test_validate_bundle_takes_exact_integers(self, b):
+        N = new_four_manifold([[1]])
+        with pytest.raises(InvalidBundle, match="must be integers"):
+            validate_bundle(N, b)
+        with pytest.raises(InvalidBundle, match="must be integers"):
+            cohomology_ring(N, b)
+
 
 class TestPairingParity:
     def test_examples(self):
@@ -158,6 +186,14 @@ class TestPairingParity:
     def test_rejects_imprimitive(self):
         with pytest.raises(NotPrimitive):
             pairing_parity(new_four_manifold(HYPERBOLIC), [2, 0])
+
+    @pytest.mark.parametrize(
+        "beta", [[1.5], [1.0], [True], [Fraction(1)]],
+        ids=["float", "integral_float", "bool", "fraction"],
+    )
+    def test_takes_exact_integers(self, beta):
+        with pytest.raises(InputError, match="must be integers"):
+            pairing_parity(new_four_manifold([[1]]), beta)
 
 
 class TestD0Cells:

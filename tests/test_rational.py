@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from loopsix.rational import (
     koszul_dual_series,
     lie_dims,
     make_sullivan_model,
+    monomial_basis,
     presentation_from_relations,
     quadratic_algebra_dims,
     quadratic_dual_dims,
@@ -40,6 +42,7 @@ from conftest import (
     INPUTS,
     dual_relation_space_by_fractions,
     graded_free_lie_dims_oracle,
+    monomial_basis_by_recursion,
     quadratic_dual_dims_by_fractions,
     random_pair,
     sparse,
@@ -252,6 +255,25 @@ class TestCdga:
     def test_exterior_generators_square_to_zero(self):
         model = make_sullivan_model([("u", 3)], {})
         assert cdga_cohomology(model, 7) == [1, 0, 0, 1, 0, 0, 0, 0]
+
+
+class TestMonomialWalk:
+    """One iterative walk gives every degree's Sullivan monomials."""
+
+    @given(st.lists(st.integers(1, 6), max_size=7), st.integers(-1, 14))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_recursive_walk(self, degrees, degree):
+        model = make_sullivan_model(
+            [(f"g{i}", deg) for i, deg in enumerate(degrees)], {}
+        )
+        expected = monomial_basis_by_recursion(model, degree)
+        assert monomial_basis(model, degree) == expected
+
+    def test_many_generators_need_no_recursion(self):
+        model = make_sullivan_model([(f"u{i}", 7) for i in range(1200)], {})
+        start = time.perf_counter()
+        assert cdga_cohomology(model, 6) == [1, 0, 0, 0, 0, 0, 0]
+        assert time.perf_counter() - start < 1.0
 
 
 class TestCoformality:
