@@ -17,15 +17,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from functools import cache
-from importlib import resources
 from itertools import chain, repeat
 from math import prod
 from operator import neg
 from pathlib import Path
 from types import MappingProxyType
 
+from ._record import Frozen, Record
 from .errors import InputError, UnsupportedError
 from .homotopy import LoopFactorMultiset
 from .series import _prime_powers
@@ -47,8 +46,7 @@ class UnsupportedDegree(UnsupportedError):
     """pi_k through an S^3{n} factor with k >= 4."""
 
 
-@dataclass(frozen=True)
-class FGAbelianGroup:
+class FGAbelianGroup(Record):
     """A finitely generated abelian group in primary decomposition.
 
     ``counts`` holds ``((p, q), n)``: the group has ``n > 0`` cyclic
@@ -61,8 +59,13 @@ class FGAbelianGroup:
     True
     """
 
+    __slots__ = ("free_rank", "counts")
     free_rank: int
-    counts: tuple[tuple[tuple[int, int], int], ...] = ()
+    counts: tuple[tuple[tuple[int, int], int], ...]
+
+    def __init__(self, free_rank, counts=()) -> None:
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "counts", counts)
 
     @classmethod
     def from_orders(cls, *orders: int, free_rank: int = 0) -> "FGAbelianGroup":
@@ -165,22 +168,26 @@ def group_text(free_rank: int, invariant_factors: Sequence[int]) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True, eq=False)
-class SphereTable:
+class SphereTable(Frozen):
     """Lookup table for pi_k(S^n) with explicit coverage bounds.
 
     ``entries`` is a read-only mapping: the shipped table is shared by every
     caller in the process.
     """
 
+    __slots__ = ("entries", "max_n", "max_k", "source")
     entries: Mapping[tuple[int, int], FGAbelianGroup]
     max_n: int
     max_k: int
     source: str
 
+    def __init__(self, entries, max_n, max_k, source) -> None:
+        self._assign(entries, max_n, max_k, source)
+
 
 def default_table_path() -> Path:
-    return Path(resources.files("loopsix").joinpath("data/sphere_table.txt"))
+    # beside this module: importlib.resources adds start-up (and inspect, on 3.13)
+    return Path(__file__).parent / "data" / "sphere_table.txt"
 
 
 def load_table(path: str | Path | None = None) -> SphereTable:

@@ -26,10 +26,10 @@ function of integer polynomials, expanded to the cutoff once.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Mapping, Union
 
+from ._record import Record
 from .errors import InputError, UnsupportedCase
 from .manifold import (
     BundleData,
@@ -55,49 +55,64 @@ class UnsupportedNode(InputError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Circle:
+class Circle(Record):
     """The circle S^1 (as a loop-space factor)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Sphere:
+
+class Sphere(Record):
+    __slots__ = ("dim",)
     dim: int
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
+    def __init__(self, dim) -> None:
+        if dim < 1:
             raise ValueError("sphere dimension must be >= 1")
+        object.__setattr__(self, "dim", dim)
 
 
-@dataclass(frozen=True)
-class SphereModN:
+class SphereModN(Record):
     """S^3{order}: the homotopy fiber of the degree-``order`` map on S^3."""
 
+    __slots__ = ("order",)
     order: int
 
-    def __post_init__(self) -> None:
-        if self.order < 2:
+    def __init__(self, order) -> None:
+        if order < 2:
             raise ValueError("S^3{n} needs n >= 2")
+        object.__setattr__(self, "order", order)
 
 
-@dataclass(frozen=True)
-class Loop:
+class Loop(Record):
+    __slots__ = ("space",)
     space: "Node"
 
+    def __init__(self, space) -> None:
+        object.__setattr__(self, "space", space)
 
-@dataclass(frozen=True)
-class Product:
+
+class Product(Record):
+    __slots__ = ("factors",)
     factors: tuple["Node", ...]
 
+    def __init__(self, factors) -> None:
+        object.__setattr__(self, "factors", factors)
 
-@dataclass(frozen=True)
-class Wedge:
+
+class Wedge(Record):
+    __slots__ = ("summands",)
     summands: tuple["Node", ...]
 
+    def __init__(self, summands) -> None:
+        object.__setattr__(self, "summands", summands)
 
-@dataclass(frozen=True)
-class Smash:
+
+class Smash(Record):
+    __slots__ = ("factors",)
     factors: tuple["Node", ...]
+
+    def __init__(self, factors) -> None:
+        object.__setattr__(self, "factors", factors)
 
 
 Node = Union[Circle, Sphere, SphereModN, Loop, Product, Wedge, Smash]
@@ -297,8 +312,7 @@ def extension_notes(N: FourManifold, b: BundleData) -> tuple[str, ...]:
     return ()
 
 
-@dataclass(frozen=True)
-class YSpaceReport:
+class YSpaceReport(Record):
     """Report on the auxiliary circle-bundle 5-manifold Y over N.
 
     ``case`` is "I" when the chosen primitive class has odd self-pairing
@@ -308,12 +322,16 @@ class YSpaceReport:
     structure of Y, which is that wedge with one 5-cell attached.
     """
 
+    __slots__ = ("beta", "parity", "case", "wedge_pairs", "route", "y_cells")
     beta: tuple[int, ...]
     parity: str
     case: str
     wedge_pairs: int
     route: str
     y_cells: str
+
+    def __init__(self, beta, parity, case, wedge_pairs, route, y_cells) -> None:
+        self._assign(beta, parity, case, wedge_pairs, route, y_cells)
 
 
 def y_space_report(N: FourManifold, b: BundleData) -> YSpaceReport:
@@ -380,8 +398,7 @@ def bouquet_spheres(d: int, cutoff: int) -> dict[int, int]:
     return {n: (d - 2) * (n - 1) for n in range(2, cutoff + 1)}
 
 
-@dataclass(frozen=True)
-class LoopFactorMultiset:
+class LoopFactorMultiset(Record):
     """Fully expanded product of loop-space factors.
 
     ``sphere_loops`` lists ``(m, multiplicity)`` for factors ``Loop(S^m)``
@@ -392,11 +409,15 @@ class LoopFactorMultiset:
     ``cutoff``.
     """
 
+    __slots__ = ("circles", "sphere_loops", "mod_factors", "truncated", "cutoff")
     circles: int
     sphere_loops: tuple[tuple[int, int], ...]
     mod_factors: tuple[int, ...]
     truncated: bool
     cutoff: int
+
+    def __init__(self, circles, sphere_loops, mod_factors, truncated, cutoff) -> None:
+        self._assign(circles, sphere_loops, mod_factors, truncated, cutoff)
 
     def loop_multiplicity(self, dim: int) -> int:
         return self.loops_by_dim().get(dim, 0)
@@ -414,11 +435,21 @@ def hilton_milnor(
     ``n_i``; each basic product of total weight ``w`` contributes one
     factor ``Loop(S^{w+1})``.  Factors are enumerated up to dimension
     ``cutoff + 1`` with exact Witt counts; no word lists are built.
+    Dimensions and counts must be exact ``int``s, counts nonnegative.
     """
-    sphere_counts = {dim: c for dim, c in Counter(spheres).items() if c}
-    if any(dim < 2 for dim in sphere_counts):
-        raise InputError("Hilton-Milnor needs a wedge of simply connected spheres")
-    letters = {dim - 1: count for dim, count in sphere_counts.items()}
+    letters: dict[int, int] = {}  # weight -> count; one pass checks and fills it
+    for dim, count in Counter(spheres).items():
+        if type(dim) is not int or type(count) is not int or count < 0:
+            raise InputError(
+                "Hilton-Milnor needs int sphere dimensions and nonnegative int "
+                f"counts, got {dim!r}: {count!r}"
+            )
+        if count:
+            if dim < 2:
+                raise InputError(
+                    "Hilton-Milnor needs a wedge of simply connected spheres"
+                )
+            letters[dim - 1] = count
     n_letters = sum(letters.values())
     weight_counts = lie_ring_weight_counts(letters, cutoff) if n_letters else []
     loops = tuple([

@@ -19,10 +19,10 @@ associativity, Poincare duality) that pin this choice down rationally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Literal, Sequence
 
+from ._record import Frozen, Record
 from .errors import InputError, UnsupportedCase
 from .linalg import det_int
 
@@ -47,16 +47,20 @@ class WrongDimension(InputError):
     """Operation applied at the wrong rank d."""
 
 
-@dataclass(frozen=True)
-class FourManifold:
+class FourManifold(Record):
     """A simply connected closed 4-manifold, encoded by its intersection form.
 
     ``determinant`` is the form's, +1 or -1: :func:`new_four_manifold`
     computes it once to validate the form and keeps it.
     """
 
+    __slots__ = ("form", "determinant")
     form: tuple[tuple[int, ...], ...]
     determinant: int
+
+    def __init__(self, form, determinant) -> None:
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "determinant", determinant)
 
     @property
     def d(self) -> int:
@@ -101,14 +105,20 @@ def new_four_manifold(entries: Sequence[Sequence[int]]) -> FourManifold:
     return FourManifold(rows, det)
 
 
-@dataclass(frozen=True)
-class BundleData:
+class BundleData(Record):
     """A rank-3 bundle over N in (w2, p1) / (alpha, ell) form."""
 
+    __slots__ = ("w2", "p1", "alpha", "ell")
     w2: tuple[int, ...]
     p1: int
     alpha: tuple[int, ...]
     ell: int
+
+    def __init__(self, w2, p1, alpha, ell) -> None:
+        object.__setattr__(self, "w2", w2)
+        object.__setattr__(self, "p1", p1)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "ell", ell)
 
     @property
     def d(self) -> int:
@@ -181,11 +191,14 @@ def pairing_parity(N: FourManifold, beta: Sequence[int]) -> Literal["odd", "even
     return "odd" if parity else "even"
 
 
-@dataclass(frozen=True)
-class CellStructureD0:
+class CellStructureD0(Record):
     """Cell structure ``S^2 u_{k eta} e^4 u e^6`` of M over the 4-sphere."""
 
+    __slots__ = ("k",)
     k: int
+
+    def __init__(self, k) -> None:
+        object.__setattr__(self, "k", k)
 
 
 def d0_cell_structure(b: BundleData) -> CellStructureD0:
@@ -219,8 +232,7 @@ def loop_rigidity_equivalent(
     return Na.d == Nb.d
 
 
-@dataclass(frozen=True, eq=False)
-class SixManifoldRing:
+class SixManifoldRing(Frozen):
     """Rational cohomology ring of the sphere-bundle 6-manifold.
 
     Basis labels: ``1``, ``x1..xd`` and ``t`` in degree 2, ``t*x1..t*xd`` and
@@ -229,10 +241,14 @@ class SixManifoldRing:
     labels it lacks multiplies to zero.  All structure constants are integers.
     """
 
+    __slots__ = ("d", "basis", "_degrees", "_table")
     d: int
     basis: tuple[str, ...]
     _degrees: dict
     _table: dict
+
+    def __init__(self, d, basis, _degrees, _table) -> None:
+        self._assign(d, basis, _degrees, _table)
 
     def basis_of_degree(self, degree: int) -> tuple[str, ...]:
         return tuple([l for l in self.basis if self._degrees[l] == degree])

@@ -24,11 +24,11 @@ count meets no recursion limit.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterable, Literal, Mapping, Sequence
 
+from ._record import Frozen, Record
 from .errors import InputError, UnsupportedError
 from .homotopy import (
     LoopFactorMultiset,
@@ -78,8 +78,7 @@ def _sym2_basis(g: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(g) for j in range(i, g)]
 
 
-@dataclass(frozen=True, eq=False)
-class QuadraticPresentation:
+class QuadraticPresentation(Frozen):
     """Degree-2 generators and the quadratic relation space of H^*(M; Q).
 
     ``relations`` are sparse integer rows over the monomial basis of Sym^2
@@ -90,10 +89,14 @@ class QuadraticPresentation:
     remembers the rank d of the base when there is one.
     """
 
+    __slots__ = ("generators", "relations", "weight_dims", "d_rank")
     generators: int
     relations: tuple[Row, ...]
-    weight_dims: tuple[int, ...] | None = None
-    d_rank: int | None = None
+    weight_dims: tuple[int, ...] | None
+    d_rank: int | None
+
+    def __init__(self, generators, relations, weight_dims=None, d_rank=None) -> None:
+        self._assign(generators, relations, weight_dims, d_rank)
 
     @property
     def relation_count(self) -> int:
@@ -400,8 +403,7 @@ Monomial = tuple[int, ...]
 Polynomial = dict[Monomial, Fraction]
 
 
-@dataclass(frozen=True, eq=False)
-class SullivanModel:
+class SullivanModel(Frozen):
     """A finitely generated Sullivan algebra.
 
     ``generators`` is an ordered tuple of (name, degree); the differential
@@ -410,8 +412,12 @@ class SullivanModel:
     Odd-degree generators are exterior: exponents 0 or 1.
     """
 
+    __slots__ = ("generators", "differential")
     generators: tuple[tuple[str, int], ...]
     differential: dict
+
+    def __init__(self, generators, differential) -> None:
+        self._assign(generators, differential)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -487,8 +493,14 @@ def make_sullivan_model(
     generators: Sequence[tuple[str, int]],
     differential: Mapping[str, Mapping[Monomial, Rational]],
 ) -> SullivanModel:
-    """Validate and build a model; the differential must raise degree by 1."""
-    gens = tuple([(str(n), int(d)) for n, d in generators])
+    """Validate and build a model; the differential must raise degree by 1.
+
+    Names are ``str``s, degrees and exponents exact ``int``s, coefficients
+    ``int``s or ``Fraction``s; anything else raises :class:`InputError`.
+    """
+    gens = tuple([(n, d) for n, d in generators])
+    if any(type(n) is not str or type(d) is not int for n, d in gens):
+        raise InputError("generators must be (str name, int degree) pairs")
     names = [n for n, _ in gens]
     if len(set(names)) != len(names):
         raise InputError("generator names must be distinct")
@@ -502,7 +514,11 @@ def make_sullivan_model(
         target = degrees[names.index(name)] + 1
         clean: Polynomial = {}
         for mono, coeff in poly.items():
-            mono = tuple([int(e) for e in mono])
+            mono = tuple(mono)
+            if any(type(e) is not int or e < 0 for e in mono):
+                raise InputError(f"exponents must be nonnegative ints, got {mono!r}")
+            if type(coeff) not in (int, Fraction):
+                raise InputError(f"coefficients must be int or Fraction, got {coeff!r}")
             if len(mono) != len(gens):
                 raise InputError("monomial exponent tuple has the wrong length")
             if _mono_degree(mono, degrees) != target:
@@ -632,11 +648,14 @@ def d1_model_parameter(b: BundleData) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoformalityReport:
+class CoformalityReport(Record):
+    __slots__ = ("status", "witness", "details")
     status: Literal["coformal", "not_coformal"]
     witness: str
     details: dict
+
+    def __init__(self, status, witness, details) -> None:
+        self._assign(status, witness, details)
 
 
 def _coformal_report(

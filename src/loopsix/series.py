@@ -26,12 +26,12 @@ The combinatorial entry points are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, prod
 from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
+from ._record import Record
 from .errors import InputError
 
 Rational = Union[int, Fraction]
@@ -55,18 +55,19 @@ def _exact(x: Rational) -> Rational:
     raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """A formal power series known exactly through degree ``cutoff``.
 
     ``coeffs[n]`` is the degree-n coefficient; ``len(coeffs) == cutoff + 1``.
     """
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[Rational, ...]
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs) -> None:
+        if not coeffs:
             raise ValueError("a series needs at least its constant term")
+        object.__setattr__(self, "coeffs", coeffs)
 
     # -- constructors ----------------------------------------------------
 
@@ -314,19 +315,20 @@ def lie_ring_weight_counts(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GradedLieDims:
+class GradedLieDims(Record):
     """Degree-wise dimensions of a graded Lie algebra.
 
     ``dims[i]`` is the dimension in degree ``i + 1`` (degrees are loop-space
     homological degrees, starting at 1).  All entries are nonnegative.
     """
 
+    __slots__ = ("dims",)
     dims: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if any(d < 0 for d in self.dims):
-            raise NegativeLieDimension(f"negative dimension in {self.dims}")
+    def __init__(self, dims) -> None:
+        if any(d < 0 for d in dims):
+            raise NegativeLieDimension(f"negative dimension in {dims}")
+        object.__setattr__(self, "dims", dims)
 
     @classmethod
     def from_dims(cls, dims: Iterable[int], cutoff: int | None = None) -> "GradedLieDims":

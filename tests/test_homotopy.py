@@ -210,6 +210,15 @@ class TestHiltonMilnor:
         with pytest.raises(Exception):
             hilton_milnor([1, 2], 4)
 
+    @pytest.mark.parametrize(
+        "spheres",
+        [{3: -1}, {3: 1.5}, {2.0: 1, 3: 1}, {3: True, 2: 1}, [2, 3.0]],
+        ids=["negative", "float-count", "float-dim", "bool-count", "float-list"],
+    )
+    def test_rejects_inexact_sphere_data(self, spheres):
+        with pytest.raises(InputError, match="int sphere dimensions"):
+            hilton_milnor(spheres, 5)
+
     @given(
         st.lists(st.integers(min_value=2, max_value=5), min_size=1, max_size=3)
     )

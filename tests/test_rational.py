@@ -256,6 +256,23 @@ class TestCdga:
         model = make_sullivan_model([("u", 3)], {})
         assert cdga_cohomology(model, 7) == [1, 0, 0, 1, 0, 0, 0, 0]
 
+    @pytest.mark.parametrize(
+        "generators, differential, message",
+        [
+            ([("a", 2.7)], {}, "generators must be"),
+            ([(5, 2)], {}, "generators must be"),
+            ([("a", True)], {}, "generators must be"),
+            ([("a", 2), ("b", 3)], {"b": {(2.0, False): 1}}, "exponents must be"),
+            ([("a", 2), ("b", 3)], {"b": {(2, 0): 1.0}}, "coefficients must be"),
+            ([("a", 2), ("b", 3)], {"b": {(2, 0): True}}, "coefficients must be"),
+        ],
+        ids=["float-degree", "int-name", "bool-degree", "inexact-exponents",
+             "float-coefficient", "bool-coefficient"],
+    )
+    def test_model_input_is_not_coerced(self, generators, differential, message):
+        with pytest.raises(InputError, match=message):
+            make_sullivan_model(generators, differential)
+
 
 class TestMonomialWalk:
     """One iterative walk gives every degree's Sullivan monomials."""
