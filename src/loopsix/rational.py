@@ -15,10 +15,17 @@ weight w corresponds to loop-space degree w throughout, so series from this
 module compare directly with the decomposition series of
 :mod:`loopsix.homotopy`.
 
-The direct dual check takes its quotient maps from ``linalg.nullspace``;
-it is 55-80% of a d = 2 or 3 Koszul command at the default cutoffs.  A
-Sullivan model's monomials come from one iterative walk, so its generator
-count meets no recursion limit.
+The direct dual check runs a ring's presentation on an integral orthogonal
+basis ``(e_1..e_d, s)`` of H^2(M; Q) (:func:`_orthogonal_basis`), where
+R_perp is d two-term tensors and one diagonal one, and a hand-built
+presentation on the kernel of its relations.  An invertible change of basis
+of V extends to an automorphism of T(V*) that carries one basis's R_perp,
+and so the ideal it generates, onto the other's: the quotient's dimensions
+do not depend on the basis.  The check takes its quotient maps from
+``linalg.nullspace``; it is 50-68% of a d = 2 or 3 Koszul command at the
+default cutoffs (60-77% on the kernel of the relations).  A Sullivan
+model's monomials come from one iterative walk, so its generator count
+meets no recursion limit.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Iterable, Literal, Mapping, Sequence
+from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 from ._record import Frozen, Record
 from .errors import InputError, UnsupportedError
@@ -86,17 +93,26 @@ class QuadraticPresentation(Frozen):
     matters, not their scale.  ``weight_dims`` records the true
     degree-wise dimensions of the presented algebra when it is known (the
     Betti numbers, for presentations built from a manifold ring); ``d_rank``
-    remembers the rank d of the base when there is one.
+    remembers the rank d of the base when there is one, and ``ring`` the
+    ring itself, from which the dual check reads an orthogonal basis.
     """
 
-    __slots__ = ("generators", "relations", "weight_dims", "d_rank")
+    __slots__ = ("generators", "relations", "weight_dims", "d_rank", "ring")
     generators: int
     relations: tuple[Row, ...]
     weight_dims: tuple[int, ...] | None
     d_rank: int | None
+    ring: SixManifoldRing | None
 
-    def __init__(self, generators, relations, weight_dims=None, d_rank=None) -> None:
-        self._assign(generators, relations, weight_dims, d_rank)
+    def __init__(
+        self, generators, relations, weight_dims=None, d_rank=None, ring=None
+    ) -> None:
+        self._assign(generators, relations, weight_dims, d_rank, ring)
+
+    def __repr__(self) -> str:
+        # the ring is where the relations came from, not part of the value
+        fields = [f"{name}={getattr(self, name)!r}" for name in self.__slots__[:-1]]
+        return f"QuadraticPresentation({', '.join(fields)})"
 
     @property
     def relation_count(self) -> int:
@@ -146,6 +162,7 @@ def quadratic_presentation(ring: SixManifoldRing) -> QuadraticPresentation:
         relations=tuple(kernel),
         weight_dims=(betti[0], betti[1], betti[2], betti[3]),
         d_rank=ring.d,
+        ring=ring,
     )
 
 
@@ -225,20 +242,18 @@ def _dual_relation_space(p: QuadraticPresentation) -> list[Row]:
     """Basis of the orthogonal complement of the associative relation space.
 
     The associative presentation of the graded-commutative algebra adds the
-    commutators ``e_i (x) e_j - e_j (x) e_i`` to the (symmetrized) quadratic
+    commutators ``e_i (x) e_j - e_j (x) e_i`` to the lifted quadratic
     relations; the dual algebra is the tensor algebra on V* modulo the
     orthogonal complement of that span inside V (x) V.  Orthogonal to the
-    commutators means symmetric, so the complement is solved for over the
-    Sym^2 coordinates and then spread over V (x) V.
+    commutators means symmetric, and a symmetric ``phi`` pairs with the lift
+    ``(e_i (x) e_j + e_j (x) e_i) / 2`` of the monomial ``e_i e_j`` as
+    ``phi_ij``: so the complement solves ``sum_{i <= j} c_ij phi_ij = 0``
+    over the Sym^2 coordinates and is then spread over V (x) V.
     """
     g = p.generators
     sym2 = _sym2_basis(g)
-    rows = [
-        {k: c if sym2[k][0] == sym2[k][1] else 2 * c for k, c in rel.items()}
-        for rel in p.relations
-    ]
     basis = []
-    for sym in nullspace(rows, len(sym2)):
+    for sym in nullspace(list(p.relations), len(sym2)):
         vec: Row = {}
         for k, x in sym.items():
             i, j = sym2[k]
@@ -247,38 +262,120 @@ def _dual_relation_space(p: QuadraticPresentation) -> list[Row]:
     return basis
 
 
-def quadratic_dual_dims(p: QuadraticPresentation, max_weight: int) -> list[int]:
-    """Dimensions of the quadratic dual algebra, degree by degree.
+def _orthogonal_basis(ring: SixManifoldRing) -> tuple[list[Row], list[int], Row]:
+    """An integral orthogonal basis ``(e_1..e_d, s)`` of H^2(M; Q), as
+    sparse vectors over the ring's labels: returns the ``e_i``, the ``q_i``
+    and ``s``.
 
-    Builds bases of ``T(V*)/(R_perp)`` iteratively: weight w is the quotient
-    of ``A_{w-1} (x) V*`` by the image of ``A_{w-2} (x) R_perp``.  Stops
-    early (returning what it has) once the working dimension exceeds
-    :data:`DUAL_COLUMN_BUDGET`.  Over the :func:`~loopsix.linalg.nullspace`
-    basis ``v_q`` of the rows, column ``c`` maps to ``{q: v_q[c]}``: a
-    quotient map, since its kernel is the row space.
+    The ``e_i`` are integer combinations of the ``x_i``, orthogonal and
+    non-isotropic for the form read from the ring: fraction-free symmetric
+    elimination, with an isotropic pivot replaced by ``e_i + e_j``.  With
+    ``s = 2t - sum alpha_i x_i`` the products are ``e_i e_j = 0`` (i != j),
+    ``e_i^2 = q_i y`` (``q_i != 0``) and ``s^2 = p1 y``, while the ``e_i s``
+    and ``y`` form a basis of H^4: the basis is orthogonal for the
+    ``y``-coordinate of a product in that basis of H^4.
+    """
+    *xs, t = ring.basis_of_degree(2)
+    d = len(xs)
+    form = [[ring.product(a, b).get("y", 0) for b in xs] for a in xs]
+
+    def q_times(v: list[int]) -> list[int]:
+        return [sum([q * x for q, x in zip(row, v)]) for row in form]
+
+    def dot(u: list[int], v: list[int]) -> int:
+        return sum([a * b for a, b in zip(u, v)])
+
+    rest = [[int(i == j) for j in range(d)] for i in range(d)]
+    basis = []
+    squares = []
+    while rest:
+        k = next((k for k, v in enumerate(rest) if dot(v, q_times(v))), None)
+        if k is None:
+            # the form is nondegenerate on their span: rest[0] pairs with some
+            # rest[j], and then rest[0] + rest[j] is not isotropic
+            first = q_times(rest[0])
+            j = next(j for j, v in enumerate(rest) if dot(first, v))
+            rest[0] = [a + b for a, b in zip(rest[0], rest[j])]
+            k = 0
+        e = rest.pop(k)
+        qe = q_times(e)
+        q = dot(e, qe)
+        for n, v in enumerate(rest):
+            c = dot(v, qe)
+            if c:
+                rest[n] = integer_primitive([q * a - c * b for a, b in zip(v, e)])
+        basis.append({x: a for x, a in zip(xs, e) if a})
+        squares.append(q)
+    tt = ring.product(t, t)
+    s = {t: 2}
+    for x, tx in zip(xs, ring.basis_of_degree(4)):
+        if tt.get(tx):
+            s[x] = -tt[tx]
+    return basis, squares, s
+
+
+def _orthogonal_dual_relations(
+    ring: SixManifoldRing,
+) -> list[list[tuple[int, int, int]]]:
+    """R_perp over the basis :func:`_orthogonal_basis`, each relation as
+    ``(letter, letter, coefficient)`` triples, letters ``eps_i`` then
+    ``sigma``.
+
+    R_perp is the span of the forms ``(u, v) -> lambda(uv)`` for ``lambda``
+    in the dual of H^4.  The basis of it dual to ``(e_1 s, .., e_d s, y)``
+    gives the ``d`` tensors ``eps_i sigma + sigma eps_i`` and ``sum q_i
+    eps_i eps_i + p1 sigma sigma``.
+    """
+    es, squares, s = _orthogonal_basis(ring)
+    d = len(es)
+    diagonal = [(i, i, q) for i, q in enumerate(squares)]
+    p1 = ring.multiply(s, s).get("y", 0)
+    if p1:
+        diagonal.append((d, d, p1))
+    return [[(i, d, 1), (d, i, 1)] for i in range(d)] + [diagonal]
+
+
+def _dual_quotients(
+    p: QuadraticPresentation, max_weight: int
+) -> Iterator[tuple[list[Row], list[Row] | None, int]]:
+    """The dual algebra ``T(V*)/(R_perp)`` weight by weight.
+
+    For each weight w from 2 through ``max_weight`` whose ``dim A_{w-1} *
+    g`` columns fit :data:`DUAL_COLUMN_BUDGET`, yields ``(rows, image,
+    dim A_w)``: ``rows`` span the image of ``A_{w-2} (x) R_perp`` in
+    ``A_{w-1} (x) V*``, and ``image[c]`` holds column c's coordinates in
+    the quotient ``A_w``.  Over the :func:`~loopsix.linalg.nullspace` basis
+    ``v_q`` of the rows, column ``c`` maps to ``{q: v_q[c]}``: a quotient
+    map, since its kernel is the row space.  The last weight's dimension is
+    a rank, and its ``image`` is None.
 
     Columns are last-letter-major: ``basis_u (x) f_j`` is column
-    ``j * dim A_{w-1} + u``.  The dimensions do not depend on the column
-    order, but the elimination does: ordered this way, ``rref`` makes less
-    than half the row operations it makes with ``u * g + j`` (442 -> 194 and
-    194 -> 62 on two d = 2 and d = 3 specs, through weight 6).
+    ``j * dim A_{w-1} + u``.  The dimensions depend neither on the column
+    order nor on the basis of V, but the elimination does: ordered this
+    way, ``rref`` makes less than half the row operations it makes with ``u
+    * g + j`` (442 -> 194 and 194 -> 62 on two d = 2 and d = 3 specs,
+    through weight 6).  A ring's orthogonal basis cuts them again (194 -> 53
+    and 62 -> 22), since each of its relations is sparse and homogeneous in
+    the parity of every letter.
     """
     g = p.generators
-    dims = [1, g]
     # weight 2 alone spans g * g columns
     if max_weight < 2 or g * g > DUAL_COLUMN_BUDGET:
-        return dims[: max_weight + 1]
-    dual_relations = [
-        [(*divmod(k, g), c) for k, c in s.items()] for s in _dual_relation_space(p)
-    ]
+        return
+    if p.ring is None:
+        dual_relations = [
+            [(*divmod(k, g), c) for k, c in s.items()] for s in _dual_relation_space(p)
+        ]
+    else:
+        dual_relations = _orthogonal_dual_relations(p.ring)
     prev_dim = 1
     cur_dim = g
     # image[i * prev_dim + b] = coordinates of (basis_b * f_i), one weight up
-    image: list[dict[int, int]] = [{i: 1} for i in range(g)]
+    image: list[Row] = [{i: 1} for i in range(g)]
     for w in range(2, max_weight + 1):
         ncols = cur_dim * g
         if ncols > DUAL_COLUMN_BUDGET:
-            break
+            return
         rows = []
         for b in range(prev_dim):
             for s in dual_relations:
@@ -288,13 +385,30 @@ def quadratic_dual_dims(p: QuadraticPresentation, max_weight: int) -> list[int]:
                     for u, x in image[i * prev_dim + b].items():
                         row[base + u] = row.get(base + u, 0) + c * x
                 rows.append({col: x for col, x in row.items() if x})
+        if w == max_weight or (ncols - len(rows)) * g > DUAL_COLUMN_BUDGET:
+            # the last weight checked: its dimension needs no quotient map
+            yield rows, None, ncols - rank(rows)
+            return
         kernel = nullspace(rows, ncols)
         image = [{} for _ in range(ncols)]
         for q, v in enumerate(kernel):
             for c, x in v.items():
                 image[c][q] = x
         prev_dim, cur_dim = cur_dim, len(kernel)
-        dims.append(cur_dim)
+        yield rows, image, cur_dim
+
+
+def quadratic_dual_dims(p: QuadraticPresentation, max_weight: int) -> list[int]:
+    """Dimensions of the quadratic dual algebra, degree by degree.
+
+    Weight w is the quotient of ``A_{w-1} (x) V*`` by the image of ``A_{w-2}
+    (x) R_perp`` (see :func:`_dual_quotients`).  Stops early (returning what
+    it has) once the working dimension exceeds :data:`DUAL_COLUMN_BUDGET`.
+    A presentation built from a ring runs in the ring's orthogonal basis,
+    and a hand-built one on the kernel of its relations.
+    """
+    dims = [1, p.generators][: max_weight + 1]
+    dims.extend([dim for _, _, dim in _dual_quotients(p, max_weight)])
     return dims
 
 
@@ -496,7 +610,9 @@ def make_sullivan_model(
     """Validate and build a model; the differential must raise degree by 1.
 
     Names are ``str``s, degrees and exponents exact ``int``s, coefficients
-    ``int``s or ``Fraction``s; anything else raises :class:`InputError`.
+    ``int``s or ``Fraction``s; anything else raises :class:`InputError`, as
+    does a term with an odd generator to a power above 1 (zero in the free
+    graded-commutative algebra, so it is not written down).
     """
     gens = tuple([(n, d) for n, d in generators])
     if any(type(n) is not str or type(d) is not int for n, d in gens):
@@ -521,6 +637,11 @@ def make_sullivan_model(
                 raise InputError(f"coefficients must be int or Fraction, got {coeff!r}")
             if len(mono) != len(gens):
                 raise InputError("monomial exponent tuple has the wrong length")
+            if any(e > 1 and d % 2 for e, d in zip(mono, degrees)):
+                raise InputError(
+                    f"d({name}) has a term {mono!r} with an odd generator squared, "
+                    "which is zero"
+                )
             if _mono_degree(mono, degrees) != target:
                 raise InputError(
                     f"d({name}) must be homogeneous of degree {target}"

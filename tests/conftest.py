@@ -353,8 +353,10 @@ def nullspace_by_fractions(rows, ncols):
 
 
 def dual_relation_space_by_fractions(p):
-    """R_perp inside V (x) V: the kernel of the commutators and the
-    symmetrized relations, solved over all g^2 coordinates."""
+    """R_perp inside V (x) V: the kernel of the commutators and the lifted
+    relations, solved over all g^2 coordinates.  Modulo the commutators the
+    monomial ``e_i e_j`` lifts to ``e_i (x) e_j``, so its coefficient goes
+    to one coordinate, not two."""
     g = p.generators
     sym2 = [(i, j) for i in range(g) for j in range(i, g)]
     rows = []
@@ -369,8 +371,6 @@ def dual_relation_space_by_fractions(p):
         for k, coeff in rel.items():
             i, j = sym2[k]
             row[i * g + j] += coeff
-            if i != j:
-                row[j * g + i] += coeff
         rows.append(row)
     return nullspace_by_fractions(rows, g * g)
 

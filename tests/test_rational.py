@@ -56,6 +56,10 @@ def presentation_for(form, w2, p1):
 
 
 D2_TRIVIAL = ([[0, 1], [1, 0]], [0, 0], 0)
+# Koszul hand-built algebras on two generators (relations over x^2, xy, y^2):
+# two quadrics, a complete intersection; and (x + y)(x, y), monomial in x + y
+TWO_QUADRICS = [[2, -1, 0], [2, -2, 2]]
+X_PLUS_Y_TIMES_X_Y = [[1, 0, -1], [1, 1, 0]]
 D1 = ([[1]], [1], 5)
 D3 = ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], [1, 0, 0], 9)
 
@@ -127,6 +131,20 @@ class TestKoszulDual:
     def test_direct_dual_dims_match_reciprocal_for_koszul_input(self):
         _, _, p = presentation_for(*D2_TRIVIAL)
         assert quadratic_dual_dims(p, 6) == [1, 3, 6, 10, 15, 21, 28]
+
+    @pytest.mark.parametrize(
+        "relations, dims",
+        [(TWO_QUADRICS, [1, 2, 3, 4, 5, 6]), (X_PLUS_Y_TIMES_X_Y, [1, 2, 3, 5, 8, 13])],
+        ids=["two_quadrics", "x_plus_y"],
+    )
+    def test_koszul_hand_built_algebras_pass_the_check(self, relations, dims):
+        """A monomial ``x_i x_j`` lifts to one tensor, not to twice the
+        symmetric one: with off-diagonal coefficients doubled, the direct
+        dual dimension at weight 3 was 5 and 4, and these Koszul algebras
+        raised ``KoszulInconsistency``."""
+        p = presentation_from_relations(2, relations)
+        assert koszul_dual_series(p, 5).integer_coefficients() == tuple(dims)
+        assert quadratic_dual_dims(p, 5) == dims
 
 
 class TestLieDims:
@@ -252,6 +270,13 @@ class TestCdga:
         with pytest.raises(Exception):
             make_sullivan_model([("a", 2), ("b", 3)], {"b": {(1, 0): 1}})
 
+    def test_odd_square_terms_rejected(self):
+        # u^2 = 0 for odd u, so d(x) = a*u^2 is zero and may not be written
+        with pytest.raises(InputError, match="odd generator squared"):
+            make_sullivan_model(
+                [("a", 2), ("u", 3), ("x", 7)], {"x": {(1, 2, 0): 1}}
+            )
+
     def test_exterior_generators_square_to_zero(self):
         model = make_sullivan_model([("u", 3)], {})
         assert cdga_cohomology(model, 7) == [1, 0, 0, 1, 0, 0, 0, 0]
@@ -370,6 +395,8 @@ def _hand_built_presentations():
             ),
             id="two_relations",
         ),
+        pytest.param(presentation_from_relations(2, TWO_QUADRICS), id="two_quadrics"),
+        pytest.param(presentation_from_relations(2, X_PLUS_Y_TIMES_X_Y), id="x_plus_y"),
     ]
 
 
@@ -438,6 +465,132 @@ class TestDualCheckWork:
     def test_random_dims_match_fraction_reference(self, d):
         p = quadratic_presentation(cohomology_ring(*random_pair(random.Random(100 + d), d)))
         assert quadratic_dual_dims(p, 6) == quadratic_dual_dims_by_fractions(p, 6)
+
+
+#: Ring specs (form, w2, p1) beyond the committed ones: hyperbolic forms,
+#: whose zero diagonal makes the orthogonal basis meet an isotropic pivot,
+#: and p1 = 0.
+SPECIAL_SPECS = {
+    "H": ([[0, 1], [1, 0]], [1, 0], 4),
+    "H+H": ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], [0, 0, 0, 0], 8),
+    "H+(-1)": ([[0, 1, 0], [1, 0, 0], [0, 0, -1]], [1, 1, 1], 5),
+    "p1_0": ([[1, 0], [0, -1]], [1, 1], 0),
+    "H_p1_0": ([[0, 1], [1, 0]], [0, 0], 0),
+}
+
+
+def _ring_presentations():
+    """Presentations built from rings: the committed specs of rank >= 1, the
+    desk specs, :data:`SPECIAL_SPECS` and random forms of rank 2 to 16."""
+    specs = {"desk_d2_0": DESK_D2_0, "desk_d3_0": DESK_D3_0, **SPECIAL_SPECS}
+    out = [
+        pytest.param(presentation_for(*spec)[2], id=name)
+        for name, spec in specs.items()
+    ]
+    for d in range(2, 17):
+        ring = cohomology_ring(*random_pair(random.Random(200 + d), d))
+        out.append(pytest.param(quadratic_presentation(ring), id=f"random_d{d}"))
+    return _input_presentations() + out
+
+
+def _nullspace_twin(p):
+    """The same relations without the ring: the dual check then runs on the
+    kernel of the relations in the ring's basis."""
+    return rational.QuadraticPresentation(
+        p.generators, p.relations, p.weight_dims, p.d_rank
+    )
+
+
+class TestOrthogonalDualCheck:
+    """A ring's presentation runs the dual check on an orthogonal basis of
+    H^2(M; Q); the dimensions do not depend on the basis."""
+
+    @pytest.mark.parametrize("p", _ring_presentations())
+    def test_dims_match_nullspace_path_and_fraction_reference(self, p):
+        dims = quadratic_dual_dims(p, 6)
+        assert dims == quadratic_dual_dims(_nullspace_twin(p), 6)
+        # the dense Fraction reference is slow beyond rank 8
+        if p.generators <= 9:
+            assert dims == quadratic_dual_dims_by_fractions(p, 6)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [DESK_D2_0, DESK_D3_0, *SPECIAL_SPECS.values()],
+        ids=["desk_d2_0", "desk_d3_0", *SPECIAL_SPECS],
+    )
+    def test_basis_products(self, spec):
+        N, b, _ = presentation_for(*spec)
+        ring = cohomology_ring(N, b)
+        es, squares, s = rational._orthogonal_basis(ring)
+        assert len(es) == len(squares) == N.d
+        for i, (e, q) in enumerate(zip(es, squares)):
+            assert all(type(x) is int for x in e.values())
+            assert all(ring.multiply(e, f) == {} for f in es[i + 1 :])
+            assert q != 0 and ring.multiply(e, e) == {"y": q}
+        assert ring.multiply(s, s) == ({"y": b.p1} if b.p1 else {})
+        # the e_i s and y form a basis of H^4
+        deg4 = {label: c for c, label in enumerate(ring.basis_of_degree(4))}
+        products = [ring.multiply(e, s) for e in es] + [{"y": 1}]
+        assert rank([{deg4[k]: x for k, x in v.items()} for v in products]) == N.d + 1
+
+    def test_ring_presentations_take_the_orthogonal_path(self, monkeypatch):
+        _, _, p = presentation_for(*DESK_D2_0)
+
+        def unreachable(p):
+            raise AssertionError("the kernel of the relations was solved for")
+
+        monkeypatch.setattr(rational, "_dual_relation_space", unreachable)
+        assert quadratic_dual_dims(p, 6) == [1, 3, 6, 10, 15, 21, 28]
+
+    def test_over_budget_builds_no_orthogonal_basis(self, monkeypatch):
+        p = quadratic_presentation(cohomology_ring(*random_pair(random.Random(17), 17)))
+
+        def unreachable(ring):
+            raise AssertionError("orthogonal basis built for a weight over budget")
+
+        monkeypatch.setattr(rational, "_orthogonal_dual_relations", unreachable)
+        assert quadratic_dual_dims(p, 6) == [1, 18]
+
+    @pytest.mark.parametrize(
+        "spec, calls",
+        [(DESK_D2_0, 53), (DESK_D3_0, 22)],
+        ids=["desk_d2_0", "desk_d3_0"],
+    )
+    def test_eliminations_exact(self, monkeypatch, spec, calls):
+        """On the kernel of the relations the same checks take 194 and 62."""
+        _, _, p = presentation_for(*spec)
+        counted = []
+        original = linalg._eliminate
+
+        def counting(row, pivot_row, col):
+            counted.append(col)
+            return original(row, pivot_row, col)
+
+        monkeypatch.setattr(linalg, "_eliminate", counting)
+        quadratic_dual_dims(p, 6)
+        assert len(counted) == calls
+
+    @pytest.mark.parametrize(
+        "spec, maps", [(DESK_D2_0, 4), (DESK_D3_0, 2)], ids=["desk_d2_0", "desk_d3_0"]
+    )
+    def test_quotient_maps_have_the_rows_as_kernel(self, spec, maps):
+        """Each weight's quotient map sends the rows to zero and has rank
+        ``ncols - rank(rows)``, so its kernel is exactly the row space."""
+        _, _, p = presentation_for(*spec)
+        checked = 0
+        for rows, image, dim in rational._dual_quotients(p, 6):
+            if image is None:
+                continue
+            assert rank(rows) + rank(image) == len(image)
+            assert rank(image) == dim
+            for row in rows:
+                mapped = {}
+                for c, x in row.items():
+                    for q, y in image[c].items():
+                        mapped[q] = mapped.get(q, 0) + x * y
+                assert not any(mapped.values())
+            checked += 1
+        assert checked == maps
 
 
 class TestIntegerPath:
