@@ -4,7 +4,7 @@ Two broad families matter to callers (and fix the CLI exit codes):
 
 * :class:`InputError` -- the input itself is malformed or mathematically
   inconsistent (non-unimodular form, unrealizable characteristic classes,
-  bad table file, ...).
+  bad table file, ...); it is also a ``ValueError``, for callers catching that.
 * :class:`UnsupportedError` -- the input is valid but the requested
   computation is outside the supported range (the unresolved d=0 attaching
   numbers, homotopy degrees past the shipped tables, ...).
@@ -15,7 +15,7 @@ class LoopSixError(Exception):
     """Base class for all library errors."""
 
 
-class InputError(LoopSixError):
+class InputError(LoopSixError, ValueError):
     """Invalid or inconsistent input data."""
 
 

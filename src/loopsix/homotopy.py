@@ -20,7 +20,8 @@ bouquet of spheres, so a Hilton-Milnor expansion turns the whole thing into
 a product of loops on spheres with a circle; :func:`loop_factors` performs
 that expansion with exact Witt counts.  :func:`loop_homology_series` gives
 the rational loop-homology series of any decomposition as one rational
-function of integer polynomials, expanded to the cutoff once.
+function of integer polynomials, expanded to the cutoff once by the shared
+:func:`loopsix.series._expand`.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .manifold import (
     is_spin,
     pairing_parity,
 )
-from .series import TruncatedSeries, _prime_powers, lie_ring_weight_counts
+from .series import TruncatedSeries, _expand, _prime_powers, lie_ring_weight_counts
 
 # Largest odd attaching number that decompose factors: trial division up to
 # its square root takes about 0.2 s for a prime just below 10^12 (2-vCPU host).
@@ -584,7 +585,8 @@ def loop_homology_series(expr: Node, cutoff: int) -> TruncatedSeries:
     ``Loop`` of a sphere, of a finite product of spheres, or of a bouquet of
     spheres (including the implicit bouquets coming from smash summands).
     The series is a rational function ``num / den`` of integer polynomials,
-    built node by node and expanded once, in O(cutoff * deg den) steps.
+    built node by node and expanded once by :func:`loopsix.series._expand`,
+    in O(cutoff * deg den) steps.
     """
     node = normalize(expr)
     if cutoff < 0:
@@ -592,9 +594,4 @@ def loop_homology_series(expr: Node, cutoff: int) -> TruncatedSeries:
     for f in node.factors if isinstance(node, Product) else (node,):
         if not (isinstance(f, (Circle, SphereModN, Loop)) or is_trivial(f)):
             raise UnsupportedNode(f"not a loop-space factor: {render(f)}")
-    num, den = _homology(node, cutoff)
-    # num = den * out through degree cutoff, solved degree by degree
-    out = list(num[: cutoff + 1]) + [0] * (cutoff + 1 - len(num))
-    for n in range(1, cutoff + 1):
-        out[n] -= sum([den[k] * out[n - k] for k in range(1, min(n + 1, len(den)))])
-    return TruncatedSeries(tuple(out))
+    return TruncatedSeries(tuple(_expand(*_homology(node, cutoff), cutoff)))

@@ -45,12 +45,7 @@ from .homotopy import (
 )
 from .linalg import Rational, Row, integer_primitive, nullspace, rank
 from .manifold import BundleData, FourManifold, SixManifoldRing, cohomology_ring
-from .series import (
-    GradedLieDims,
-    TruncatedSeries,
-    pbw_invert,
-    series_reciprocal,
-)
+from .series import GradedLieDims, TruncatedSeries, _expand, pbw_invert
 
 
 # The coformality witness compares the two routes' ranks through this degree.
@@ -90,24 +85,19 @@ class QuadraticPresentation(Frozen):
 
     ``relations`` are sparse integer rows over the monomial basis of Sym^2
     (pairs (i, j) with i <= j in lexicographic order); only their span
-    matters, not their scale.  ``weight_dims`` records the true
-    degree-wise dimensions of the presented algebra when it is known (the
-    Betti numbers, for presentations built from a manifold ring); ``d_rank``
-    remembers the rank d of the base when there is one, and ``ring`` the
-    ring itself, from which the dual check reads an orthogonal basis.
+    matters, not their scale.  ``ring`` is the manifold ring the
+    presentation was built from, or None for a hand-built one: the Hilbert
+    series reads its Betti numbers, the Koszul range its rank d, and the
+    dual check an orthogonal basis of its degree-2 part.
     """
 
-    __slots__ = ("generators", "relations", "weight_dims", "d_rank", "ring")
+    __slots__ = ("generators", "relations", "ring")
     generators: int
     relations: tuple[Row, ...]
-    weight_dims: tuple[int, ...] | None
-    d_rank: int | None
     ring: SixManifoldRing | None
 
-    def __init__(
-        self, generators, relations, weight_dims=None, d_rank=None, ring=None
-    ) -> None:
-        self._assign(generators, relations, weight_dims, d_rank, ring)
+    def __init__(self, generators, relations, ring=None) -> None:
+        self._assign(generators, relations, ring)
 
     def __repr__(self) -> str:
         # the ring is where the relations came from, not part of the value
@@ -156,14 +146,7 @@ def quadratic_presentation(ring: SixManifoldRing) -> QuadraticPresentation:
             break
     if not top_hit:
         raise NotQuadratic("Sym^3 of the degree-2 part misses the top class")
-    betti = ring.betti()
-    return QuadraticPresentation(
-        generators=g,
-        relations=tuple(kernel),
-        weight_dims=(betti[0], betti[1], betti[2], betti[3]),
-        d_rank=ring.d,
-        ring=ring,
-    )
+    return QuadraticPresentation(generators=g, relations=tuple(kernel), ring=ring)
 
 
 def free_presentation(generators: int) -> QuadraticPresentation:
@@ -220,17 +203,14 @@ def quadratic_algebra_dims(p: QuadraticPresentation, cutoff: int) -> list[int]:
 def hilbert_series(p: QuadraticPresentation, cutoff: int) -> TruncatedSeries:
     """Hilbert series of the presented algebra by weight.
 
-    For presentations built from a manifold ring this is the recorded Betti
+    For presentations built from a manifold ring this is the ring's Betti
     series ``1 + (d+1)s + (d+1)s^2 + s^3`` (the honest dimensions of
     H^*(M; Q), whether or not the quadratic algebra on (V, R) truncates by
     itself); for hand-built presentations the quadratic algebra dimensions
     are computed directly.
     """
-    if p.weight_dims is not None:
-        return TruncatedSeries.from_coefficients(p.weight_dims, cutoff=cutoff)
-    return TruncatedSeries.from_coefficients(
-        quadratic_algebra_dims(p, cutoff), cutoff=cutoff
-    )
+    dims = quadratic_algebra_dims(p, cutoff) if p.ring is None else p.ring.betti()
+    return TruncatedSeries.from_coefficients(dims, cutoff=cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +404,9 @@ def koszul_dual_series(
     :data:`DUAL_COLUMN_BUDGET`).  ``check=False`` returns the naive series
     unverified, which is what the d = 1 non-coformality witness needs.
     """
-    hs = hilbert_series(p, cutoff)
-    dual = series_reciprocal(hs.alternate())
+    hs = hilbert_series(p, cutoff).coeffs
+    alternated = [-c if n % 2 else c for n, c in enumerate(hs)]
+    dual = TruncatedSeries(tuple(_expand((1,), alternated, cutoff)))
     if not check:
         return dual
     for n in range(cutoff + 1):
@@ -453,7 +434,7 @@ def lie_dims(p: QuadraticPresentation, cutoff: int) -> GradedLieDims:
     :class:`~loopsix.series.NegativeLieDimension`, and that failure is itself
     the non-coformality signal.
     """
-    if p.d_rank == 1:
+    if p.ring is not None and p.ring.d == 1:
         raise KoszulInconsistency(
             "d = 1 cohomology is not Koszul; its naive dual series does not "
             "give homotopy ranks"
@@ -503,10 +484,7 @@ def free_graded_lie_dims(
     for deg, count in counts.items():
         if deg <= cutoff:
             denominator[deg] -= count
-    tensor = series_reciprocal(
-        TruncatedSeries.from_coefficients(denominator, cutoff=cutoff)
-    )
-    return pbw_invert(tensor)
+    return pbw_invert(TruncatedSeries(tuple(_expand((1,), denominator, cutoff))))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ input stays on Python integers throughout.  Equality of series means
 coefficient-wise equality, which ``Fraction(n) == n`` makes type-blind.
 Arithmetic truncates to the smaller cutoff of the operands, so mixing
 series of different precision silently keeps only the degrees both sides
-know about.
+know about.  Every rational function ``num / den`` in the package -- a
+reciprocal, a loop-homology series, a Koszul dual series, a tensor-algebra
+series -- is expanded by the one private :func:`_expand`.
 
 The combinatorial entry points are
 
@@ -161,12 +163,6 @@ class TruncatedSeries(Record):
             e >>= 1
         return result
 
-    def alternate(self) -> "TruncatedSeries":
-        """The series evaluated at ``-t``."""
-        return TruncatedSeries(
-            tuple([c if n % 2 == 0 else -c for n, c in enumerate(self.coeffs)])
-        )
-
     def divide_by_t(self) -> "TruncatedSeries":
         """Shift down one degree; the constant term must vanish."""
         if self.coeffs[0] != 0:
@@ -184,6 +180,17 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return a * b
 
 
+def _expand(num: Sequence, den: Sequence, cutoff: int) -> list[Rational]:
+    """The power series ``num / den`` through degree ``cutoff``, for
+    ``den[0] == 1``: ``num = den * out`` solved degree by degree, in
+    O(cutoff * deg den) steps.  Integral input gives integral output."""
+    out = list(num[: cutoff + 1]) + [0] * (cutoff + 1 - len(num))
+    tail = den[1 : cutoff + 1]
+    for n in range(1, cutoff + 1):
+        out[n] -= sum(map(mul, tail, reversed(out[max(n - len(tail), 0) : n])))
+    return out
+
+
 def series_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
     """The multiplicative inverse of ``a`` through its cutoff.
 
@@ -195,10 +202,7 @@ def series_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
         raise ZeroConstantTerm("series has zero constant term, no reciprocal")
     # a unit is its own inverse, which keeps integral input on ints
     inv0 = a0 if a0 in (1, -1) else Fraction(1) / a0
-    tail = a.coeffs[1:]
-    out = [inv0]
-    for n in range(1, a.cutoff + 1):
-        out.append(-inv0 * sum(map(mul, tail[:n], reversed(out))))
+    out = _expand((inv0,), [inv0 * c for c in a.coeffs], a.cutoff)
     return TruncatedSeries(tuple([_exact(c) for c in out]))
 
 
@@ -251,10 +255,10 @@ def necklace_count(multidegree: Sequence[int]) -> int:
     """
     m = [int(x) for x in multidegree]
     if any(x < 0 for x in m):
-        raise ValueError("multidegree entries must be nonnegative")
+        raise InputError("multidegree entries must be nonnegative")
     total = sum(m)
     if total == 0:
-        raise ValueError("multidegree must have a positive entry")
+        raise InputError("multidegree must have a positive entry")
     g = gcd(*m)
     acc = 0
     for e, mu in enumerate(_mobius_sieve(g)):
@@ -282,9 +286,9 @@ def lie_ring_weight_counts(
     f: dict[int, int] = {}
     for weight, count in letter_counts.items():
         if weight < 1:
-            raise ValueError("letter weights must be >= 1")
+            raise InputError("letter weights must be >= 1")
         if count < 0:
-            raise ValueError("letter counts must be nonnegative")
+            raise InputError("letter counts must be nonnegative")
         if count and weight <= cutoff:
             f[weight] = count
     letters = sorted(f.items())

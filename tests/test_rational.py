@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsix import linalg, rational
+from loopsix import homotopy, linalg, rational
+from loopsix.cli import MAX_RANK
 from loopsix.errors import InputError
 from loopsix.homotopy import decompose, hilton_milnor, loop_factors, loop_homology_series
 from loopsix.manifold import bundle_from_classes, cohomology_ring, new_four_manifold
@@ -40,6 +43,7 @@ from loopsix.series import NegativeLieDimension, pbw_invert
 
 from conftest import (
     INPUTS,
+    REPO_ROOT,
     dual_relation_space_by_fractions,
     graded_free_lie_dims_oracle,
     monomial_basis_by_recursion,
@@ -379,6 +383,73 @@ def _generated_presentations():
     ]
 
 
+def _alternated_betti(d):
+    """The Koszul route's denominator H_M(-t) = 1 - (d+1)t + (d+1)t^2 - t^3."""
+    return [1, -(d + 1), d + 1, -1]
+
+
+def _identity_gap(d, cutoff):
+    """``num * H_M(-t) - den`` for the decomposition's quotient ``num / den``
+    at rank ``d``, trailing zeros stripped: empty when the two routes'
+    series, ``num / den`` and ``1 / H_M(-t)``, are one rational function."""
+
+    def stripped(poly):
+        poly = list(poly)
+        while poly and not poly[-1]:
+            poly.pop()
+        return poly
+
+    num, den = map(stripped, homotopy._homology(homotopy._decompose_rank(d), cutoff))
+    assert max(len(num), len(den)) <= 8  # degree at most 7
+    gap = [0] * (len(num) + 3) + [0] * len(den)
+    for i, x in enumerate(num):
+        for j, y in enumerate(_alternated_betti(d)):
+            gap[i + j] += x * y
+    for k, y in enumerate(den):
+        gap[k] -= y
+    return stripped(gap)
+
+
+class TestRoutesAgreeAsRationalFunctions:
+    """The decomposition's loop-homology series equals 1 / H_M(-t) as a
+    rational function, hence in every degree, at every rank d >= 2; at d = 1
+    the cross-multiplied numerators differ by t^3 - t^5.  The quotient is
+    exact from cutoff 12 on."""
+
+    @pytest.mark.parametrize("cutoff", [12, 20, 40])
+    def test_every_rank(self, cutoff):
+        for d in range(2, MAX_RANK + 1):
+            assert _identity_gap(d, cutoff) == [], d
+        assert _identity_gap(1, cutoff) == [0, 0, 0, 1, 0, -1]
+
+    @pytest.mark.parametrize("p", _input_presentations() + _generated_presentations())
+    def test_koszul_route_reads_this_denominator(self, p):
+        hs = hilbert_series(p, 3).coeffs
+        assert [-c if n % 2 else c for n, c in enumerate(hs)] == _alternated_betti(
+            p.ring.d
+        )
+
+
+def test_degrees_past_the_cutoff_cost_nothing():
+    """A sphere or a generator far past the cutoff is skipped, not stored:
+    both calls return under a 1 GiB address-space cap."""
+    pytest.importorskip("resource")
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        f"sys.path.insert(0, {str(REPO_ROOT / 'src')!r})\n"
+        "from loopsix.homotopy import Loop, Sphere, loop_homology_series\n"
+        "from loopsix.rational import free_graded_lie_dims\n"
+        "print(loop_homology_series(Loop(Sphere(10**9)), 5).coeffs)\n"
+        "print(free_graded_lie_dims({10**9: 1}, 4).dims)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["(1, 0, 0, 0, 0, 0)", "(0, 0, 0, 0)"]
+
+
 def _hand_built_presentations():
     half = Fraction(1, 2)
     return [
@@ -496,9 +567,7 @@ def _ring_presentations():
 def _nullspace_twin(p):
     """The same relations without the ring: the dual check then runs on the
     kernel of the relations in the ring's basis."""
-    return rational.QuadraticPresentation(
-        p.generators, p.relations, p.weight_dims, p.d_rank
-    )
+    return rational.QuadraticPresentation(p.generators, p.relations)
 
 
 class TestOrthogonalDualCheck:

@@ -87,8 +87,7 @@ RECORDS = [
     (
         QuadraticPresentation,
         {"generators": 2, "relations": ({2: 1, 1: -1},)},
-        "QuadraticPresentation(generators=2, relations=({2: 1, 1: -1},), "
-        "weight_dims=None, d_rank=None)",
+        "QuadraticPresentation(generators=2, relations=({2: 1, 1: -1},))",
     ),
     (
         SullivanModel,
@@ -162,7 +161,7 @@ class TestRecordContract:
 def test_defaults_fill_omitted_fields():
     assert FGAbelianGroup(1).counts == ()
     presentation = QuadraticPresentation(generators=2, relations=())
-    assert presentation.weight_dims is None and presentation.d_rank is None
+    assert presentation.ring is None
 
 
 def test_classes_with_equal_fields_differ():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopsix.errors import InputError
 from loopsix.homotopy import bouquet_spheres, decompose, loop_homology_series
 from loopsix.series import (
     GradedLieDims,
@@ -70,9 +71,6 @@ class TestArithmetic:
     def test_reciprocal_zero_constant_term(self):
         with pytest.raises(ZeroConstantTerm):
             series_reciprocal(S(0, 1, cutoff=3))
-
-    def test_alternate(self):
-        assert S(1, 2, 3, 4).alternate() == S(1, -2, 3, -4)
 
     @given(
         st.lists(
@@ -149,6 +147,22 @@ class TestNecklace:
 
         assert lie_ring_weight_counts({1: 1, 2: 1}, 9) == brute(9)
         assert lie_ring_weight_counts({1: 2}, 8) == [2, 1, 2, 3, 6, 9, 18, 30]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: necklace_count([-1, 2]),
+            lambda: necklace_count([0, 0]),
+            lambda: lie_ring_weight_counts({0: 1}, 3),
+            lambda: lie_ring_weight_counts({1: -1}, 3),
+        ],
+        ids=["negative_entry", "zero_content", "zero_weight", "negative_count"],
+    )
+    def test_bad_letters_raise_input_error(self, call):
+        # an InputError is also a ValueError, for callers that catch that
+        with pytest.raises(InputError) as info:
+            call()
+        assert isinstance(info.value, ValueError)
 
 
 def trial_division_mobius(n):
