@@ -62,6 +62,9 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    #: on the top-level parser: each subcommand's name and parser
+    commands: dict[str, argparse.ArgumentParser]
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(f"{self.prog}: {message}")
 
@@ -74,7 +77,9 @@ class _Parser(argparse.ArgumentParser):
 def load_manifold_spec(path: str | Path) -> tuple[FourManifold, BundleData, str]:
     """Read and validate a manifold spec file; returns (N, bundle, name)."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        # text, not bytes: json.loads would take bytes in UTF-16 or with a BOM
+        with open(path, encoding="utf-8") as file:
+            data = json.loads(file.read())
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
@@ -102,7 +107,7 @@ def load_manifold_spec(path: str | Path) -> tuple[FourManifold, BundleData, str]
     if N.d == 0 and w2 not in ([],):
         raise InputError(f"{path}: 'w2' must be empty when the form is empty")
     bundle = bundle_from_classes(N, w2, data["p1"])
-    name = data.get("name", Path(path).stem)
+    name = data["name"] if "name" in data else Path(path).stem
     if type(name) is not str:
         raise InputError(f"{path}: 'name' must be a string")
     return N, bundle, name
@@ -492,6 +497,7 @@ def _build_parser() -> _Parser:
     p_model = add("model", _model, "Sullivan model data")
     p_model.add_argument("--cutoff", type=_int_in(0, 150), default=8)
     add("compare", _compare, "loop-space equivalence of two inputs", two_files=True)
+    parser.commands = sub.choices
     return parser
 
 
@@ -502,10 +508,24 @@ def emit_report(report: dict[str, Any], fmt: str, lines: Sequence[str] = ()) -> 
     return "\n".join(lines) + "\n"
 
 
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)`` in one argparse pass: when
+    ``argv[0]`` names a command, the rest goes straight to its parser."""
+    parser = _build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:  # reported by the top-level parser, as parse_args does
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
 def run(argv: list[str] | None = None) -> tuple[int, str]:
     """Run a command; returns (exit code, rendered report)."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except _UsageError as exc:
         return 1, f"usage error: {exc}\n"
     try:

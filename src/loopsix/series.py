@@ -185,7 +185,9 @@ def _expand(num: Sequence, den: Sequence, cutoff: int) -> list[Rational]:
     ``den[0] == 1``: ``num = den * out`` solved degree by degree, in
     O(cutoff * deg den) steps.  Integral input gives integral output."""
     out = list(num[: cutoff + 1]) + [0] * (cutoff + 1 - len(num))
-    tail = den[1 : cutoff + 1]
+    tail = list(den[1 : cutoff + 1])
+    while tail and not tail[-1]:  # callers may pad den with zeros to the cutoff
+        tail.pop()
     for n in range(1, cutoff + 1):
         out[n] -= sum(map(mul, tail, reversed(out[max(n - len(tail), 0) : n])))
     return out

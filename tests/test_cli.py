@@ -422,8 +422,11 @@ class TestStrictSpecTypes:
             b'{"intersection_form": [], "p1": 4, "name": "\xff"}',
             b'{"intersection_form": [], "p1": 4' + b"0" * 4300 + b"}",
             b"[" * 100_000 + b"]" * 100_000,
+            b"\xef\xbb\xbf" + b'{"intersection_form": [], "p1": 4}',
+            '{"intersection_form": [], "p1": 4}'.encode("utf-16"),
         ],
-        ids=["not_utf8", "integer_past_digit_limit", "nesting_past_recursion_limit"],
+        ids=["not_utf8", "integer_past_digit_limit", "nesting_past_recursion_limit",
+             "utf8_bom", "utf16"],
     )
     def test_unreadable(self, tmp_path, content):
         spec_path = tmp_path / "spec.json"
@@ -431,6 +434,23 @@ class TestStrictSpecTypes:
         code, out = run(["describe", str(spec_path)])
         assert code == 2
         assert "InputError" in out and str(spec_path) in out
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_newlines_read_as_in_text_mode(self, tmp_path, newline):
+        """A spec with CR LF or CR line ends reports what it reports with
+        LF ends, also the line and char of a JSON syntax error."""
+        spec_path = tmp_path / "spec.json"
+        for content in (
+            b'{\n"intersection_form": [[1]],\n"w2": [1],\n"p1": 1\n}\n',
+            b'{\n"intersection_form": [[1]],\n"p1": x\n}\n',
+        ):
+            outputs = []
+            for ends in (b"\n", newline):
+                spec_path.write_bytes(content.replace(b"\n", ends))
+                outputs.append(run(["describe", str(spec_path)]))
+            assert outputs[0] == outputs[1]
+            assert outputs[0][0] == (2 if b"x" in content else 0)
+        assert "line 3 column 7 (char 36)" in outputs[0][1]
 
     def test_name_string_or_file_stem(self, tmp_path):
         spec_path = tmp_path / "stem.json"
@@ -499,6 +519,57 @@ class TestParserReuse:
         assert "pi_3(M) = Z/5" in run(argv)[1]
         custom.write_text("2 3 0 7\n5 3 0\n")
         assert "pi_3(M) = Z/7" in run(argv)[1]
+
+
+def parsed(parse, argv):
+    """The namespace ``parse(argv)`` gives, or its usage message."""
+    try:
+        return vars(parse(argv))
+    except cli._UsageError as exc:
+        return str(exc)
+
+
+SPEC = path("d1.json")
+COMMANDS = ["describe", "decompose", "pi", "series", "rational", "koszul", "model",
+            "compare"]
+ARGV_TOKENS = (
+    st.sampled_from(
+        COMMANDS
+        + [SPEC, "--format", "json", "text", "--cutoff", "--max", "--table", "--",
+           "--form", "--f", "--format=json", "--form=text", "--cut", "--ma=3",
+           "--bogus", "-x", "extra", "frobnicate", ""]
+    )
+    | st.integers(-2, 600).map(str)
+)
+
+
+class TestDispatch:
+    """Sending argv straight to the named command's parser gives what one
+    ``parse_args`` pass through the top-level parser gives: the same
+    namespace, or the same usage message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        argv=st.lists(ARGV_TOKENS, max_size=7)
+        | st.tuples(st.sampled_from(COMMANDS), st.lists(ARGV_TOKENS, max_size=6)).map(
+            lambda t: [t[0], *t[1]]
+        )
+    )
+    @example(argv=["describe", SPEC, "--bogus"])
+    @example(argv=["pi", SPEC, "--max", "3", "extra"])
+    @example(argv=["--format", "json", "describe", SPEC])
+    @example(argv=[])
+    def test_same_as_one_top_level_pass(self, argv):
+        assert parsed(cli._parse, argv) == parsed(cli._build_parser().parse_args, argv)
+
+    def test_unrecognized_arguments_named_by_the_top_level_parser(self):
+        code, out = run(["describe", SPEC, "--bogus"])
+        assert (code, out) == (1, "usage error: loopsix: unrecognized arguments: --bogus\n")
+
+    def test_main_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["loopsix", "decompose", SPEC])
+        assert cli.main() == 0
+        assert capsys.readouterr().out == run(["decompose", SPEC])[1]
 
 
 DATA = REPO_ROOT / "tests" / "data"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopsix import series
 from loopsix.errors import InputError
 from loopsix.homotopy import bouquet_spheres, decompose, loop_homology_series
 from loopsix.series import (
@@ -12,6 +13,7 @@ from loopsix.series import (
     NegativeLieDimension,
     TruncatedSeries,
     ZeroConstantTerm,
+    _expand,
     _mobius_sieve,
     lie_ring_weight_counts,
     necklace_count,
@@ -388,3 +390,24 @@ class TestIntegerKernel:
         assert lie_ring_weight_counts(letters, 40) == lie_ring_weight_counts_by_log(
             letters, 40
         )
+
+
+class TestExpandWork:
+    """``_expand``'s work follows the degree of ``den``: zeros padded out to
+    the cutoff (1/H(-t) in ``koszul_dual_series``, 1/(1 - sum t^deg) in
+    ``free_graded_lie_dims``) cost no multiplication."""
+
+    @pytest.mark.parametrize("cutoff", [3, 40, 150])
+    def test_padding_costs_nothing(self, monkeypatch, cutoff):
+        den = [1, -4, 4, -1]
+        products = []
+
+        def counted(a, b):
+            products.append((a, b))
+            return a * b
+
+        monkeypatch.setattr(series, "mul", counted)
+        plain = _expand((1,), den, cutoff)
+        unpadded = len(products)
+        assert _expand((1,), den + [0] * cutoff, cutoff) == plain
+        assert len(products) == 2 * unpadded <= 2 * 3 * cutoff
