@@ -69,7 +69,6 @@ from .rational import (
     lie_dims,
     quadratic_presentation,
     ranks_from_decomposition,
-    s2_model,
 )
 from .series import (
     GradedLieDims,

@@ -104,9 +104,6 @@ class FGAbelianGroup(Record):
             return None
         return prod(q**n for (_, q), n in self.counts)
 
-    def direct_sum(self, *others: "FGAbelianGroup") -> "FGAbelianGroup":
-        return _sum_of_copies((g, 1) for g in (self, *others))
-
     def invariant_factors(self) -> list[int]:
         """Cyclic orders n_1 >= n_2 >= ... with n_{i+1} | n_i.
 

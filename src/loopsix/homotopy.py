@@ -420,9 +420,6 @@ class LoopFactorMultiset(Record):
     def __init__(self, circles, sphere_loops, mod_factors, truncated, cutoff) -> None:
         self._assign(circles, sphere_loops, mod_factors, truncated, cutoff)
 
-    def loop_multiplicity(self, dim: int) -> int:
-        return self.loops_by_dim().get(dim, 0)
-
     def loops_by_dim(self) -> dict[int, int]:
         return dict(self.sphere_loops)
 

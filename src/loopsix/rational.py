@@ -15,17 +15,15 @@ weight w corresponds to loop-space degree w throughout, so series from this
 module compare directly with the decomposition series of
 :mod:`loopsix.homotopy`.
 
-The direct dual check runs a ring's presentation on an integral orthogonal
-basis ``(e_1..e_d, s)`` of H^2(M; Q) (:func:`_orthogonal_basis`), where
-R_perp is d two-term tensors and one diagonal one, and a hand-built
-presentation on the kernel of its relations.  An invertible change of basis
-of V extends to an automorphism of T(V*) that carries one basis's R_perp,
-and so the ideal it generates, onto the other's: the quotient's dimensions
-do not depend on the basis.  The check takes its quotient maps from
+The direct dual check runs a presentation on an integral orthogonal basis
+``(e_1..e_d, s)`` of H^2(M; Q) (:func:`_orthogonal_basis`), where R_perp is
+d two-term tensors and one diagonal one.  An invertible change of basis of V
+extends to an automorphism of T(V*) that carries one basis's R_perp, and so
+the ideal it generates, onto the other's: the quotient's dimensions do not
+depend on the basis.  The check takes its quotient maps from
 ``linalg.nullspace``; it is 50-68% of a d = 2 or 3 Koszul command at the
-default cutoffs (60-77% on the kernel of the relations).  A Sullivan
-model's monomials come from one iterative walk, so its generator count
-meets no recursion limit.
+default cutoffs.  A Sullivan model's monomials come from one iterative
+walk, so its generator count meets no recursion limit.
 """
 
 from __future__ import annotations
@@ -86,17 +84,17 @@ class QuadraticPresentation(Frozen):
     ``relations`` are sparse integer rows over the monomial basis of Sym^2
     (pairs (i, j) with i <= j in lexicographic order); only their span
     matters, not their scale.  ``ring`` is the manifold ring the
-    presentation was built from, or None for a hand-built one: the Hilbert
-    series reads its Betti numbers, the Koszul range its rank d, and the
-    dual check an orthogonal basis of its degree-2 part.
+    presentation was built from: the Hilbert series reads its Betti
+    numbers, the Koszul range its rank d, and the dual check an orthogonal
+    basis of its degree-2 part.
     """
 
     __slots__ = ("generators", "relations", "ring")
     generators: int
     relations: tuple[Row, ...]
-    ring: SixManifoldRing | None
+    ring: SixManifoldRing
 
-    def __init__(self, generators, relations, ring=None) -> None:
+    def __init__(self, generators, relations, ring) -> None:
         self._assign(generators, relations, ring)
 
     def __repr__(self) -> str:
@@ -149,97 +147,18 @@ def quadratic_presentation(ring: SixManifoldRing) -> QuadraticPresentation:
     return QuadraticPresentation(generators=g, relations=tuple(kernel), ring=ring)
 
 
-def free_presentation(generators: int) -> QuadraticPresentation:
-    """The polynomial algebra on ``generators`` degree-2 classes (R empty)."""
-    return QuadraticPresentation(generators=generators, relations=())
-
-
-def presentation_from_relations(
-    generators: int, relations: Iterable[Sequence[Rational]]
-) -> QuadraticPresentation:
-    """A hand-built quadratic presentation (vectors over the Sym^2 basis).
-
-    The one place rational relations enter a presentation: each vector's
-    denominators are cleared here, once, and it is stored as a sparse row.
-    """
-    expected = generators * (generators + 1) // 2
-    rels = []
-    for vec in relations:
-        if len(vec) != expected:
-            raise InputError(
-                f"relation vectors need length {expected} for {generators} generators"
-            )
-        if not all(isinstance(x, (int, Fraction)) for x in vec):
-            raise InputError("relation entries must be int or Fraction")
-        rels.append({c: x for c, x in enumerate(integer_primitive(vec)) if x})
-    return QuadraticPresentation(generators=generators, relations=tuple(rels))
-
-
-def quadratic_algebra_dims(p: QuadraticPresentation, cutoff: int) -> list[int]:
-    """Degree-wise dimensions of ``Sym(V)/(R)`` computed by linear algebra.
-
-    Weight-w ideal component is ``R * Sym^{w-2} V``.  Exponential in the
-    cutoff for many generators; meant for small hand-built presentations and
-    cross-checks.
-    """
-    g = p.generators
-    sym2 = _sym2_basis(g)
-    dims = [1]
-    if cutoff >= 1:
-        dims.append(g)
-    for w in range(2, cutoff + 1):
-        monos = list(combinations_with_replacement(range(g), w))
-        index = {m: i for i, m in enumerate(monos)}
-        # distinct pairs times one lower monomial are distinct monomials
-        rows = [
-            {index[tuple(sorted(lower + sym2[k]))]: c for k, c in rel.items()}
-            for rel in p.relations
-            for lower in combinations_with_replacement(range(g), w - 2)
-        ]
-        dims.append(len(monos) - rank(rows))
-    return dims[: cutoff + 1]
-
-
 def hilbert_series(p: QuadraticPresentation, cutoff: int) -> TruncatedSeries:
-    """Hilbert series of the presented algebra by weight.
-
-    For presentations built from a manifold ring this is the ring's Betti
+    """Hilbert series of the presented algebra by weight: the ring's Betti
     series ``1 + (d+1)s + (d+1)s^2 + s^3`` (the honest dimensions of
     H^*(M; Q), whether or not the quadratic algebra on (V, R) truncates by
-    itself); for hand-built presentations the quadratic algebra dimensions
-    are computed directly.
+    itself).
     """
-    dims = quadratic_algebra_dims(p, cutoff) if p.ring is None else p.ring.betti()
-    return TruncatedSeries.from_coefficients(dims, cutoff=cutoff)
+    return TruncatedSeries.from_coefficients(p.ring.betti(), cutoff=cutoff)
 
 
 # ---------------------------------------------------------------------------
 # The quadratic dual, directly
 # ---------------------------------------------------------------------------
-
-
-def _dual_relation_space(p: QuadraticPresentation) -> list[Row]:
-    """Basis of the orthogonal complement of the associative relation space.
-
-    The associative presentation of the graded-commutative algebra adds the
-    commutators ``e_i (x) e_j - e_j (x) e_i`` to the lifted quadratic
-    relations; the dual algebra is the tensor algebra on V* modulo the
-    orthogonal complement of that span inside V (x) V.  Orthogonal to the
-    commutators means symmetric, and a symmetric ``phi`` pairs with the lift
-    ``(e_i (x) e_j + e_j (x) e_i) / 2`` of the monomial ``e_i e_j`` as
-    ``phi_ij``: so the complement solves ``sum_{i <= j} c_ij phi_ij = 0``
-    over the Sym^2 coordinates and is then spread over V (x) V.
-    """
-    g = p.generators
-    sym2 = _sym2_basis(g)
-    basis = []
-    for sym in nullspace(list(p.relations), len(sym2)):
-        vec: Row = {}
-        for k, x in sym.items():
-            i, j = sym2[k]
-            vec[i * g + j] = vec[j * g + i] = x
-        basis.append(vec)
-    return basis
 
 
 def _orthogonal_basis(ring: SixManifoldRing) -> tuple[list[Row], list[int], Row]:
@@ -332,22 +251,16 @@ def _dual_quotients(
     Columns are last-letter-major: ``basis_u (x) f_j`` is column
     ``j * dim A_{w-1} + u``.  The dimensions depend neither on the column
     order nor on the basis of V, but the elimination does: ordered this
-    way, ``rref`` makes less than half the row operations it makes with ``u
-    * g + j`` (442 -> 194 and 194 -> 62 on two d = 2 and d = 3 specs,
-    through weight 6).  A ring's orthogonal basis cuts them again (194 -> 53
-    and 62 -> 22), since each of its relations is sparse and homogeneous in
-    the parity of every letter.
+    way, ``rref`` makes about half the row operations it makes with ``u *
+    g + j`` (98 -> 53 and 43 -> 22 on two d = 2 and d = 3 specs, through
+    weight 6).  The orthogonal basis keeps them low, since each of its
+    relations is sparse and homogeneous in the parity of every letter.
     """
     g = p.generators
     # weight 2 alone spans g * g columns
     if max_weight < 2 or g * g > DUAL_COLUMN_BUDGET:
         return
-    if p.ring is None:
-        dual_relations = [
-            [(*divmod(k, g), c) for k, c in s.items()] for s in _dual_relation_space(p)
-        ]
-    else:
-        dual_relations = _orthogonal_dual_relations(p.ring)
+    dual_relations = _orthogonal_dual_relations(p.ring)
     prev_dim = 1
     cur_dim = g
     # image[i * prev_dim + b] = coordinates of (basis_b * f_i), one weight up
@@ -384,8 +297,7 @@ def quadratic_dual_dims(p: QuadraticPresentation, max_weight: int) -> list[int]:
     Weight w is the quotient of ``A_{w-1} (x) V*`` by the image of ``A_{w-2}
     (x) R_perp`` (see :func:`_dual_quotients`).  Stops early (returning what
     it has) once the working dimension exceeds :data:`DUAL_COLUMN_BUDGET`.
-    A presentation built from a ring runs in the ring's orthogonal basis,
-    and a hand-built one on the kernel of its relations.
+    It runs in the orthogonal basis of the presentation's ring.
     """
     dims = [1, p.generators][: max_weight + 1]
     dims.extend([dim for _, _, dim in _dual_quotients(p, max_weight)])
@@ -404,8 +316,7 @@ def koszul_dual_series(
     :data:`DUAL_COLUMN_BUDGET`).  ``check=False`` returns the naive series
     unverified, which is what the d = 1 non-coformality witness needs.
     """
-    hs = hilbert_series(p, cutoff).coeffs
-    alternated = [-c if n % 2 else c for n, c in enumerate(hs)]
+    alternated = [-c if n % 2 else c for n, c in enumerate(p.ring.betti())]
     dual = TruncatedSeries(tuple(_expand((1,), alternated, cutoff)))
     if not check:
         return dual
@@ -434,7 +345,7 @@ def lie_dims(p: QuadraticPresentation, cutoff: int) -> GradedLieDims:
     :class:`~loopsix.series.NegativeLieDimension`, and that failure is itself
     the non-coformality signal.
     """
-    if p.ring is not None and p.ring.d == 1:
+    if p.ring.d == 1:
         raise KoszulInconsistency(
             "d = 1 cohomology is not Koszul; its naive dual series does not "
             "give homotopy ranks"
@@ -710,13 +621,6 @@ def model_to_json(model: SullivanModel) -> dict:
             for name, poly in sorted(model.differential.items())
         },
     }
-
-
-def s2_model() -> SullivanModel:
-    """Minimal model of the 2-sphere: ``Lambda(a2, b3)`` with ``db = a^2``."""
-    return make_sullivan_model(
-        [("a", 2), ("b", 3)], {"b": {(2, 0): 1}}
-    )
 
 
 def d1_model(k: Rational = 1) -> SullivanModel:

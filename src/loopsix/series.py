@@ -89,22 +89,8 @@ class TruncatedSeries(Record):
         return cls(tuple(coeffs))
 
     @classmethod
-    def zero(cls, cutoff: int) -> "TruncatedSeries":
-        return cls.from_coefficients([], cutoff=cutoff)
-
-    @classmethod
     def one(cls, cutoff: int) -> "TruncatedSeries":
         return cls.from_coefficients([1], cutoff=cutoff)
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: Rational, cutoff: int) -> "TruncatedSeries":
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        if degree > cutoff:
-            return cls.zero(cutoff)
-        values = [0] * (degree + 1)
-        values[degree] = coeff
-        return cls.from_coefficients(values, cutoff=cutoff)
 
     # -- basic queries ---------------------------------------------------
 
@@ -162,14 +148,6 @@ class TruncatedSeries(Record):
             base = base * base
             e >>= 1
         return result
-
-    def divide_by_t(self) -> "TruncatedSeries":
-        """Shift down one degree; the constant term must vanish."""
-        if self.coeffs[0] != 0:
-            raise ValueError("cannot divide by t: nonzero constant term")
-        if self.cutoff == 0:
-            raise ValueError("cannot divide by t: no degrees left")
-        return TruncatedSeries(self.coeffs[1:])
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(c) for c in self.coeffs) + "]"

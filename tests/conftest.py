@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from itertools import product as iter_product
 from math import comb
 from pathlib import Path
 
 from loopsix import BundleData, FourManifold, bundle_from_classes, new_four_manifold
 from loopsix.errors import InputError
+from loopsix.rational import make_sullivan_model
 from loopsix.series import GradedLieDims, NegativeLieDimension, TruncatedSeries
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -352,6 +354,29 @@ def nullspace_by_fractions(rows, ncols):
     return basis
 
 
+def quadratic_algebra_dims(p, cutoff):
+    """Degree-wise dimensions of ``Sym(V)/(R)`` for a presentation ``p``:
+    the weight-w ideal component ``R * Sym^{w-2} V`` spanned monomial by
+    monomial and ranked over Q.  Exponential in the cutoff for many
+    generators."""
+    g = p.generators
+    sym2 = [(i, j) for i in range(g) for j in range(i, g)]
+    dims = [1, g]
+    for w in range(2, cutoff + 1):
+        monos = list(combinations_with_replacement(range(g), w))
+        index = {m: i for i, m in enumerate(monos)}
+        rows = []
+        for rel in p.relations:
+            for lower in combinations_with_replacement(range(g), w - 2):
+                # distinct pairs times one lower monomial are distinct monomials
+                row = [0] * len(monos)
+                for k, c in rel.items():
+                    row[index[tuple(sorted(lower + sym2[k]))]] = c
+                rows.append(row)
+        dims.append(len(monos) - len(rref_by_fractions(rows)[1]))
+    return dims[: cutoff + 1]
+
+
 def dual_relation_space_by_fractions(p):
     """R_perp inside V (x) V: the kernel of the commutators and the lifted
     relations, solved over all g^2 coordinates.  Modulo the commutators the
@@ -416,8 +441,13 @@ def quadratic_dual_dims_by_fractions(p, max_weight, column_budget=320):
 
 
 # ---------------------------------------------------------------------------
-# Sullivan monomials by a recursive walk, one degree at a time
+# Sullivan models: a reference model, and monomials by a recursive walk
 # ---------------------------------------------------------------------------
+
+
+def s2_model():
+    """Minimal model of the 2-sphere: ``Lambda(a2, b3)`` with ``db = a^2``."""
+    return make_sullivan_model([("a", 2), ("b", 3)], {"b": {(2, 0): 1}})
 
 
 def monomial_basis_by_recursion(model, degree: int) -> list[tuple[int, ...]]:

@@ -328,6 +328,7 @@ class TestEachStageOnce:
         (manifold, "validate_bundle"),
         (manifold, "cohomology_ring"),
         (rational, "quadratic_presentation"),
+        (rational, "hilbert_series"),
         (rational, "koszul_dual_series"),
         (rational, "quadratic_dual_dims"),
         (series, "pbw_invert"),
@@ -338,15 +339,13 @@ class TestEachStageOnce:
         (cli, "emit_report"),
     )
 
-    def test_each_stage_at_most_once(self, monkeypatch):
-        """Each single-spec command, on every committed spec and in both
-        formats, runs each stage in ``STAGES`` at most once.
+    def sweep(self, monkeypatch):
+        """Each single-spec command on every committed spec in both formats,
+        with every ``STAGES`` entry counted: one ``(command, spec, format,
+        counts)`` per run.
 
         Every ``loopsix`` module that imports a stage gets the counting
-        wrapper.  Two known repeats stay outside the list: ``koszul`` builds
-        ``hilbert_series`` twice (for its own line and inside
-        ``koszul_dual_series``), and ``rational`` at d = 1 calls ``decompose``
-        twice (it is cached per rank).
+        wrapper.
         """
         counts = Counter()
 
@@ -366,18 +365,35 @@ class TestEachStageOnce:
                     if value is original:
                         monkeypatch.setattr(module, key, wrapper)
         commands = ["describe", "decompose", "pi", "series", "rational", "koszul", "model"]
-        repeats = []
+        runs = []
         for command in commands:
             for spec in sorted(INPUTS.glob("*.json")):
                 for fmt in ("text", "json"):
                     counts.clear()
                     run([command, str(spec), "--format", fmt])
-                    repeats += [
-                        (command, spec.name, fmt, name, n)
-                        for name, n in sorted(counts.items())
-                        if n > 1
-                    ]
+                    runs.append((command, spec.name, fmt, Counter(counts)))
+        return runs
+
+    def test_each_stage_at_most_once(self, monkeypatch):
+        """No run calls a stage in ``STAGES`` twice.  One known repeat stays
+        outside the list: ``rational`` at d = 1 calls ``decompose`` twice (it
+        is cached per rank)."""
+        repeats = [
+            (command, spec, fmt, name, n)
+            for command, spec, fmt, counts in self.sweep(monkeypatch)
+            for name, n in sorted(counts.items())
+            if n > 1
+        ]
         assert repeats == []
+
+    def test_every_stage_is_called(self, monkeypatch):
+        """Some run calls each stage in ``STAGES``: a guard on a function
+        that no command calls would pass without checking anything."""
+        called = set()
+        for *_, counts in self.sweep(monkeypatch):
+            called.update(counts)
+        names = [f"{owner.__name__}.{attr}" for owner, attr in self.STAGES]
+        assert [name for name in names if name not in called] == []
 
 
 class TestStrictSpecTypes:

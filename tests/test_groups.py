@@ -10,6 +10,7 @@ from loopsix.groups import (
     ParseError,
     TableOutOfRange,
     UnsupportedDegree,
+    _sum_of_copies,
     load_table,
     pi_manifold,
     pi_sphere,
@@ -21,6 +22,11 @@ from conftest import random_pair
 
 
 ORDERS = st.lists(st.integers(min_value=0, max_value=24), max_size=4)
+
+
+def direct_sum(*groups):
+    """The direct sum of ``groups``, one copy of each."""
+    return _sum_of_copies([(group, 1) for group in groups])
 
 
 @pytest.fixture(scope="module")
@@ -61,8 +67,8 @@ class TestFGAbelianGroup:
         A = FGAbelianGroup.from_orders(*a)
         B = FGAbelianGroup.from_orders(*b)
         C = FGAbelianGroup.from_orders(*c)
-        assert A.direct_sum(B) == B.direct_sum(A)
-        assert A.direct_sum(B).direct_sum(C) == A.direct_sum(B.direct_sum(C))
+        assert direct_sum(A, B) == direct_sum(B, A)
+        assert direct_sum(direct_sum(A, B), C) == direct_sum(A, direct_sum(B, C))
 
 
 def one_summand_at_a_time(group):
@@ -97,7 +103,7 @@ def groups_with_long_runs(draw):
             max_size=8,
         )
     )
-    return group.direct_sum(*[FGAbelianGroup(0, (((p, p**r), n),)) for p, r, n in runs])
+    return direct_sum(group, *[FGAbelianGroup(0, (((p, p**r), n),)) for p, r, n in runs])
 
 
 class TestRunsOfEqualOrders:
@@ -166,13 +172,13 @@ class TestSphereTable:
             assert pi_sphere(table, 2, k) == pi_sphere(table, 3, k)
         # S^3 -> S^7 -> S^4 splits: pi_k(S^4) = pi_k(S^7) + pi_{k-1}(S^3)
         for k in range(4, 16):
-            assert pi_sphere(table, 4, k) == pi_sphere(table, 7, k).direct_sum(
-                pi_sphere(table, 3, k - 1)
+            assert pi_sphere(table, 4, k) == direct_sum(
+                pi_sphere(table, 7, k), pi_sphere(table, 3, k - 1)
             )
         # S^7 -> S^15 -> S^8 splits likewise
         for k in range(8, 16):
-            assert pi_sphere(table, 8, k) == pi_sphere(table, 15, k).direct_sum(
-                pi_sphere(table, 7, k - 1)
+            assert pi_sphere(table, 8, k) == direct_sum(
+                pi_sphere(table, 15, k), pi_sphere(table, 7, k - 1)
             )
 
     def test_stable_range_is_constant(self, table):
@@ -264,7 +270,7 @@ class TestPiByMultiplicity:
         parts += [FGAbelianGroup.from_orders(o) for o in factors.mod_factors if k == 3]
         for dim, mult in factors.sphere_loops:
             parts += [pi_sphere(table, dim, k)] * mult
-        return parts[0].direct_sum(*parts[1:])
+        return direct_sum(*parts)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_d6_matches_one_summand_per_factor(self, table, seed):

@@ -17,7 +17,6 @@ from loopsix.manifold import bundle_from_classes, cohomology_ring, new_four_mani
 from loopsix.linalg import rank
 from loopsix.rational import (
     DifferentialNotSquareZero,
-    _dual_relation_space,
     KoszulInconsistency,
     NotQuadratic,
     cdga_cohomology,
@@ -25,31 +24,27 @@ from loopsix.rational import (
     d1_model,
     d1_model_parameter,
     free_graded_lie_dims,
-    free_presentation,
     hilbert_series,
     is_rationally_elliptic,
     koszul_dual_series,
     lie_dims,
     make_sullivan_model,
     monomial_basis,
-    presentation_from_relations,
-    quadratic_algebra_dims,
     quadratic_dual_dims,
     quadratic_presentation,
     ranks_from_decomposition,
-    s2_model,
 )
 from loopsix.series import NegativeLieDimension, pbw_invert
 
 from conftest import (
     INPUTS,
     REPO_ROOT,
-    dual_relation_space_by_fractions,
     graded_free_lie_dims_oracle,
     monomial_basis_by_recursion,
+    quadratic_algebra_dims,
     quadratic_dual_dims_by_fractions,
     random_pair,
-    sparse,
+    s2_model,
 )
 
 
@@ -60,10 +55,6 @@ def presentation_for(form, w2, p1):
 
 
 D2_TRIVIAL = ([[0, 1], [1, 0]], [0, 0], 0)
-# Koszul hand-built algebras on two generators (relations over x^2, xy, y^2):
-# two quadrics, a complete intersection; and (x + y)(x, y), monomial in x + y
-TWO_QUADRICS = [[2, -1, 0], [2, -2, 2]]
-X_PLUS_Y_TIMES_X_Y = [[1, 0, -1], [1, 1, 0]]
 D1 = ([[1]], [1], 5)
 D3 = ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], [1, 0, 0], 9)
 
@@ -88,15 +79,6 @@ class TestQuadraticPresentation:
             with pytest.raises(NotQuadratic):
                 quadratic_presentation(ring)
 
-    @pytest.mark.parametrize("entry", [0.5, "1/2"])
-    def test_hand_built_relations_take_exact_entries_only(self, entry):
-        with pytest.raises(InputError):
-            presentation_from_relations(1, [[entry]])
-
-    def test_free_algebra_hilbert(self):
-        p = free_presentation(2)
-        assert hilbert_series(p, 5).integer_coefficients() == (1, 2, 3, 4, 5, 6)
-
     def test_quadratic_algebra_dims_vs_betti_for_koszul_input(self):
         # in the Koszul range the abstract quadratic algebra IS the cohomology
         _, _, p = presentation_for(*D2_TRIVIAL)
@@ -118,10 +100,6 @@ class TestKoszulDual:
         _, _, p = presentation_for(*D3)
         assert koszul_dual_series(p, 4).integer_coefficients() == (1, 4, 12, 33, 88)
 
-    def test_sphere_algebra_dual_is_one_odd_generator(self):
-        p = presentation_from_relations(1, [[1]])  # Q[x]/(x^2)
-        assert koszul_dual_series(p, 6).integer_coefficients() == (1,) * 7
-
     def test_d1_checked_raises(self):
         _, _, p = presentation_for(*D1)
         with pytest.raises(KoszulInconsistency):
@@ -135,20 +113,6 @@ class TestKoszulDual:
     def test_direct_dual_dims_match_reciprocal_for_koszul_input(self):
         _, _, p = presentation_for(*D2_TRIVIAL)
         assert quadratic_dual_dims(p, 6) == [1, 3, 6, 10, 15, 21, 28]
-
-    @pytest.mark.parametrize(
-        "relations, dims",
-        [(TWO_QUADRICS, [1, 2, 3, 4, 5, 6]), (X_PLUS_Y_TIMES_X_Y, [1, 2, 3, 5, 8, 13])],
-        ids=["two_quadrics", "x_plus_y"],
-    )
-    def test_koszul_hand_built_algebras_pass_the_check(self, relations, dims):
-        """A monomial ``x_i x_j`` lifts to one tensor, not to twice the
-        symmetric one: with off-diagonal coefficients doubled, the direct
-        dual dimension at weight 3 was 5 and 4, and these Koszul algebras
-        raised ``KoszulInconsistency``."""
-        p = presentation_from_relations(2, relations)
-        assert koszul_dual_series(p, 5).integer_coefficients() == tuple(dims)
-        assert quadratic_dual_dims(p, 5) == dims
 
 
 class TestLieDims:
@@ -450,45 +414,12 @@ def test_degrees_past_the_cutoff_cost_nothing():
     assert proc.stdout.splitlines() == ["(1, 0, 0, 0, 0, 0)", "(0, 0, 0, 0)"]
 
 
-def _hand_built_presentations():
-    half = Fraction(1, 2)
-    return [
-        pytest.param(free_presentation(1), id="free1"),
-        pytest.param(free_presentation(3), id="free3"),
-        pytest.param(presentation_from_relations(1, [[1]]), id="x2"),
-        pytest.param(
-            presentation_from_relations(2, [[1, 0, Fraction(-3, 4)], [0, 1, 0]]),
-            id="fractional",
-        ),
-        pytest.param(
-            presentation_from_relations(
-                3, [[half, 1, 0, 0, 0, 2], [0, 0, 1, 0, half, 0]]
-            ),
-            id="two_relations",
-        ),
-        pytest.param(presentation_from_relations(2, TWO_QUADRICS), id="two_quadrics"),
-        pytest.param(presentation_from_relations(2, X_PLUS_Y_TIMES_X_Y), id="x_plus_y"),
-    ]
-
-
-ALL_PRESENTATIONS = (
-    _input_presentations() + _generated_presentations() + _hand_built_presentations()
-)
-
-
 class TestIntegerDualKernel:
     """The integer quadratic-dual check against the Fraction computation."""
 
-    @pytest.mark.parametrize("p", ALL_PRESENTATIONS)
+    @pytest.mark.parametrize("p", _input_presentations() + _generated_presentations())
     def test_dims_match_fraction_reference(self, p):
         assert quadratic_dual_dims(p, 6) == quadratic_dual_dims_by_fractions(p, 6)
-
-    @pytest.mark.parametrize("p", ALL_PRESENTATIONS)
-    def test_dual_relation_space_matches_reference(self, p):
-        ours = _dual_relation_space(p)
-        ref = sparse(dual_relation_space_by_fractions(p))
-        assert len(ours) == len(ref)
-        assert rank(ours) == rank(ref) == rank(ours + ref)
 
     def test_weights_checked_per_rank(self):
         _, _, p2 = presentation_for(*D2_TRIVIAL)
@@ -550,37 +481,35 @@ SPECIAL_SPECS = {
 }
 
 
-def _ring_presentations():
-    """Presentations built from rings: the committed specs of rank >= 1, the
-    desk specs, :data:`SPECIAL_SPECS` and random forms of rank 2 to 16."""
+def _spec_and_random_presentations(max_rank):
+    """The desk specs, :data:`SPECIAL_SPECS` and random forms of rank 2 to
+    ``max_rank``, as presentations."""
     specs = {"desk_d2_0": DESK_D2_0, "desk_d3_0": DESK_D3_0, **SPECIAL_SPECS}
     out = [
         pytest.param(presentation_for(*spec)[2], id=name)
         for name, spec in specs.items()
     ]
-    for d in range(2, 17):
+    for d in range(2, max_rank + 1):
         ring = cohomology_ring(*random_pair(random.Random(200 + d), d))
         out.append(pytest.param(quadratic_presentation(ring), id=f"random_d{d}"))
-    return _input_presentations() + out
+    return out
 
 
-def _nullspace_twin(p):
-    """The same relations without the ring: the dual check then runs on the
-    kernel of the relations in the ring's basis."""
-    return rational.QuadraticPresentation(p.generators, p.relations)
+#: Quotient maps that ``_dual_quotients(p, 6)`` builds, by rank: one for
+#: each weight below the last that :data:`~loopsix.rational.DUAL_COLUMN_BUDGET`
+#: lets it check.
+QUOTIENT_MAPS = {2: 4, 3: 2, 4: 1, 5: 1, 6: 1}
 
 
 class TestOrthogonalDualCheck:
-    """A ring's presentation runs the dual check on an orthogonal basis of
+    """A presentation runs the dual check on an orthogonal basis of
     H^2(M; Q); the dimensions do not depend on the basis."""
 
-    @pytest.mark.parametrize("p", _ring_presentations())
-    def test_dims_match_nullspace_path_and_fraction_reference(self, p):
-        dims = quadratic_dual_dims(p, 6)
-        assert dims == quadratic_dual_dims(_nullspace_twin(p), 6)
-        # the dense Fraction reference is slow beyond rank 8
-        if p.generators <= 9:
-            assert dims == quadratic_dual_dims_by_fractions(p, 6)
+    # The dense Fraction reference is slow beyond rank 8, and from rank 7 on
+    # the budget checks only weights that hold by construction.
+    @pytest.mark.parametrize("p", _spec_and_random_presentations(8))
+    def test_dims_match_fraction_reference(self, p):
+        assert quadratic_dual_dims(p, 6) == quadratic_dual_dims_by_fractions(p, 6)
 
     @pytest.mark.parametrize(
         "spec",
@@ -602,14 +531,48 @@ class TestOrthogonalDualCheck:
         products = [ring.multiply(e, s) for e in es] + [{"y": 1}]
         assert rank([{deg4[k]: x for k, x in v.items()} for v in products]) == N.d + 1
 
-    def test_ring_presentations_take_the_orthogonal_path(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "p",
+        _input_presentations()
+        + _generated_presentations()
+        + _spec_and_random_presentations(16),
+    )
+    def test_dual_relation_space_matches_reference(self, p):
+        """R_perp over the orthogonal basis b_k spans the forms ``(b_k, b_l)
+        -> lambda(b_k b_l)``, ``lambda`` running over the coordinates of
+        H^4, with the products read from the ring's multiplication."""
+        ring = p.ring
+        es, _, s = rational._orthogonal_basis(ring)
+        basis = es + [s]
+        g = p.generators
+        labels = ring.basis_of_degree(2)
+        assert rank([{c: b[x] for c, x in enumerate(labels) if x in b} for b in basis]) == g
+        ours = []
+        for relation in rational._orthogonal_dual_relations(ring):
+            row = {}
+            for k, l, c in relation:
+                row[k * g + l] = row.get(k * g + l, 0) + c
+            ours.append({col: x for col, x in row.items() if x})
+        products = [ring.multiply(u, v) for u in basis for v in basis]
+        ref = [
+            {col: uv[h] for col, uv in enumerate(products) if uv.get(h)}
+            for h in ring.basis_of_degree(4)
+        ]
+        assert len(ours) == len(ref) == g
+        assert rank(ours) == rank(ref) == rank(ours + ref) == g
+
+    def test_dual_relations_built_once(self, monkeypatch):
         _, _, p = presentation_for(*DESK_D2_0)
+        calls = []
+        original = rational._orthogonal_dual_relations
 
-        def unreachable(p):
-            raise AssertionError("the kernel of the relations was solved for")
+        def counted(ring):
+            calls.append(ring)
+            return original(ring)
 
-        monkeypatch.setattr(rational, "_dual_relation_space", unreachable)
+        monkeypatch.setattr(rational, "_orthogonal_dual_relations", counted)
         assert quadratic_dual_dims(p, 6) == [1, 3, 6, 10, 15, 21, 28]
+        assert calls == [p.ring]
 
     def test_over_budget_builds_no_orthogonal_basis(self, monkeypatch):
         p = quadratic_presentation(cohomology_ring(*random_pair(random.Random(17), 17)))
@@ -626,7 +589,6 @@ class TestOrthogonalDualCheck:
         ids=["desk_d2_0", "desk_d3_0"],
     )
     def test_eliminations_exact(self, monkeypatch, spec, calls):
-        """On the kernel of the relations the same checks take 194 and 62."""
         _, _, p = presentation_for(*spec)
         counted = []
         original = linalg._eliminate
@@ -639,13 +601,10 @@ class TestOrthogonalDualCheck:
         quadratic_dual_dims(p, 6)
         assert len(counted) == calls
 
-    @pytest.mark.parametrize(
-        "spec, maps", [(DESK_D2_0, 4), (DESK_D3_0, 2)], ids=["desk_d2_0", "desk_d3_0"]
-    )
-    def test_quotient_maps_have_the_rows_as_kernel(self, spec, maps):
+    @pytest.mark.parametrize("p", _spec_and_random_presentations(6))
+    def test_quotient_maps_have_the_rows_as_kernel(self, p):
         """Each weight's quotient map sends the rows to zero and has rank
         ``ncols - rank(rows)``, so its kernel is exactly the row space."""
-        _, _, p = presentation_for(*spec)
         checked = 0
         for rows, image, dim in rational._dual_quotients(p, 6):
             if image is None:
@@ -659,7 +618,7 @@ class TestOrthogonalDualCheck:
                         mapped[q] = mapped.get(q, 0) + x * y
                 assert not any(mapped.values())
             checked += 1
-        assert checked == maps
+        assert checked == QUOTIENT_MAPS[p.ring.d]
 
 
 class TestIntegerPath:
@@ -708,12 +667,3 @@ class TestIntegerPath:
             tracemalloc.stop()
         assert p.relation_count == (d + 1) * (d + 2) // 2 - (d + 1)
         assert peak <= 8 * 2**20
-
-    def test_over_budget_skips_dual_relations(self, monkeypatch):
-        p = quadratic_presentation(cohomology_ring(*random_pair(random.Random(17), 17)))
-
-        def unreachable(p):
-            raise AssertionError("R_perp built for a weight over budget")
-
-        monkeypatch.setattr(rational, "_dual_relation_space", unreachable)
-        assert quadratic_dual_dims(p, 6) == [1, 18]

@@ -24,14 +24,26 @@ from loopsix.homotopy import (
     Wedge,
     YSpaceReport,
 )
-from loopsix.manifold import BundleData, CellStructureD0, FourManifold, SixManifoldRing
+from loopsix.manifold import (
+    BundleData,
+    CellStructureD0,
+    FourManifold,
+    SixManifoldRing,
+    bundle_from_classes,
+    cohomology_ring,
+    new_four_manifold,
+)
 from loopsix.rational import CoformalityReport, QuadraticPresentation, SullivanModel
 from loopsix.series import GradedLieDims, NegativeLieDimension, TruncatedSeries
 
 from conftest import REPO_ROOT
 
-#: (class, keyword arguments, repr); FGAbelianGroup and QuadraticPresentation
-#: leave their defaulted fields out.
+#: A rank-1 ring, the source of the QuadraticPresentation record below.
+_D1 = new_four_manifold([[1]])
+D1_RING = cohomology_ring(_D1, bundle_from_classes(_D1, [1], 5))
+
+#: (class, keyword arguments, repr); FGAbelianGroup leaves its defaulted
+#: fields out, and QuadraticPresentation its ring.
 RECORDS = [
     (Circle, {}, "Circle()"),
     (Sphere, {"dim": 2}, "Sphere(dim=2)"),
@@ -86,7 +98,7 @@ RECORDS = [
     ),
     (
         QuadraticPresentation,
-        {"generators": 2, "relations": ({2: 1, 1: -1},)},
+        {"generators": 2, "relations": ({2: 1, 1: -1},), "ring": D1_RING},
         "QuadraticPresentation(generators=2, relations=({2: 1, 1: -1},))",
     ),
     (
@@ -160,8 +172,6 @@ class TestRecordContract:
 
 def test_defaults_fill_omitted_fields():
     assert FGAbelianGroup(1).counts == ()
-    presentation = QuadraticPresentation(generators=2, relations=())
-    assert presentation.ring is None
 
 
 def test_classes_with_equal_fields_differ():

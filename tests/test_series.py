@@ -372,7 +372,7 @@ class TestIntegerKernel:
 
     def test_integral_fractions_are_stored_as_int(self):
         assert all_int(S(1, Fraction(-2, 2), Fraction(0), cutoff=5))
-        assert all_int(TruncatedSeries.monomial(3, Fraction(6, 3), cutoff=5))
+        assert all_int(S(0, 0, 0, Fraction(6, 3), cutoff=5))
         assert S(1, Fraction(1, 2))[1] == Fraction(1, 2)
 
     @pytest.mark.parametrize("coeffs", [(2, 1), (-3, 1, 1)])
