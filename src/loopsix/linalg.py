@@ -1,12 +1,12 @@
 """Small exact linear algebra over the integers (and so over the rationals).
 
-Matrices are lists of sparse rows (:data:`Row`).  One elimination kernel,
-:func:`rref`: fraction-free Gauss-Jordan elimination.  Denominators are
-cleared once on entry; rows are then combined by cross-multiplication and
-kept primitive, so no Fraction is ever formed and the entries stay small.
-``rank`` and ``nullspace`` are read off its result, and ``nullspace`` also
-gives the quadratic dual check its quotient maps; ``det_int`` is Bareiss on
-a square dense matrix.
+Matrices are lists of sparse rows (:data:`Row`).  One fraction-free
+elimination kernel, ``_forward``, brings rows to echelon form.  Denominators
+are cleared once on entry; rows are then combined by cross-multiplication
+and kept primitive, so no Fraction is ever formed and the entries stay
+small.  ``rank`` is its pivot count; :func:`rref` adds one back-substitution
+pass, and ``nullspace`` is read off ``rref``.  ``det_int`` is Bareiss on a
+square dense matrix.
 """
 
 from __future__ import annotations
@@ -71,63 +71,86 @@ def _eliminate(row: Row, pivot_row: Row, col: int) -> Row:
     return _primitive(out) if out else out
 
 
+def _forward(rows: list[Row]) -> dict[int, Row]:
+    """Row echelon form: pivot column -> its pivot row.
+
+    Each row is reduced only at its leading column, until it vanishes or
+    opens a new pivot.  Every pivot row is primitive, positive at its pivot
+    and zero left of it.
+    """
+    echelon: dict[int, Row] = {}
+    for row in rows:
+        try:
+            row = _primitive(row)
+        except TypeError:  # a Fraction entry: clear denominators first
+            row = dict(zip(row, integer_primitive(list(row.values()))))
+        while row:
+            col = min(row)
+            pivot_row = echelon.get(col)
+            if pivot_row is None:
+                if row[col] < 0:
+                    row = {c: -x for c, x in row.items()}
+                echelon[col] = row
+                break
+            row = _eliminate(row, pivot_row, col)
+    return echelon
+
+
 def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form over the integers; returns (rows, pivots).
 
     ``rows`` are sparse rows whose entries are ints or Fractions.  Each
     returned row is a sparse primitive integer row with a positive entry at
     its pivot and zeros in every other pivot column; pivots ascend.  Up to
-    these positive scalars it is the reduced row echelon form over Q.
+    these positive scalars it is the reduced row echelon form over Q, so it
+    is unique.  The echelon form is reduced upwards once, from the last
+    pivot: each row meets only pivot rows that are already reduced.
     """
-    reduced: dict[int, Row] = {}
-    for row in rows:
-        try:
-            row = _primitive(row)
-        except TypeError:  # a Fraction entry: clear denominators first
-            row = dict(zip(row, integer_primitive(list(row.values()))))
-        for c in [c for c in row if c in reduced]:
-            row = _eliminate(row, reduced[c], c)
-        if not row:
-            continue
-        # the leading column: earlier pivot rows stay zero left of their pivot
-        col = min(row)
-        if row[col] < 0:
-            row = {c: -x for c, x in row.items()}
-        for pc, other in reduced.items():
-            if col in other:
-                reduced[pc] = _eliminate(other, row, col)
-        reduced[col] = row
-    pivots = sorted(reduced)
-    return [reduced[c] for c in pivots], pivots
+    echelon = _forward(rows)
+    pivots = sorted(echelon)
+    for p in reversed(pivots):
+        row = echelon[p]
+        for c in [c for c in row if c != p and c in echelon]:
+            row = _eliminate(row, echelon[c], c)
+        echelon[p] = row
+    return [echelon[p] for p in pivots], pivots
 
 
 def rank(rows: list[Row]) -> int:
-    return len(rref(rows)[1])
+    """Rank over Q: the pivot count of the echelon form, with no
+    back-substitution."""
+    return len(_forward(rows))
+
+
+def _free_column_scales(
+    reduced: list[Row], pivots: list[int], ncols: int
+) -> dict[int, int]:
+    """Free column f of an :func:`rref` result -> ``L_f``, the lcm of the
+    pivot entries of the rows that reach f; free columns ascend."""
+    scale = dict.fromkeys(sorted(set(range(ncols)).difference(pivots)), 1)
+    for p, row in zip(pivots, reduced):
+        for c in row:
+            if c != p:
+                scale[c] = lcm(scale[c], row[p])
+    return scale
 
 
 def nullspace(rows: list[Row], ncols: int) -> list[Row]:
     """Integer basis of the right kernel ``{v : M v = 0}`` of the matrix
     with these rows and ``ncols`` columns.
 
-    One sparse row per free column ``f`` of :func:`rref`, positive at ``f``
-    and zero at the other free columns.
+    One sparse row per free column ``f`` of :func:`rref`: ``L_f`` at ``f``,
+    zero at the other free columns, and ``-(L_f // r_p[p]) * r_p[f]`` at
+    the pivot p of each row ``r_p``.
     """
     reduced, pivots = rref(rows)
-    # free column -> the pivot rows that reach it
-    hits: dict[int, list[tuple[int, Row]]] = {}
+    scale = _free_column_scales(reduced, pivots, ncols)
+    basis = {f: {f: x} for f, x in scale.items()}
     for p, row in zip(pivots, reduced):
-        for c in row:
-            if c != p:
-                hits.setdefault(c, []).append((p, row))
-    basis = []
-    for free in sorted(set(range(ncols)).difference(pivots)):
-        column = hits.get(free, [])
-        scale = lcm(*[row[p] for p, row in column])
-        v = {free: scale}
-        for p, row in column:
-            v[p] = -(scale // row[p]) * row[free]
-        basis.append(v)
-    return basis
+        for f, x in row.items():
+            if f != p:
+                basis[f][p] = -(scale[f] // row[p]) * x
+    return list(basis.values())
 
 
 def integer_primitive(vector: Sequence[Rational]) -> list[int]:

@@ -15,9 +15,12 @@ from itertools import product as iter_product
 from math import comb
 from pathlib import Path
 
+import pytest
+
 from loopsix import BundleData, FourManifold, bundle_from_classes, new_four_manifold
 from loopsix.errors import InputError
-from loopsix.rational import make_sullivan_model
+from loopsix.manifold import cohomology_ring
+from loopsix.rational import make_sullivan_model, quadratic_presentation
 from loopsix.series import GradedLieDims, NegativeLieDimension, TruncatedSeries
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -73,6 +76,38 @@ def random_bundle(
 def random_pair(rng: random.Random, d: int) -> tuple[FourManifold, BundleData]:
     N = new_four_manifold(random_unimodular_form(rng, d))
     return N, random_bundle(rng, N)
+
+
+#: The desk workload's ``desk d2 #0`` and ``desk d3 #0`` specs as (form,
+#: w2, p1), the more elimination-heavy of its two pooled specs per rank.
+DESK_D2_0 = ([[5, 2], [2, 1]], [1, 1], 10)
+DESK_D3_0 = ([[0, 0, 1], [0, 1, 1], [1, 1, 1]], [1, 0, 0], -12)
+
+#: Ring specs (form, w2, p1) beyond the committed ones: hyperbolic forms,
+#: whose zero diagonal makes the orthogonal basis meet an isotropic pivot,
+#: and p1 = 0.
+SPECIAL_SPECS = {
+    "H": ([[0, 1], [1, 0]], [1, 0], 4),
+    "H+H": ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], [0, 0, 0, 0], 8),
+    "H+(-1)": ([[0, 1, 0], [1, 0, 0], [0, 0, -1]], [1, 1, 1], 5),
+    "p1_0": ([[1, 0], [0, -1]], [1, 1], 0),
+    "H_p1_0": ([[0, 1], [1, 0]], [0, 0], 0),
+}
+
+
+def spec_and_random_presentations(max_rank):
+    """The desk specs, :data:`SPECIAL_SPECS` and random forms of rank 2 to
+    ``max_rank``, as presentations."""
+    specs = {"desk_d2_0": DESK_D2_0, "desk_d3_0": DESK_D3_0, **SPECIAL_SPECS}
+    out = []
+    for name, (form, w2, p1) in specs.items():
+        N = new_four_manifold(form)
+        ring = cohomology_ring(N, bundle_from_classes(N, w2, p1))
+        out.append(pytest.param(quadratic_presentation(ring), id=name))
+    for d in range(2, max_rank + 1):
+        ring = cohomology_ring(*random_pair(random.Random(200 + d), d))
+        out.append(pytest.param(quadratic_presentation(ring), id=f"random_d{d}"))
+    return out
 
 
 # ---------------------------------------------------------------------------

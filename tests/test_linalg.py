@@ -4,11 +4,23 @@ from math import gcd
 
 import pytest
 
+from loopsix import linalg
 from loopsix.linalg import nullspace, rank, rref
 from loopsix.manifold import bundle_from_classes, new_four_manifold
-from loopsix.rational import _d_monomial, d1_model, d1_model_parameter, monomial_basis
+from loopsix.rational import (
+    _d_monomial,
+    _dual_quotients,
+    d1_model,
+    d1_model_parameter,
+    monomial_basis,
+)
 
-from conftest import nullspace_by_fractions, rref_by_fractions, sparse
+from conftest import (
+    nullspace_by_fractions,
+    rref_by_fractions,
+    spec_and_random_presentations,
+    sparse,
+)
 
 
 def reference_rank(rows):
@@ -53,6 +65,27 @@ def d1_model_differentials(p1):
     return matrices
 
 
+#: Rows that drive the forward pass down its branches.
+FORWARD_CASES = {
+    # the last row's leading column moves 0 -> 1 -> 2 -> 3
+    "leading_column_moves": [
+        [1, 0, 0, 0, 1],
+        [0, 1, 0, 0, 1],
+        [0, 0, 1, 0, 1],
+        [1, 1, 1, 1, 0],
+    ],
+    "negative_leading_entry": [[-2, 4, 1], [0, -3, 6], [-1, 0, 0]],
+    "duplicate_rows": [[1, 2, 3], [1, 2, 3], [2, 4, 6], [0, 1, 1], [0, 1, 1]],
+    "rows_reduce_to_zero": [[1, 1, 0], [0, 1, 1], [1, 2, 1], [2, 0, -2], [0, 0, 0]],
+    "fraction_rows": [
+        [Fraction(1, 2), Fraction(-1, 3), 0, 1],
+        [Fraction(-3, 4), 1, Fraction(5, 6), 0],
+        [Fraction(-1, 4), Fraction(2, 3), Fraction(5, 6), 1],
+        [0, Fraction(7, 5), Fraction(-1, 2), 3],
+    ],
+}
+
+
 def matrices():
     rng = random.Random(20)
     shapes = [(6, 9, 4), (9, 6, 6), (5, 5, 0)] + [
@@ -60,6 +93,7 @@ def matrices():
     ]
     out = [random_matrix(rng, *shape) for shape in shapes]
     out += [m for p1 in (1, 5, -3) for m in d1_model_differentials(p1)]
+    out += [pytest.param(rows, id=name) for name, rows in FORWARD_CASES.items()]
     return out
 
 
@@ -110,3 +144,25 @@ def test_input_is_not_modified():
     copy = [dict(r) for r in rows]
     rref(rows)
     assert rows == copy
+
+
+def test_rows_reduce_only_at_their_leading_column(monkeypatch):
+    columns = []
+    original = linalg._eliminate
+
+    def counted(row, pivot_row, col):
+        columns.append(col)
+        return original(row, pivot_row, col)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    assert rank(sparse(FORWARD_CASES["leading_column_moves"])) == 4
+    assert columns == [0, 1, 2]
+
+
+@pytest.mark.parametrize("p", spec_and_random_presentations(6))
+def test_rank_is_the_rref_pivot_count_on_dual_check_matrices(p):
+    weights = 0
+    for rows, _, _ in _dual_quotients(p, 6):
+        assert rank(rows) == len(rref(rows)[1])
+        weights += 1
+    assert weights

@@ -14,7 +14,7 @@ from loopsix.cli import MAX_RANK
 from loopsix.errors import InputError
 from loopsix.homotopy import decompose, hilton_milnor, loop_factors, loop_homology_series
 from loopsix.manifold import bundle_from_classes, cohomology_ring, new_four_manifold
-from loopsix.linalg import rank
+from loopsix.linalg import nullspace, rank
 from loopsix.rational import (
     DifferentialNotSquareZero,
     KoszulInconsistency,
@@ -37,14 +37,18 @@ from loopsix.rational import (
 from loopsix.series import NegativeLieDimension, pbw_invert
 
 from conftest import (
+    DESK_D2_0,
+    DESK_D3_0,
     INPUTS,
     REPO_ROOT,
+    SPECIAL_SPECS,
     graded_free_lie_dims_oracle,
     monomial_basis_by_recursion,
     quadratic_algebra_dims,
     quadratic_dual_dims_by_fractions,
     random_pair,
     s2_model,
+    spec_and_random_presentations,
 )
 
 
@@ -428,13 +432,8 @@ class TestIntegerDualKernel:
         assert len(quadratic_dual_dims(p3, 6)) - 1 == 4
 
 
-#: The desk workload's ``desk d2 #0`` and ``desk d3 #0`` specs as (form,
-#: w2, p1), the more elimination-heavy of its two pooled specs per rank,
-#: with the most ``_eliminate`` calls allowed in ``quadratic_dual_dims(p,
-#: 6)``.  Prefix-major columns (basis index times g plus last letter) take
-#: 442 and 194 calls.
-DESK_D2_0 = ([[5, 2], [2, 1]], [1, 1], 10)
-DESK_D3_0 = ([[0, 0, 1], [0, 1, 1], [1, 1, 1]], [1, 0, 0], -12)
+#: The desk specs with the most ``_eliminate`` calls allowed in
+#: ``quadratic_dual_dims(p, 6)``.
 DUAL_CHECK_WORK = [
     pytest.param(DESK_D2_0, 200, id="desk_d2_0"),
     pytest.param(DESK_D3_0, 70, id="desk_d3_0"),
@@ -442,7 +441,7 @@ DUAL_CHECK_WORK = [
 
 
 class TestDualCheckWork:
-    """The direct dual check stays cheap without changing its answer."""
+    """The direct dual check stays cheap."""
 
     @pytest.mark.parametrize("spec, most_calls", DUAL_CHECK_WORK)
     def test_eliminations_bounded(self, monkeypatch, spec, most_calls):
@@ -458,42 +457,6 @@ class TestDualCheckWork:
         quadratic_dual_dims(p, 6)
         assert 0 < len(calls) <= most_calls
 
-    @pytest.mark.parametrize("spec", [DESK_D2_0, DESK_D3_0], ids=["desk_d2_0", "desk_d3_0"])
-    def test_desk_dims_match_fraction_reference(self, spec):
-        _, _, p = presentation_for(*spec)
-        assert quadratic_dual_dims(p, 6) == quadratic_dual_dims_by_fractions(p, 6)
-
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-    def test_random_dims_match_fraction_reference(self, d):
-        p = quadratic_presentation(cohomology_ring(*random_pair(random.Random(100 + d), d)))
-        assert quadratic_dual_dims(p, 6) == quadratic_dual_dims_by_fractions(p, 6)
-
-
-#: Ring specs (form, w2, p1) beyond the committed ones: hyperbolic forms,
-#: whose zero diagonal makes the orthogonal basis meet an isotropic pivot,
-#: and p1 = 0.
-SPECIAL_SPECS = {
-    "H": ([[0, 1], [1, 0]], [1, 0], 4),
-    "H+H": ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], [0, 0, 0, 0], 8),
-    "H+(-1)": ([[0, 1, 0], [1, 0, 0], [0, 0, -1]], [1, 1, 1], 5),
-    "p1_0": ([[1, 0], [0, -1]], [1, 1], 0),
-    "H_p1_0": ([[0, 1], [1, 0]], [0, 0], 0),
-}
-
-
-def _spec_and_random_presentations(max_rank):
-    """The desk specs, :data:`SPECIAL_SPECS` and random forms of rank 2 to
-    ``max_rank``, as presentations."""
-    specs = {"desk_d2_0": DESK_D2_0, "desk_d3_0": DESK_D3_0, **SPECIAL_SPECS}
-    out = [
-        pytest.param(presentation_for(*spec)[2], id=name)
-        for name, spec in specs.items()
-    ]
-    for d in range(2, max_rank + 1):
-        ring = cohomology_ring(*random_pair(random.Random(200 + d), d))
-        out.append(pytest.param(quadratic_presentation(ring), id=f"random_d{d}"))
-    return out
-
 
 #: Quotient maps that ``_dual_quotients(p, 6)`` builds, by rank: one for
 #: each weight below the last that :data:`~loopsix.rational.DUAL_COLUMN_BUDGET`
@@ -507,7 +470,19 @@ class TestOrthogonalDualCheck:
 
     # The dense Fraction reference is slow beyond rank 8, and from rank 7 on
     # the budget checks only weights that hold by construction.
-    @pytest.mark.parametrize("p", _spec_and_random_presentations(8))
+    @pytest.mark.parametrize(
+        "p",
+        spec_and_random_presentations(8)
+        + [
+            pytest.param(
+                quadratic_presentation(
+                    cohomology_ring(*random_pair(random.Random(100 + d), d))
+                ),
+                id=f"random_d{d}_seed{100 + d}",
+            )
+            for d in range(2, 7)
+        ],
+    )
     def test_dims_match_fraction_reference(self, p):
         assert quadratic_dual_dims(p, 6) == quadratic_dual_dims_by_fractions(p, 6)
 
@@ -535,7 +510,7 @@ class TestOrthogonalDualCheck:
         "p",
         _input_presentations()
         + _generated_presentations()
-        + _spec_and_random_presentations(16),
+        + spec_and_random_presentations(16),
     )
     def test_dual_relation_space_matches_reference(self, p):
         """R_perp over the orthogonal basis b_k spans the forms ``(b_k, b_l)
@@ -585,7 +560,7 @@ class TestOrthogonalDualCheck:
 
     @pytest.mark.parametrize(
         "spec, calls",
-        [(DESK_D2_0, 53), (DESK_D3_0, 22)],
+        [(DESK_D2_0, 55), (DESK_D3_0, 19)],
         ids=["desk_d2_0", "desk_d3_0"],
     )
     def test_eliminations_exact(self, monkeypatch, spec, calls):
@@ -601,7 +576,7 @@ class TestOrthogonalDualCheck:
         quadratic_dual_dims(p, 6)
         assert len(counted) == calls
 
-    @pytest.mark.parametrize("p", _spec_and_random_presentations(6))
+    @pytest.mark.parametrize("p", spec_and_random_presentations(6))
     def test_quotient_maps_have_the_rows_as_kernel(self, p):
         """Each weight's quotient map sends the rows to zero and has rank
         ``ncols - rank(rows)``, so its kernel is exactly the row space."""
@@ -617,6 +592,22 @@ class TestOrthogonalDualCheck:
                     for q, y in image[c].items():
                         mapped[q] = mapped.get(q, 0) + x * y
                 assert not any(mapped.values())
+            checked += 1
+        assert checked == QUOTIENT_MAPS[p.ring.d]
+
+    @pytest.mark.parametrize("p", spec_and_random_presentations(6))
+    def test_quotient_maps_are_the_transposed_nullspace(self, p):
+        """The quotient maps read off ``rref`` are the transpose of the
+        ``nullspace`` basis of the rows, entry for entry."""
+        checked = 0
+        for rows, image, _ in rational._dual_quotients(p, 6):
+            if image is None:
+                continue
+            transposed = [{} for _ in image]
+            for q, v in enumerate(nullspace(rows, len(image))):
+                for c, x in v.items():
+                    transposed[c][q] = x
+            assert image == transposed
             checked += 1
         assert checked == QUOTIENT_MAPS[p.ring.d]
 
