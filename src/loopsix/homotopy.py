@@ -319,20 +319,19 @@ class YSpaceReport(Record):
     ``case`` is "I" when the chosen primitive class has odd self-pairing
     (the induced 7-manifold splits as S^2 x Y and Loop M = S^1 x Loop(S^2)
     x Loop Y) and "II" when it is even (the sphere bundle itself splits
-    after looping).  ``wedge_pairs`` counts the S^2 v S^3 pairs in the cell
-    structure of Y, which is that wedge with one 5-cell attached.
+    after looping).  ``y_cells`` is the cell structure of Y: d - 1 pairs
+    S^2 v S^3 with one 5-cell attached.
     """
 
-    __slots__ = ("beta", "parity", "case", "wedge_pairs", "route", "y_cells")
+    __slots__ = ("beta", "parity", "case", "route", "y_cells")
     beta: tuple[int, ...]
     parity: str
     case: str
-    wedge_pairs: int
     route: str
     y_cells: str
 
-    def __init__(self, beta, parity, case, wedge_pairs, route, y_cells) -> None:
-        self._assign(beta, parity, case, wedge_pairs, route, y_cells)
+    def __init__(self, beta, parity, case, route, y_cells) -> None:
+        self._assign(beta, parity, case, route, y_cells)
 
 
 def y_space_report(N: FourManifold, b: BundleData) -> YSpaceReport:
@@ -345,23 +344,17 @@ def y_space_report(N: FourManifold, b: BundleData) -> YSpaceReport:
         beta = b.alpha
     parity = pairing_parity(N, beta)
     case = "I" if parity == "odd" else "II"
-    wedge_pairs = N.d - 1
-    if wedge_pairs == 0:
+    if N.d == 1:
         y_cells = "S^5"
     else:
-        y_cells = f"({render(_sphere_wedge_pairs(wedge_pairs))}) u e^5"
+        y_cells = f"({render(_sphere_wedge_pairs(N.d - 1))}) u e^5"
     route = (
         "odd self-pairing: the induced 7-manifold over Y splits as S^2 x Y"
         if case == "I"
         else "even self-pairing: the sphere bundle splits after looping"
     )
     return YSpaceReport(
-        beta=beta,
-        parity=parity,
-        case=case,
-        wedge_pairs=wedge_pairs,
-        route=route,
-        y_cells=y_cells,
+        beta=beta, parity=parity, case=case, route=route, y_cells=y_cells
     )
 
 

@@ -36,12 +36,7 @@ from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 from ._record import Frozen, Record
 from .errors import InputError, UnsupportedError
-from .homotopy import (
-    LoopFactorMultiset,
-    decompose,
-    loop_factors,
-    loop_homology_series,
-)
+from .homotopy import LoopFactorMultiset, loop_factors
 from .linalg import (
     Rational,
     Row,
@@ -94,22 +89,27 @@ class QuadraticPresentation(Frozen):
     (pairs (i, j) with i <= j in lexicographic order); only their span
     matters, not their scale.  ``ring`` is the manifold ring the
     presentation was built from: the Hilbert series reads its Betti
-    numbers, the Koszul range its rank d, and the dual check an orthogonal
-    basis of its degree-2 part.
+    numbers, ``generators`` and the Koszul range its rank d, and the dual
+    check an orthogonal basis of its degree-2 part.
     """
 
-    __slots__ = ("generators", "relations", "ring")
-    generators: int
+    __slots__ = ("relations", "ring")
     relations: tuple[Row, ...]
     ring: SixManifoldRing
 
-    def __init__(self, generators, relations, ring) -> None:
-        self._assign(generators, relations, ring)
+    def __init__(self, relations, ring) -> None:
+        self._assign(relations, ring)
 
     def __repr__(self) -> str:
         # the ring is where the relations came from, not part of the value
-        fields = [f"{name}={getattr(self, name)!r}" for name in self.__slots__[:-1]]
-        return f"QuadraticPresentation({', '.join(fields)})"
+        return (
+            f"QuadraticPresentation(generators={self.generators!r}, "
+            f"relations={self.relations!r})"
+        )
+
+    @property
+    def generators(self) -> int:
+        return self.ring.d + 1  # dim H^2
 
     @property
     def relation_count(self) -> int:
@@ -153,7 +153,7 @@ def quadratic_presentation(ring: SixManifoldRing) -> QuadraticPresentation:
             break
     if not top_hit:
         raise NotQuadratic("Sym^3 of the degree-2 part misses the top class")
-    return QuadraticPresentation(generators=g, relations=tuple(kernel), ring=ring)
+    return QuadraticPresentation(relations=tuple(kernel), ring=ring)
 
 
 def hilbert_series(p: QuadraticPresentation, cutoff: int) -> TruncatedSeries:
@@ -332,7 +332,7 @@ def koszul_dual_series(
     must be nonnegative, and they must match the directly computed quadratic
     dual dimensions through ``min(cutoff, DUAL_CHECK_WEIGHT)`` (subject to
     :data:`DUAL_COLUMN_BUDGET`).  ``check=False`` returns the naive series
-    unverified, which is what the d = 1 non-coformality witness needs.
+    unverified, which is what ``koszul`` prints at d = 1.
     """
     alternated = [-c if n % 2 else c for n, c in enumerate(p.ring.betti())]
     dual = TruncatedSeries(tuple(_expand((1,), alternated, cutoff)))
@@ -670,13 +670,12 @@ def d1_model_parameter(b: BundleData) -> Fraction:
 
 
 class CoformalityReport(Record):
-    __slots__ = ("status", "witness", "details")
+    __slots__ = ("status", "witness")
     status: Literal["coformal", "not_coformal"]
     witness: str
-    details: dict
 
-    def __init__(self, status, witness, details) -> None:
-        self._assign(status, witness, details)
+    def __init__(self, status, witness) -> None:
+        self._assign(status, witness)
 
 
 def _coformal_report(
@@ -695,7 +694,6 @@ def _coformal_report(
             f"dual and decomposition ranks agree through degree {cutoff}: "
             f"{dual_ranks}"
         ),
-        details={"ranks": list(dual_ranks.dims), "checked_through_degree": cutoff},
     )
 
 
@@ -704,38 +702,24 @@ def coformality_check(
 ) -> CoformalityReport:
     """Decide coformality of M and produce a checkable witness.
 
-    d >= 2: coformal; the witness is the agreement of the Koszul-dual ranks
-    with the decomposition ranks through ``cutoff``.  d = 1: not coformal;
-    the witness is the cubic differential ``dx = c^3`` in the explicit
-    Sullivan model together with the first divergence (degree 3) between the
-    naive dual series and the actual loop homology.
+    Either way the cohomology must have a quadratic presentation.  d >= 2:
+    coformal; the witness is the agreement of the Koszul-dual ranks with the
+    decomposition ranks through ``cutoff``.  d = 1: not coformal; the
+    witness is the cubic differential ``dx = c^3`` of :func:`d1_model`,
+    and nothing more is computed here.  The evidence is printed elsewhere:
+    ``koszul`` prints the naive dual series, which first diverges from the
+    loop homology that ``series`` prints in degree 3, and ``model`` prints
+    the model and its cohomology.
     """
     if N.d < 1:
         raise InputError("coformality_check needs d >= 1")
     presentation = quadratic_presentation(cohomology_ring(N, b))
-    if N.d >= 2:
-        return _coformal_report(
-            lie_dims(presentation, cutoff),
-            ranks_from_decomposition(loop_factors(N, b, cutoff), cutoff),
-            cutoff,
-        )
-    naive = koszul_dual_series(presentation, cutoff, check=False)
-    actual = loop_homology_series(decompose(N, b), cutoff)
-    mismatch_degree = next(
-        (n for n in range(cutoff + 1) if naive[n] != actual[n]), None
-    )
-    model = d1_model(d1_model_parameter(b))
-    betti = cdga_cohomology(model, 6)
-    return CoformalityReport(
-        status="not_coformal",
-        witness="dx=c^3",
-        details={
-            "model_cubic_term": "dx=c^3",
-            "model_betti": betti,
-            "naive_dual_series": [str(naive[n]) for n in range(cutoff + 1)],
-            "loop_homology_series": [str(actual[n]) for n in range(cutoff + 1)],
-            "first_mismatch_degree": mismatch_degree,
-        },
+    if N.d == 1:
+        return CoformalityReport(status="not_coformal", witness="dx=c^3")
+    return _coformal_report(
+        lie_dims(presentation, cutoff),
+        ranks_from_decomposition(loop_factors(N, b, cutoff), cutoff),
+        cutoff,
     )
 
 

@@ -332,6 +332,7 @@ class TestEachStageOnce:
         (rational, "koszul_dual_series"),
         (rational, "quadratic_dual_dims"),
         (series, "pbw_invert"),
+        (homotopy, "decompose"),
         (homotopy, "loop_factors"),
         (homotopy, "hilton_milnor"),
         (homotopy, "loop_homology_series"),
@@ -375,9 +376,7 @@ class TestEachStageOnce:
         return runs
 
     def test_each_stage_at_most_once(self, monkeypatch):
-        """No run calls a stage in ``STAGES`` twice.  One known repeat stays
-        outside the list: ``rational`` at d = 1 calls ``decompose`` twice (it
-        is cached per rank)."""
+        """No run calls a stage in ``STAGES`` twice."""
         repeats = [
             (command, spec, fmt, name, n)
             for command, spec, fmt, counts in self.sweep(monkeypatch)
@@ -385,6 +384,21 @@ class TestEachStageOnce:
             if n > 1
         ]
         assert repeats == []
+
+    def test_d1_coformality_needs_no_series_or_model(self, monkeypatch):
+        """At d = 1 ``describe`` and ``rational`` print the verdict without
+        the naive dual series, the loop homology or the Sullivan model's
+        cohomology: ``koszul``, ``series`` and ``model`` print those."""
+        skipped = ("koszul_dual_series", "loop_homology_series", "cdga_cohomology")
+        runs = [
+            (command, fmt, sorted(name for name in counts if name.endswith(skipped)))
+            for command, spec, fmt, counts in self.sweep(monkeypatch)
+            if command in ("describe", "rational") and spec == "d1.json"
+        ]
+        assert runs == [
+            (command, fmt, []) for command in ("describe", "rational")
+            for fmt in ("text", "json")
+        ]
 
     def test_every_stage_is_called(self, monkeypatch):
         """Some run calls each stage in ``STAGES``: a guard on a function

@@ -157,8 +157,7 @@ class TestYSpace:
     def test_d3_non_spin_case_one(self):
         report = y_space_report(*D3)
         assert report.case == "I"
-        assert report.wedge_pairs == 2
-        assert report.y_cells.endswith("u e^5")
+        assert report.y_cells == "(S^2 v S^2 v S^3 v S^3) u e^5"
 
 
 class TestBouquet:

@@ -16,6 +16,7 @@ from loopsix.homotopy import decompose, hilton_milnor, loop_factors, loop_homolo
 from loopsix.manifold import bundle_from_classes, cohomology_ring, new_four_manifold
 from loopsix.linalg import nullspace, rank
 from loopsix.rational import (
+    CoformalityReport,
     DifferentialNotSquareZero,
     KoszulInconsistency,
     NotQuadratic,
@@ -297,8 +298,25 @@ class TestCoformality:
         report = coformality_check(N, b)
         assert report.status == "not_coformal"
         assert report.witness == "dx=c^3"
-        assert report.details["first_mismatch_degree"] == 3
-        assert report.details["model_betti"] == [1, 0, 2, 0, 2, 0, 1]
+
+    def test_d1_verdict_builds_no_evidence(self, monkeypatch):
+        """At d = 1 the check builds the presentation and nothing else: the
+        naive dual, the loop homology and the model are other commands'."""
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("called at d = 1")
+
+        for owner, name in [
+            (rational, "koszul_dual_series"),
+            (rational, "d1_model"),
+            (rational, "cdga_cohomology"),
+            (homotopy, "decompose"),
+            (homotopy, "loop_homology_series"),
+        ]:
+            monkeypatch.setattr(owner, name, unexpected)
+        N = new_four_manifold([[-1]])
+        report = coformality_check(N, bundle_from_classes(N, [1], 3))
+        assert report == CoformalityReport("not_coformal", "dx=c^3")
 
     @pytest.mark.parametrize("d", [2, 5])
     def test_higher_rank_coformal(self, d):
