@@ -73,7 +73,6 @@ from .rational import (
 from .series import (
     GradedLieDims,
     TruncatedSeries,
-    necklace_count,
     pbw_expand,
     pbw_invert,
     series_mul,

@@ -19,7 +19,6 @@ from bisect import bisect_right
 from collections.abc import Iterable, Mapping, Sequence
 from functools import cache
 from itertools import chain, repeat
-from math import prod
 from operator import neg
 from pathlib import Path
 from types import MappingProxyType
@@ -69,9 +68,13 @@ class FGAbelianGroup(Record):
 
     @classmethod
     def from_orders(cls, *orders: int, free_rank: int = 0) -> "FGAbelianGroup":
+        if type(free_rank) is not int:
+            raise InputError("group orders and free rank must be integers")
         counts: dict[tuple[int, int], int] = {}
         for n in orders:
-            n = abs(int(n))
+            if type(n) is not int:
+                raise InputError("group orders and free rank must be integers")
+            n = abs(n)
             if n == 0:
                 free_rank += 1
             for key in _prime_powers(n):
@@ -97,12 +100,6 @@ class FGAbelianGroup(Record):
     def summands(self) -> int:
         """Number of cyclic torsion summands, each of prime-power order."""
         return sum(n for _, n in self.counts)
-
-    def order(self) -> int | None:
-        """Order of the group, or None if infinite."""
-        if self.free_rank:
-            return None
-        return prod(q**n for (_, q), n in self.counts)
 
     def invariant_factors(self) -> list[int]:
         """Cyclic orders n_1 >= n_2 >= ... with n_{i+1} | n_i.

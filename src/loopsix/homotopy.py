@@ -67,6 +67,8 @@ class Sphere(Record):
     dim: int
 
     def __init__(self, dim) -> None:
+        if type(dim) is not int:
+            raise ValueError(f"sphere dimension must be an int, got {dim!r}")
         if dim < 1:
             raise ValueError("sphere dimension must be >= 1")
         object.__setattr__(self, "dim", dim)
@@ -79,6 +81,8 @@ class SphereModN(Record):
     order: int
 
     def __init__(self, order) -> None:
+        if type(order) is not int:
+            raise ValueError(f"S^3{{n}} needs an int n, got {order!r}")
         if order < 2:
             raise ValueError("S^3{n} needs n >= 2")
         object.__setattr__(self, "order", order)

@@ -15,6 +15,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
+from .errors import InputError
+
 Rational = int | Fraction
 #: A sparse row: column index -> nonzero entry.  ``rref`` and ``rank`` also
 #: take Fraction entries; every row they and ``nullspace`` return is integer.
@@ -24,12 +26,16 @@ Row = dict[int, int]
 def det_int(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix (Bareiss, fraction-free).
 
-    The empty 0x0 matrix has determinant 1.
+    The empty 0x0 matrix has determinant 1.  An entry that is not an
+    ``int``, such as a float or a bool, raises
+    :class:`~loopsix.errors.InputError`.
     """
     n = len(rows)
     if n == 0:
         return 1
-    a = [[int(x) for x in row] for row in rows]
+    if any(type(x) is not int for row in rows for x in row):
+        raise InputError("matrix entries must be integers")
+    a = [list(row) for row in rows]
     if any(len(row) != n for row in a):
         raise ValueError("matrix is not square")
     sign = 1
@@ -122,29 +128,21 @@ def rank(rows: list[Row]) -> int:
     return len(_forward(rows))
 
 
-def _free_column_scales(
-    reduced: list[Row], pivots: list[int], ncols: int
-) -> dict[int, int]:
-    """Free column f of an :func:`rref` result -> ``L_f``, the lcm of the
-    pivot entries of the rows that reach f; free columns ascend."""
+def nullspace(rows: list[Row], ncols: int) -> list[Row]:
+    """Integer basis of the right kernel ``{v : M v = 0}`` of the matrix
+    with these rows and ``ncols`` columns.
+
+    One sparse row per free column ``f`` of :func:`rref`, free columns
+    ascending: ``L_f`` at ``f``, zero at the other free columns, and
+    ``-(L_f // r_p[p]) * r_p[f]`` at the pivot p of each row ``r_p``.
+    ``L_f`` is the lcm of the pivot entries of the rows that reach f.
+    """
+    reduced, pivots = rref(rows)
     scale = dict.fromkeys(sorted(set(range(ncols)).difference(pivots)), 1)
     for p, row in zip(pivots, reduced):
         for c in row:
             if c != p:
                 scale[c] = lcm(scale[c], row[p])
-    return scale
-
-
-def nullspace(rows: list[Row], ncols: int) -> list[Row]:
-    """Integer basis of the right kernel ``{v : M v = 0}`` of the matrix
-    with these rows and ``ncols`` columns.
-
-    One sparse row per free column ``f`` of :func:`rref`: ``L_f`` at ``f``,
-    zero at the other free columns, and ``-(L_f // r_p[p]) * r_p[f]`` at
-    the pivot p of each row ``r_p``.
-    """
-    reduced, pivots = rref(rows)
-    scale = _free_column_scales(reduced, pivots, ncols)
     basis = {f: {f: x} for f, x in scale.items()}
     for p, row in zip(pivots, reduced):
         for f, x in row.items():

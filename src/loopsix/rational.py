@@ -20,11 +20,11 @@ The direct dual check runs a presentation on an integral orthogonal basis
 d two-term tensors and one diagonal one.  An invertible change of basis of V
 extends to an automorphism of T(V*) that carries one basis's R_perp, and so
 the ideal it generates, onto the other's: the quotient's dimensions do not
-depend on the basis.  The check reads its quotient maps off
-``linalg.rref`` and ranks its last weight with ``linalg.rank``, which stops
-at echelon form; it is 48-69% of a d = 2 or 3 Koszul command at the
-default cutoffs.  A Sullivan model's monomials come from one iterative
-walk, so its generator count meets no recursion limit.
+depend on the basis.  Each weight's quotient map is the transposed
+``linalg.nullspace`` basis of its rows, and the last weight is ranked with
+``linalg.rank``, which stops at echelon form.  A Sullivan model's monomials
+come from one iterative walk, so its generator count meets no recursion
+limit.
 """
 
 from __future__ import annotations
@@ -37,15 +37,7 @@ from typing import Iterable, Iterator, Literal, Mapping, Sequence
 from ._record import Frozen, Record
 from .errors import InputError, UnsupportedError
 from .homotopy import LoopFactorMultiset, loop_factors
-from .linalg import (
-    Rational,
-    Row,
-    _free_column_scales,
-    integer_primitive,
-    nullspace,
-    rank,
-    rref,
-)
+from .linalg import Rational, Row, integer_primitive, nullspace, rank
 from .manifold import BundleData, FourManifold, SixManifoldRing, cohomology_ring
 from .series import GradedLieDims, TruncatedSeries, _expand, pbw_invert
 
@@ -252,11 +244,7 @@ def _dual_quotients(
     g`` columns fit :data:`DUAL_COLUMN_BUDGET`, yields ``(rows, image,
     dim A_w)``: ``rows`` span the image of ``A_{w-2} (x) R_perp`` in
     ``A_{w-1} (x) V*``, and ``image[c]`` holds column c's coordinates in
-    the quotient ``A_w``.  The map is read off :func:`~loopsix.linalg.rref`
-    of the rows: the q-th free column f maps to ``{q: L_f}``, and a pivot
-    column p, with row ``r_p``, to ``-(L_f // r_p[p]) * r_p[f]`` at each
-    free column f that ``r_p`` reaches.  ``L_f`` is the lcm of the pivot
-    entries of the rows that reach f.  This is the transpose of the
+    the quotient ``A_w``.  The map is the transpose of the
     :func:`~loopsix.linalg.nullspace` basis of the rows: a quotient map,
     since its kernel is the row space.  The last weight's dimension is a
     rank, and its ``image`` is None.
@@ -264,8 +252,7 @@ def _dual_quotients(
     Columns are last-letter-major: ``basis_u (x) f_j`` is column
     ``j * dim A_{w-1} + u``.  The dimensions depend neither on the column
     order nor on the basis of V, but the elimination does: ordered this
-    way, it makes fewer row operations than with ``u * g + j`` (74 -> 55
-    and 23 -> 19 on two d = 2 and d = 3 specs, through weight 6).  The
+    way, it makes fewer row operations than with ``u * g + j``.  The
     orthogonal basis keeps them low, since each of its relations is sparse
     and homogeneous in the parity of every letter.
     """
@@ -295,17 +282,12 @@ def _dual_quotients(
             # the last weight checked: its dimension needs no quotient map
             yield rows, None, ncols - rank(rows)
             return
-        reduced, pivots = rref(rows)
-        scale = _free_column_scales(reduced, pivots, ncols)
-        coordinate = {f: q for q, f in enumerate(scale)}
+        kernel = nullspace(rows, ncols)
         image = [{} for _ in range(ncols)]
-        for f, q in coordinate.items():
-            image[f] = {q: scale[f]}
-        for p, row in zip(pivots, reduced):
-            image[p] = {
-                coordinate[f]: -(scale[f] // row[p]) * x for f, x in row.items() if f != p
-            }
-        prev_dim, cur_dim = cur_dim, len(scale)
+        for q, vector in enumerate(kernel):
+            for c, x in vector.items():
+                image[c][q] = x
+        prev_dim, cur_dim = cur_dim, len(kernel)
         yield rows, image, cur_dim
 
 
@@ -595,11 +577,6 @@ def _monomial_bases(model: SullivanModel, top: int) -> list[list[Monomial]]:
     return bases
 
 
-def monomial_basis(model: SullivanModel, degree: int) -> list[Monomial]:
-    """All normal-form monomials of one degree."""
-    return _monomial_bases(model, degree)[degree] if degree >= 0 else []
-
-
 def cdga_cohomology(model: SullivanModel, cutoff: int) -> list[int]:
     """Cohomology dimensions of the model in degrees 0..cutoff.
 
@@ -646,8 +623,9 @@ def d1_model(k: Rational = 1) -> SullivanModel:
     with ``db = a^2 + k c^2`` and ``dx = c^3``.
 
     The cubic term ``dx = c^3`` is the non-coformality witness; the
-    cohomology is independent of ``k``.  For a concrete bundle, completing
-    the square in the ring identifies ``k`` with ``-p1/4``.
+    cohomology is independent of ``k``.  For a concrete bundle over the
+    form ``[[q]]``, ``q = +-1``, completing the square in the ring (where
+    ``x^2 = q y``) identifies ``k`` with ``-q * p1 / 4``.
     """
     # generator order: c, a, b, x
     return make_sullivan_model(
@@ -660,7 +638,13 @@ def d1_model(k: Rational = 1) -> SullivanModel:
 
 
 def d1_model_parameter(b: BundleData) -> Fraction:
-    """The quadratic parameter of the d = 1 model determined by the bundle."""
+    """The quadratic parameter of the d = 1 model determined by the bundle.
+
+    Returns ``-p1/4``, which is the ring's ``-q * p1 / 4`` only when the
+    form is ``[[1]]``.  Over ``[[-1]]`` with ``p1 != 0`` the discriminants
+    of the model's degree-4 relation and the ring's differ by the non-square
+    factor -1, so the two rings are not isomorphic over Q (ROADMAP item 5).
+    """
     return Fraction(-b.p1, 4)
 
 

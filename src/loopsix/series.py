@@ -12,10 +12,9 @@ series -- is expanded by the one private :func:`_expand`.
 
 The combinatorial entry points are
 
-* :func:`necklace_count` -- Witt/Moebius count of Hall basis elements of a
-  fixed multidegree in a free Lie ring,
-* :func:`lie_ring_weight_counts` -- the same counts aggregated by weight
-  for a weighted alphabet (the form the Hilton-Milnor expansion needs),
+* :func:`lie_ring_weight_counts` -- Witt counts of the Hall basis of a
+  free Lie ring by weight, for a weighted alphabet (the form the
+  Hilton-Milnor expansion needs),
 * :func:`pbw_expand` / :func:`pbw_invert` -- the Poincare-Birkhoff-Witt
   dictionary between graded Lie algebra dimensions and the Hilbert series
   of the universal enveloping algebra, with the usual parity convention
@@ -29,7 +28,6 @@ The combinatorial entry points are
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, prod
 from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -49,12 +47,13 @@ class NegativeLieDimension(InputError):
 
 
 def _exact(x: Rational) -> Rational:
-    """``x`` as an ``int`` when it is integral, else as a ``Fraction``."""
+    """``x`` as an ``int`` when it is integral, else as a ``Fraction``; a
+    bool, a float or anything else raises ``ValueError``."""
+    if type(x) is int:
+        return x
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
-    if isinstance(x, int):
-        return int(x)
-    raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
+    raise ValueError(f"expected an int or Fraction, got {type(x).__name__}")
 
 
 class TruncatedSeries(Record):
@@ -187,7 +186,7 @@ def series_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
-# Witt / necklace combinatorics
+# Witt counts
 # ---------------------------------------------------------------------------
 
 
@@ -220,36 +219,6 @@ def _mobius_sieve(n: int) -> list[int]:
     return mu
 
 
-def necklace_count(multidegree: Sequence[int]) -> int:
-    """Number of Hall basis elements of the given letter content in a free
-    Lie ring.
-
-    For content ``m = (m_1, ..., m_q)`` with total size ``W = sum(m)`` this is
-    the Witt formula ``(1/W) * sum_{e | gcd(m)} mu(e) * (W/e)! / prod (m_i/e)!``,
-    equivalently the number of Lyndon words with that content.
-
-    >>> necklace_count([1, 1])
-    1
-    >>> necklace_count([2, 0])
-    0
-    """
-    m = [int(x) for x in multidegree]
-    if any(x < 0 for x in m):
-        raise InputError("multidegree entries must be nonnegative")
-    total = sum(m)
-    if total == 0:
-        raise InputError("multidegree must have a positive entry")
-    g = gcd(*m)
-    acc = 0
-    for e, mu in enumerate(_mobius_sieve(g)):
-        if mu and g % e == 0:
-            acc += mu * factorial(total // e) // prod(factorial(x // e) for x in m)
-    count, rem = divmod(acc, total)
-    if rem:
-        raise AssertionError(f"Witt formula gave a non-integer for {m}")
-    return count
-
-
 def lie_ring_weight_counts(
     letter_counts: Mapping[int, int], cutoff: int
 ) -> list[int]:
@@ -257,9 +226,9 @@ def lie_ring_weight_counts(
 
     ``letter_counts[w]`` letters of weight ``w >= 1`` generate a free Lie
     ring; entry ``n-1`` of the result is the number of basic products of
-    total weight ``n`` (the sum of :func:`necklace_count` over all
-    multidegrees of that weight).  Computed, without enumerating
-    multidegrees, by Moebius inversion of the power sums
+    total weight ``n``, which is the number of Lyndon words of weight ``n``
+    over the alphabet.  Computed, without enumerating words, by Moebius
+    inversion of the power sums
     ``p_n = n [t^n] -log(1 - f)`` of the alphabet's generating polynomial
     ``f``, which obey the integer recurrence ``p_n = n f_n + sum f_k p_{n-k}``.
     """
@@ -316,7 +285,9 @@ class GradedLieDims(Record):
 
     @classmethod
     def from_dims(cls, dims: Iterable[int], cutoff: int | None = None) -> "GradedLieDims":
-        values = [int(d) for d in dims]
+        values = list(dims)
+        if any(type(d) is not int for d in values):
+            raise InputError("Lie dimensions must be integers")
         if cutoff is not None:
             if len(values) > cutoff:
                 values = values[:cutoff]
@@ -338,9 +309,6 @@ class GradedLieDims(Record):
 
     def truncate(self, cutoff: int) -> "GradedLieDims":
         return GradedLieDims.from_dims(self.dims, cutoff=cutoff)
-
-    def total(self) -> int:
-        return sum(self.dims)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(d) for d in self.dims) + ")"

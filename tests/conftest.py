@@ -123,16 +123,6 @@ def _is_lyndon(word: tuple[int, ...]) -> bool:
     return True
 
 
-def lyndon_count_for_content(content: list[int]) -> int:
-    """Number of Lyndon words with exactly content[i] copies of letter i."""
-    from itertools import permutations
-
-    letters: list[int] = []
-    for letter, mult in enumerate(content):
-        letters.extend([letter] * mult)
-    return sum(1 for word in set(permutations(letters)) if _is_lyndon(word))
-
-
 def lyndon_count_for_weight(letter_weights: list[int], total_weight: int) -> int:
     """Number of Lyndon words over a weighted alphabet with given total weight."""
     count = 0

@@ -57,10 +57,6 @@ class TestFGAbelianGroup:
         assert FGAbelianGroup.trivial().text() == "0"
         assert FGAbelianGroup.from_orders(24, free_rank=1).text() == "Z + Z/24"
 
-    def test_order(self):
-        assert FGAbelianGroup.from_orders(15).order() == 15
-        assert FGAbelianGroup.free(1).order() is None
-
     @given(ORDERS, ORDERS, ORDERS)
     @settings(max_examples=50)
     def test_direct_sum_commutative_associative(self, a, b, c):
@@ -240,7 +236,6 @@ class TestPiManifold:
         assert pi_manifold(factors, table, 2) == FGAbelianGroup.free(1)
         pi3 = pi_manifold(factors, table, 3)
         assert pi3 == FGAbelianGroup.from_orders(15)
-        assert pi3.order() == 15
 
     def test_d0_power_of_two_path(self, table):
         factors = factors_for([], [], 32)

@@ -10,9 +10,9 @@ from loopsix.manifold import bundle_from_classes, new_four_manifold
 from loopsix.rational import (
     _d_monomial,
     _dual_quotients,
+    _monomial_bases,
     d1_model,
     d1_model_parameter,
-    monomial_basis,
 )
 
 from conftest import (
@@ -50,7 +50,7 @@ def d1_model_differentials(p1):
     per degree: rows are monomials, columns their images' monomials."""
     N = new_four_manifold([[1]])
     model = d1_model(d1_model_parameter(bundle_from_classes(N, [1], p1)))
-    bases = [monomial_basis(model, q) for q in range(9)]
+    bases = _monomial_bases(model, 8)
     matrices = []
     for q in range(8):
         index = {m: i for i, m in enumerate(bases[q + 1])}
@@ -161,8 +161,17 @@ def test_rows_reduce_only_at_their_leading_column(monkeypatch):
 
 @pytest.mark.parametrize("p", spec_and_random_presentations(6))
 def test_rank_is_the_rref_pivot_count_on_dual_check_matrices(p):
-    weights = 0
-    for rows, _, _ in _dual_quotients(p, 6):
+    """On the dual check's matrices ``rank`` is the pivot count of ``rref``,
+    and ``nullspace``, where each quotient map comes from, spans the kernel
+    of the Fraction reference."""
+    weights = kernels = 0
+    for rows, image, _ in _dual_quotients(p, 6):
         assert rank(rows) == len(rref(rows)[1])
         weights += 1
-    assert weights
+        if image is not None:
+            ncols = len(image)
+            basis = [[v.get(c, 0) for c in range(ncols)] for v in nullspace(rows, ncols)]
+            dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+            assert same_span(basis, nullspace_by_fractions(dense, ncols))
+            kernels += 1
+    assert weights and kernels

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from loopsix.errors import InputError
 from loopsix.groups import FGAbelianGroup, SphereTable
 from loopsix.homotopy import (
     Circle,
@@ -24,6 +25,7 @@ from loopsix.homotopy import (
     Wedge,
     YSpaceReport,
 )
+from loopsix.linalg import det_int
 from loopsix.manifold import (
     BundleData,
     CellStructureD0,
@@ -184,8 +186,20 @@ def test_classes_with_equal_fields_differ():
          "constant term"),
         (lambda: GradedLieDims((1, -1)), NegativeLieDimension,
          "negative dimension in (1, -1)"),
+        (lambda: Sphere(2.5), ValueError, "sphere dimension must be an int, got 2.5"),
+        (lambda: Sphere(True), ValueError, "sphere dimension must be an int, got True"),
+        (lambda: SphereModN(3.5), ValueError, "S^3{n} needs an int n, got 3.5"),
+        (lambda: TruncatedSeries.from_coefficients([True]), ValueError,
+         "expected an int or Fraction, got bool"),
+        (lambda: GradedLieDims.from_dims([1.7, True]), InputError,
+         "Lie dimensions must be integers"),
+        (lambda: FGAbelianGroup.from_orders(4.5, 2), InputError,
+         "group orders and free rank must be integers"),
+        (lambda: det_int([[1.5]]), InputError, "matrix entries must be integers"),
     ],
-    ids=["Sphere", "SphereModN", "TruncatedSeries", "GradedLieDims"],
+    ids=["Sphere", "SphereModN", "TruncatedSeries", "GradedLieDims", "Sphere-float",
+         "Sphere-bool", "SphereModN-float", "TruncatedSeries-bool",
+         "GradedLieDims-inexact", "FGAbelianGroup-float", "det_int-float"],
 )
 def test_constructor_checks(build, error, message):
     with pytest.raises(error) as info:

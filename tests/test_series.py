@@ -16,7 +16,6 @@ from loopsix.series import (
     _expand,
     _mobius_sieve,
     lie_ring_weight_counts,
-    necklace_count,
     pbw_expand,
     pbw_invert,
     series_mul,
@@ -25,7 +24,7 @@ from loopsix.series import (
 
 from conftest import (
     lie_ring_weight_counts_by_log,
-    lyndon_count_for_content,
+    lyndon_count_for_weight,
     pbw_expand_by_factors,
     pbw_invert_by_factors,
     random_pair,
@@ -88,77 +87,29 @@ class TestArithmetic:
         assert series_mul(f, series_reciprocal(f)) == TruncatedSeries.one(10)
 
 
-class TestNecklace:
-    def test_examples(self):
-        assert necklace_count([1, 1]) == 1
-        assert necklace_count([2, 0]) == 0
-        assert necklace_count([2, 1]) == 1
-
-    def test_single_letter_higher_powers_vanish(self):
-        for k in range(2, 9):
-            assert necklace_count([k]) == 0
-
-    def test_rejects_zero_multidegree(self):
-        with pytest.raises(ValueError):
-            necklace_count([0, 0])
-
-    @given(
-        st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=3)
-    )
-    @settings(max_examples=50)
-    def test_matches_lyndon_enumeration(self, content):
-        if sum(content) == 0 or sum(content) > 7:
-            return
-        assert necklace_count(content) == lyndon_count_for_content(content)
-
+class TestWittCounts:
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_witt_word_identity(self, q):
-        # sum over divisors e of w of e * (necklace total at size e) = q^w
-        def compositions(total, parts):
-            if parts == 1:
-                yield (total,)
-                return
-            for head in range(total + 1):
-                for rest in compositions(total - head, parts - 1):
-                    yield (head,) + rest
-
-        totals = {}
-        for e in range(1, 11):
-            totals[e] = sum(
-                necklace_count(list(m))
-                for m in compositions(e, q)
-                if any(m)
-            )
+        # a word of length w is one of the e rotations of the (w/e)-th power
+        # of a unique Lyndon word of length e | w: sum_{e | w} e * c_e = q^w
+        counts = lie_ring_weight_counts({1: q}, 10)
         for w in range(1, 11):
-            assert sum(e * totals[e] for e in totals if w % e == 0) == q**w
+            assert sum(e * counts[e - 1] for e in range(1, w + 1) if w % e == 0) == q**w
 
     def test_weight_counts_aggregate_necklaces(self):
-        # one letter of weight 1 and one of weight 2: multidegree (m1, m2)
-        def brute(cutoff):
-            out = []
-            for w in range(1, cutoff + 1):
-                total = 0
-                for m1 in range(w + 1):
-                    rest = w - m1
-                    if rest % 2 == 0:
-                        m2 = rest // 2
-                        if m1 + m2 > 0:
-                            total += necklace_count([m1, m2])
-                out.append(total)
-            return out
-
-        assert lie_ring_weight_counts({1: 1, 2: 1}, 9) == brute(9)
+        # one letter of weight 1 and one of weight 2
+        assert lie_ring_weight_counts({1: 1, 2: 1}, 9) == [
+            lyndon_count_for_weight([1, 2], w) for w in range(1, 10)
+        ]
         assert lie_ring_weight_counts({1: 2}, 8) == [2, 1, 2, 3, 6, 9, 18, 30]
 
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: necklace_count([-1, 2]),
-            lambda: necklace_count([0, 0]),
             lambda: lie_ring_weight_counts({0: 1}, 3),
             lambda: lie_ring_weight_counts({1: -1}, 3),
         ],
-        ids=["negative_entry", "zero_content", "zero_weight", "negative_count"],
+        ids=["zero_weight", "negative_count"],
     )
     def test_bad_letters_raise_input_error(self, call):
         # an InputError is also a ValueError, for callers that catch that
