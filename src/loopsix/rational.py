@@ -17,14 +17,18 @@ module compare directly with the decomposition series of
 
 The direct dual check runs a presentation on an integral orthogonal basis
 ``(e_1..e_d, s)`` of H^2(M; Q) (:func:`_orthogonal_basis`), where R_perp is
-d two-term tensors and one diagonal one.  An invertible change of basis of V
-extends to an automorphism of T(V*) that carries one basis's R_perp, and so
-the ideal it generates, onto the other's: the quotient's dimensions do not
-depend on the basis.  Each weight's quotient map is the transposed
-``linalg.nullspace`` basis of its rows, and the last weight is ranked with
-``linalg.rank``, which stops at echelon form.  A Sullivan model's monomials
-come from one iterative walk, so its generator count meets no recursion
-limit.
+the d anticommutators ``[eps_i, sigma]`` and one diagonal relation.  An
+invertible change of basis of V extends to an automorphism of T(V*) that
+carries one basis's R_perp, and so the ideal it generates, onto the other's:
+the quotient's dimensions do not depend on the basis.  R_perp consists of
+Lie elements, so the dual is an enveloping algebra, and by PBW right
+multiplication by sigma is injective on it.  Each anticommutator therefore
+rewrites ``(b sigma) eps_i`` as ``-(b eps_i) sigma`` with no elimination,
+and only the diagonal relation's rows, with that substitution made, reach
+``linalg``: ``nullspace`` for each weight's quotient map and ``rank``, which
+stops at echelon form, for the last weight (:func:`_dual_quotients`).  A
+Sullivan model's monomials come from one iterative walk, so its generator
+count meets no recursion limit.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 from ._record import Frozen, Record
@@ -237,70 +242,121 @@ def _orthogonal_dual_relations(
 
 def _dual_quotients(
     p: QuadraticPresentation, max_weight: int
-) -> Iterator[tuple[list[Row], list[Row] | None, int]]:
-    """The dual algebra ``T(V*)/(R_perp)`` weight by weight.
+) -> Iterator[tuple[list[Row] | None, int]]:
+    """The dual algebra ``A = T(V*)/(R_perp)`` weight by weight.
 
     For each weight w from 2 through ``max_weight`` whose ``dim A_{w-1} *
-    g`` columns fit :data:`DUAL_COLUMN_BUDGET`, yields ``(rows, image,
-    dim A_w)``: ``rows`` span the image of ``A_{w-2} (x) R_perp`` in
-    ``A_{w-1} (x) V*``, and ``image[c]`` holds column c's coordinates in
-    the quotient ``A_w``.  The map is the transpose of the
-    :func:`~loopsix.linalg.nullspace` basis of the rows: a quotient map,
-    since its kernel is the row space.  The last weight's dimension is a
-    rank, and its ``image`` is None.
+    g`` columns fit :data:`DUAL_COLUMN_BUDGET`, yields ``(image, dim
+    A_w)``: ``image[c]`` holds the coordinates in ``A_w`` of column c of
+    ``A_{w-1} (x) V*``, a map whose kernel is the image of ``A_{w-2} (x)
+    R_perp``.  The last weight's dimension is counted without a map, and
+    its ``image`` is None.  Columns are last-letter-major: ``basis_u (x)
+    f_j`` is column ``j * dim A_{w-1} + u``, with ``sigma`` the last letter.
 
-    Columns are last-letter-major: ``basis_u (x) f_j`` is column
-    ``j * dim A_{w-1} + u``.  The dimensions depend neither on the column
-    order nor on the basis of V, but the elimination does: ordered this
-    way, it makes fewer row operations than with ``u * g + j``.  The
-    orthogonal basis keeps them low, since each of its relations is sparse
-    and homogeneous in the parity of every letter.
+    Only the ``dim A_{w-2}`` rows of the diagonal relation reach
+    :mod:`~loopsix.linalg`.  Every relation is a Lie element: the
+    anticommutators are ``[eps_j, sigma]``, and the diagonal one is ``sum
+    q_i [eps_i, eps_i] / 2 + p1 [sigma, sigma] / 2``.  So A is the
+    enveloping algebra U(L) of the graded Lie algebra they present
+    (Löfwall, LNM 1183).  By PBW (Milnor-Moore), U(L) is a free right module
+    over the enveloping algebra of the Lie subalgebra spanned by sigma and
+    ``[sigma, sigma]``; that is the polynomial algebra ``Q[sigma]``, since
+    ``sigma sigma`` is not in R_perp (``q_i != 0``).  Hence right
+    multiplication by sigma is injective.  A pivot in the sigma block, the
+    last columns, would be a row-space vector ``x (x) sigma`` with ``x
+    sigma = 0``: there is none.
+
+    So each weight's map sends ``basis_b (x) sigma`` to a single coordinate
+    ``first + b`` (the last ``dim A_{w-2}`` of them) with a scale ``s_b``.
+    The anticommutator row of ``(b, eps_j)`` is ``s_b`` at column ``(first +
+    b, eps_j)`` plus ``image(basis_b eps_j)`` in the sigma block.  Their
+    pivots are distinct, so these rows are never built: a diagonal row's
+    entry at such a column is replaced by ``-1/s_b`` times that image, in
+    the sigma block.  The next map is the transposed ``nullspace`` of the
+    diagonal rows on the other columns, and sends each pivot column to the
+    same combination of the sigma block's coordinates.  Rows and maps are
+    scaled by the lcm of the ``s_b``, so every entry is an integer.  The
+    last weight's dimension is ``ncols - d * dim A_{w-2} - rank(diagonal
+    rows)``.  A sigma-block pivot, which the argument rules out, raises
+    :class:`KoszulInconsistency`.
     """
     g = p.generators
     # weight 2 alone spans g * g columns
     if max_weight < 2 or g * g > DUAL_COLUMN_BUDGET:
         return
-    dual_relations = _orthogonal_dual_relations(p.ring)
+    # the others are the anticommutators, which the substitution below makes
+    *_, diagonal = _orthogonal_dual_relations(p.ring)
+    d = g - 1
     prev_dim = 1
     cur_dim = g
-    # image[i * prev_dim + b] = coordinates of (basis_b * f_i), one weight up
+    # image[j * prev_dim + b] = coordinates of (basis_b * f_j), one weight up
     image: list[Row] = [{i: 1} for i in range(g)]
     for w in range(2, max_weight + 1):
         ncols = cur_dim * g
         if ncols > DUAL_COLUMN_BUDGET:
             return
+        sigma = d * cur_dim  # the first column of the sigma block
+        first = cur_dim - prev_dim  # basis_b * sigma maps to first + b
+        scales = [image[d * prev_dim + b][first + b] for b in range(prev_dim)]
+        scale = lcm(*scales)
         rows = []
         for b in range(prev_dim):
-            for s in dual_relations:
-                row: Row = {}
-                for i, j, c in s:
-                    base = j * cur_dim
-                    for u, x in image[i * prev_dim + b].items():
-                        row[base + u] = row.get(base + u, 0) + c * x
-                rows.append({col: x for col, x in row.items() if x})
-        if w == max_weight or (ncols - len(rows)) * g > DUAL_COLUMN_BUDGET:
+            row: Row = {}
+            for i, j, c in diagonal:
+                for u, x in image[i * prev_dim + b].items():
+                    if j < d and u >= first:
+                        # (basis_a sigma) eps_j = -(basis_a eps_j) sigma
+                        a = u - first
+                        f = -(scale // scales[a]) * c * x
+                        for v, y in image[j * prev_dim + a].items():
+                            row[sigma + v] = row.get(sigma + v, 0) + f * y
+                    else:
+                        col = j * cur_dim + u
+                        row[col] = row.get(col, 0) + scale * c * x
+            rows.append({col: x for col, x in row.items() if x})
+        if w == max_weight or (ncols - g * prev_dim) * g > DUAL_COLUMN_BUDGET:
             # the last weight checked: its dimension needs no quotient map
-            yield rows, None, ncols - rank(rows)
+            yield None, ncols - d * prev_dim - rank(rows)
             return
-        kernel = nullspace(rows, ncols)
-        image = [{} for _ in range(ncols)]
-        for q, vector in enumerate(kernel):
+        # one kernel vector per free column, its largest; the anticommutator
+        # pivots are free here, with unit vectors, and are skipped
+        following: list[Row] = [{} for _ in range(ncols)]
+        q = sigma_free = 0
+        for vector in nullspace(rows, ncols):
+            free = max(vector)
+            if free < sigma and free % cur_dim >= first:
+                continue
+            sigma_free += free >= sigma
             for c, x in vector.items():
-                image[c][q] = x
-        prev_dim, cur_dim = cur_dim, len(kernel)
-        yield rows, image, cur_dim
+                following[c][q] = scale * x
+            q += 1
+        if sigma_free != cur_dim:
+            raise KoszulInconsistency(
+                f"right multiplication by sigma is not injective at weight {w}"
+            )
+        for j in range(d):
+            for a in range(prev_dim):
+                col = following[j * cur_dim + first + a]
+                for u, x in image[j * prev_dim + a].items():
+                    ((v, y),) = following[sigma + u].items()
+                    col[v] = -(x * y // scales[a])
+        image = following
+        prev_dim, cur_dim = cur_dim, q
+        yield image, cur_dim
 
 
 def quadratic_dual_dims(p: QuadraticPresentation, max_weight: int) -> list[int]:
     """Dimensions of the quadratic dual algebra, degree by degree.
 
     Weight w is the quotient of ``A_{w-1} (x) V*`` by the image of ``A_{w-2}
-    (x) R_perp`` (see :func:`_dual_quotients`).  Stops early (returning what
-    it has) once the working dimension exceeds :data:`DUAL_COLUMN_BUDGET`.
-    It runs in the orthogonal basis of the presentation's ring.
+    (x) R_perp``.  Stops early (returning what it has) once the working
+    dimension exceeds :data:`DUAL_COLUMN_BUDGET`.  It runs in the orthogonal
+    basis of the presentation's ring, where the dual is an enveloping
+    algebra and right multiplication by sigma is injective (PBW), so only
+    the diagonal relation's rows are eliminated (see :func:`_dual_quotients`).
     """
     dims = [1, p.generators][: max_weight + 1]
-    dims.extend([dim for _, _, dim in _dual_quotients(p, max_weight)])
+    dims.extend([dim for _, dim in _dual_quotients(p, max_weight)])
     return dims
 
 

@@ -272,22 +272,24 @@ class GradedLieDims(Record):
     """Degree-wise dimensions of a graded Lie algebra.
 
     ``dims[i]`` is the dimension in degree ``i + 1`` (degrees are loop-space
-    homological degrees, starting at 1).  All entries are nonnegative.
+    homological degrees, starting at 1).  All entries are nonnegative
+    ``int``s.
     """
 
     __slots__ = ("dims",)
     dims: tuple[int, ...]
 
     def __init__(self, dims) -> None:
-        if any(d < 0 for d in dims):
-            raise NegativeLieDimension(f"negative dimension in {dims}")
+        for d in dims:
+            if type(d) is not int:
+                raise InputError("Lie dimensions must be integers")
+            if d < 0:
+                raise NegativeLieDimension(f"negative dimension in {dims}")
         object.__setattr__(self, "dims", dims)
 
     @classmethod
     def from_dims(cls, dims: Iterable[int], cutoff: int | None = None) -> "GradedLieDims":
         values = list(dims)
-        if any(type(d) is not int for d in values):
-            raise InputError("Lie dimensions must be integers")
         if cutoff is not None:
             if len(values) > cutoff:
                 values = values[:cutoff]

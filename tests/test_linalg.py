@@ -4,15 +4,15 @@ from math import gcd
 
 import pytest
 
-from loopsix import linalg
+from loopsix import linalg, rational
 from loopsix.linalg import nullspace, rank, rref
 from loopsix.manifold import bundle_from_classes, new_four_manifold
 from loopsix.rational import (
     _d_monomial,
-    _dual_quotients,
     _monomial_bases,
     d1_model,
     d1_model_parameter,
+    quadratic_dual_dims,
 )
 
 from conftest import (
@@ -160,18 +160,27 @@ def test_rows_reduce_only_at_their_leading_column(monkeypatch):
 
 
 @pytest.mark.parametrize("p", spec_and_random_presentations(6))
-def test_rank_is_the_rref_pivot_count_on_dual_check_matrices(p):
-    """On the dual check's matrices ``rank`` is the pivot count of ``rref``,
-    and ``nullspace``, where each quotient map comes from, spans the kernel
-    of the Fraction reference."""
-    weights = kernels = 0
-    for rows, image, _ in _dual_quotients(p, 6):
+def test_rank_is_the_rref_pivot_count_on_dual_check_matrices(monkeypatch, p):
+    """On the matrices the dual check hands to ``rank`` and ``nullspace``,
+    ``rank`` is the pivot count of ``rref``, and ``nullspace``, where each
+    quotient map comes from, spans the kernel of the Fraction reference."""
+    ranked, kernels = [], []
+
+    def ranking(rows):
+        ranked.append(rows)
+        return rank(rows)
+
+    def kernel(rows, ncols):
+        kernels.append((rows, ncols))
+        return nullspace(rows, ncols)
+
+    monkeypatch.setattr(rational, "rank", ranking)
+    monkeypatch.setattr(rational, "nullspace", kernel)
+    quadratic_dual_dims(p, 6)
+    assert len(ranked) == 1 and kernels
+    for rows, ncols in kernels:
         assert rank(rows) == len(rref(rows)[1])
-        weights += 1
-        if image is not None:
-            ncols = len(image)
-            basis = [[v.get(c, 0) for c in range(ncols)] for v in nullspace(rows, ncols)]
-            dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
-            assert same_span(basis, nullspace_by_fractions(dense, ncols))
-            kernels += 1
-    assert weights and kernels
+        basis = [[v.get(c, 0) for c in range(ncols)] for v in nullspace(rows, ncols)]
+        dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+        assert same_span(basis, nullspace_by_fractions(dense, ncols))
+    assert rank(ranked[0]) == len(rref(ranked[0])[1])

@@ -73,6 +73,8 @@ def square_class(r):
 D2_TRIVIAL = ([[0, 1], [1, 0]], [0, 0], 0)
 D1 = ([[1]], [1], 5)
 D3 = ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], [1, 0, 0], 9)
+DIAG4_P1_0 = ([[int(i == j) for j in range(4)] for i in range(4)], [1, 1, 1, 1], 0)
+NEGATIVE_D3 = ([[-int(i == j) for j in range(3)] for i in range(3)], [1, 1, 1], 1)
 
 
 class TestQuadraticPresentation:
@@ -488,30 +490,32 @@ class TestIntegerDualKernel:
         assert len(quadratic_dual_dims(p3, 6)) - 1 == 4
 
 
-#: The desk specs with the most ``_eliminate`` calls allowed in
-#: ``quadratic_dual_dims(p, 6)``.
-DUAL_CHECK_WORK = [
-    pytest.param(DESK_D2_0, 200, id="desk_d2_0"),
-    pytest.param(DESK_D3_0, 70, id="desk_d3_0"),
+#: Rows that ``quadratic_dual_dims(p, 6)`` hands to ``linalg._forward`` on
+#: the desk specs: the ``dim A_{w-2}`` diagonal rows of each weight, which
+#: sum to 35 and 17.  The anticommutator rows are never built; all
+#: ``dim A_{w-2} * g`` rows would sum to 105 and 68.
+DUAL_CHECK_ROWS = [
+    pytest.param(DESK_D2_0, [1, 3, 6, 10, 15], id="desk_d2_0"),
+    pytest.param(DESK_D3_0, [1, 4, 12], id="desk_d3_0"),
 ]
 
 
 class TestDualCheckWork:
     """The direct dual check stays cheap."""
 
-    @pytest.mark.parametrize("spec, most_calls", DUAL_CHECK_WORK)
-    def test_eliminations_bounded(self, monkeypatch, spec, most_calls):
+    @pytest.mark.parametrize("spec, rows", DUAL_CHECK_ROWS)
+    def test_rows_reaching_linalg(self, monkeypatch, spec, rows):
         _, _, p = presentation_for(*spec)
-        calls = []
-        original = linalg._eliminate
+        counted = []
+        original = linalg._forward
 
-        def counted(row, pivot_row, col):
-            calls.append(col)
-            return original(row, pivot_row, col)
+        def counting(matrix):
+            counted.append(len(matrix))
+            return original(matrix)
 
-        monkeypatch.setattr(linalg, "_eliminate", counted)
+        monkeypatch.setattr(linalg, "_forward", counting)
         quadratic_dual_dims(p, 6)
-        assert 0 < len(calls) <= most_calls
+        assert counted == rows
 
 
 #: Quotient maps that ``_dual_quotients(p, 6)`` builds, by rank: one for
@@ -541,6 +545,16 @@ class TestOrthogonalDualCheck:
                 id=f"random_d{d}_seed{100 + d}",
             )
             for d in range(2, 7)
+        ]
+        + [
+            # the diagonal's sigma-sigma coefficient p1 is 0
+            pytest.param(presentation_for(*DIAG4_P1_0)[2], id="diag4_p1_0"),
+            # the sigma-type scales of the quotient maps exceed 1
+            pytest.param(
+                quadratic_presentation(cohomology_ring(*random_pair(random.Random(2), 2))),
+                id="random_d2_seed2",
+            ),
+            pytest.param(presentation_for(*NEGATIVE_D3)[2], id="negative_d3"),
         ],
     )
     def test_dims_match_fraction_reference(self, p):
@@ -620,7 +634,7 @@ class TestOrthogonalDualCheck:
 
     @pytest.mark.parametrize(
         "spec, calls",
-        [(DESK_D2_0, 55), (DESK_D3_0, 19)],
+        [(DESK_D2_0, 0), (DESK_D3_0, 1)],
         ids=["desk_d2_0", "desk_d3_0"],
     )
     def test_eliminations_exact(self, monkeypatch, spec, calls):
@@ -638,10 +652,11 @@ class TestOrthogonalDualCheck:
 
     @pytest.mark.parametrize("p", spec_and_random_presentations(6))
     def test_quotient_maps_have_the_rows_as_kernel(self, p):
-        """Each weight's quotient map sends the rows to zero and has rank
+        """Each weight's quotient map sends every row of ``A_{w-2} (x)
+        R_perp`` to zero, the anticommutator rows included, and has rank
         ``ncols - rank(rows)``, so its kernel is exactly the row space."""
         checked = 0
-        for rows, image, dim in rational._dual_quotients(p, 6):
+        for rows, image, dim, _ in _dual_weights(p):
             if image is None:
                 continue
             assert rank(rows) + rank(image) == len(image)
@@ -654,6 +669,41 @@ class TestOrthogonalDualCheck:
                 assert not any(mapped.values())
             checked += 1
         assert checked == QUOTIENT_MAPS[p.ring.d]
+
+    @pytest.mark.parametrize("p", spec_and_random_presentations(6))
+    def test_no_sigma_column_is_a_pivot(self, p):
+        """Right multiplication by sigma, the last letter, is injective: at
+        every weight checked, the pivots of all of ``A_{w-2} (x) R_perp``
+        lie left of the sigma block, and the dimension is what they leave."""
+        sigma = p.ring.d
+        weights = 0
+        for rows, _, dim, cur_dim in _dual_weights(p):
+            _, pivots = linalg.rref(rows)
+            assert pivots[-1] < sigma * cur_dim
+            assert cur_dim * p.generators - len(pivots) == dim
+            weights += 1
+        assert weights == len(quadratic_dual_dims(p, 6)) - 2
+
+
+def _dual_weights(p):
+    """``_dual_quotients(p, 6)`` weight by weight, as ``(rows, image, dim,
+    dim A_{w-1})``: ``rows`` are all of ``A_{w-2} (x) R_perp``, built from
+    every relation of ``_orthogonal_dual_relations`` and the previous map."""
+    relations = rational._orthogonal_dual_relations(p.ring)
+    prev_dim, cur_dim = 1, p.generators
+    previous = [{i: 1} for i in range(cur_dim)]
+    for image, dim in rational._dual_quotients(p, 6):
+        rows = []
+        for b in range(prev_dim):
+            for relation in relations:
+                row = {}
+                for i, j, c in relation:
+                    for u, x in previous[i * prev_dim + b].items():
+                        col = j * cur_dim + u
+                        row[col] = row.get(col, 0) + c * x
+                rows.append({col: x for col, x in row.items() if x})
+        yield rows, image, dim, cur_dim
+        prev_dim, cur_dim, previous = cur_dim, dim, image
 
 
 class TestIntegerPath:

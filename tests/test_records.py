@@ -36,7 +36,12 @@ from loopsix.manifold import (
     new_four_manifold,
 )
 from loopsix.rational import CoformalityReport, QuadraticPresentation, SullivanModel
-from loopsix.series import GradedLieDims, NegativeLieDimension, TruncatedSeries
+from loopsix.series import (
+    GradedLieDims,
+    NegativeLieDimension,
+    TruncatedSeries,
+    pbw_expand,
+)
 
 from conftest import REPO_ROOT
 
@@ -193,13 +198,19 @@ def test_classes_with_equal_fields_differ():
          "expected an int or Fraction, got bool"),
         (lambda: GradedLieDims.from_dims([1.7, True]), InputError,
          "Lie dimensions must be integers"),
+        (lambda: GradedLieDims((1.5, True)), InputError,
+         "Lie dimensions must be integers"),
+        (lambda: GradedLieDims((True,)), InputError, "Lie dimensions must be integers"),
+        (lambda: pbw_expand(GradedLieDims((1.5,)), 3), InputError,
+         "Lie dimensions must be integers"),
         (lambda: FGAbelianGroup.from_orders(4.5, 2), InputError,
          "group orders and free rank must be integers"),
         (lambda: det_int([[1.5]]), InputError, "matrix entries must be integers"),
     ],
     ids=["Sphere", "SphereModN", "TruncatedSeries", "GradedLieDims", "Sphere-float",
          "Sphere-bool", "SphereModN-float", "TruncatedSeries-bool",
-         "GradedLieDims-inexact", "FGAbelianGroup-float", "det_int-float"],
+         "GradedLieDims-inexact", "GradedLieDims-float", "GradedLieDims-bool",
+         "pbw_expand-float", "FGAbelianGroup-float", "det_int-float"],
 )
 def test_constructor_checks(build, error, message):
     with pytest.raises(error) as info:
