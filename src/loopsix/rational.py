@@ -15,9 +15,12 @@ weight w corresponds to loop-space degree w throughout, so series from this
 module compare directly with the decomposition series of
 :mod:`loopsix.homotopy`.
 
-The direct dual check runs a presentation on an integral orthogonal basis
-``(e_1..e_d, s)`` of H^2(M; Q) (:func:`_orthogonal_basis`), where R_perp is
-the d anticommutators ``[eps_i, sigma]`` and one diagonal relation.  An
+A quadratic presentation is its ring: building one checks with one
+``rank`` that Sym^2 H^2 -> H^4 is onto, and neither the relation space R
+nor its annihilator R_perp is stored.  The direct dual check runs the
+presentation on an integral orthogonal basis ``(e_1..e_d, s)`` of H^2(M;
+Q) (:func:`_orthogonal_basis`), where R_perp is the d anticommutators
+``[eps_i, sigma]`` and one diagonal relation, in closed form.  An
 invertible change of basis of V extends to an automorphism of T(V*) that
 carries one basis's R_perp, and so the ideal it generates, onto the other's:
 the quotient's dimensions do not depend on the basis.  R_perp consists of
@@ -75,34 +78,22 @@ class DifferentialNotSquareZero(InputError):
 # ---------------------------------------------------------------------------
 
 
-def _sym2_basis(g: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(g) for j in range(i, g)]
-
-
 class QuadraticPresentation(Frozen):
-    """Degree-2 generators and the quadratic relation space of H^*(M; Q).
+    """H^*(M; Q) presented by its degree-2 part ``V = H^2`` and the
+    relation space ``R = ker(Sym^2 V -> H^4)``.
 
-    ``relations`` are sparse integer rows over the monomial basis of Sym^2
-    (pairs (i, j) with i <= j in lexicographic order); only their span
-    matters, not their scale.  ``ring`` is the manifold ring the
-    presentation was built from: the Hilbert series reads its Betti
-    numbers, ``generators`` and the Koszul range its rank d, and the dual
-    check an orthogonal basis of its degree-2 part.
+    The presentation is its ring, from which :func:`quadratic_presentation`
+    checked it: ``generators`` is dim V = d + 1, ``relation_count`` is dim
+    Sym^2 V - dim H^4 = d(d + 1)/2, the Hilbert series reads the Betti
+    numbers, and the dual check an orthogonal basis of H^2, over which
+    R_perp has a closed form.  Neither R nor R_perp is stored.
     """
 
-    __slots__ = ("relations", "ring")
-    relations: tuple[Row, ...]
+    __slots__ = ("ring",)
     ring: SixManifoldRing
 
-    def __init__(self, relations, ring) -> None:
-        self._assign(relations, ring)
-
-    def __repr__(self) -> str:
-        # the ring is where the relations came from, not part of the value
-        return (
-            f"QuadraticPresentation(generators={self.generators!r}, "
-            f"relations={self.relations!r})"
-        )
+    def __init__(self, ring) -> None:
+        self._assign(ring)
 
     @property
     def generators(self) -> int:
@@ -110,18 +101,18 @@ class QuadraticPresentation(Frozen):
 
     @property
     def relation_count(self) -> int:
-        return len(self.relations)
+        return self.ring.d * (self.ring.d + 1) // 2  # dim Sym^2 V - dim H^4
 
 
 def quadratic_presentation(ring: SixManifoldRing) -> QuadraticPresentation:
     """Present H^*(M; Q) by its degree-2 part.
 
-    ``V = H^2`` and ``R = ker(Sym^2 V -> H^4)``; requires Sym^2 V -> H^4 to
-    be onto and Sym^3 V -> H^6 to hit the 1-dimensional top degree (both are
-    forced by unimodularity when d >= 1).  The d = 0 rings are rejected: for
-    ``ell = 0`` the degree-4 class is not a product, and for ``ell != 0`` the
-    truncation relation lives in weight 4, so no quadratic presentation of
-    the cohomology exists either way.
+    Requires Sym^2 V -> H^4 to be onto, which one ``rank`` of its matrix
+    checks, and Sym^3 V -> H^6 to hit the 1-dimensional top degree (both
+    are forced by unimodularity when d >= 1).  The d = 0 rings are
+    rejected: for ``ell = 0`` the degree-4 class is not a product, and for
+    ``ell != 0`` the truncation relation lives in weight 4, so no quadratic
+    presentation of the cohomology exists either way.
     """
     if ring.d == 0:
         raise NotQuadratic(
@@ -131,14 +122,12 @@ def quadratic_presentation(ring: SixManifoldRing) -> QuadraticPresentation:
     deg2 = ring.basis_of_degree(2)
     deg4 = ring.basis_of_degree(4)
     g = len(deg2)
-    sym2 = _sym2_basis(g)
-    # columns: sym2 monomials; rows: H^4 coordinates
+    # columns: Sym^2 monomials (i, j), i <= j; rows: H^4 coordinates
     matrix: dict[str, Row] = {lbl: {} for lbl in deg4}
-    for col, (i, j) in enumerate(sym2):
+    for col, (i, j) in enumerate(combinations_with_replacement(range(g), 2)):
         for lbl, x in ring.product(deg2[i], deg2[j]).items():
             matrix[lbl][col] = x
-    kernel = nullspace(list(matrix.values()), len(sym2))
-    if len(sym2) - len(kernel) != len(deg4):
+    if rank(list(matrix.values())) != len(deg4):
         raise NotQuadratic("Sym^2 of the degree-2 part does not surject onto H^4")
     # weight-3 consistency: Sym^3 V must hit the top class
     top_hit = False
@@ -150,7 +139,7 @@ def quadratic_presentation(ring: SixManifoldRing) -> QuadraticPresentation:
             break
     if not top_hit:
         raise NotQuadratic("Sym^3 of the degree-2 part misses the top class")
-    return QuadraticPresentation(relations=tuple(kernel), ring=ring)
+    return QuadraticPresentation(ring)
 
 
 def hilbert_series(p: QuadraticPresentation, cutoff: int) -> TruncatedSeries:
@@ -219,25 +208,22 @@ def _orthogonal_basis(ring: SixManifoldRing) -> tuple[list[Row], list[int], Row]
     return basis, squares, s
 
 
-def _orthogonal_dual_relations(
-    ring: SixManifoldRing,
-) -> list[list[tuple[int, int, int]]]:
-    """R_perp over the basis :func:`_orthogonal_basis`, each relation as
-    ``(letter, letter, coefficient)`` triples, letters ``eps_i`` then
-    ``sigma``.
+def _diagonal_dual_relation(ring: SixManifoldRing) -> list[tuple[int, int, int]]:
+    """The diagonal relation ``sum q_i eps_i eps_i + p1 sigma sigma`` of
+    R_perp over the basis :func:`_orthogonal_basis`, as ``(letter, letter,
+    coefficient)`` triples, letters ``eps_i`` then ``sigma``.
 
     R_perp is the span of the forms ``(u, v) -> lambda(uv)`` for ``lambda``
     in the dual of H^4.  The basis of it dual to ``(e_1 s, .., e_d s, y)``
-    gives the ``d`` tensors ``eps_i sigma + sigma eps_i`` and ``sum q_i
-    eps_i eps_i + p1 sigma sigma``.
+    is the ``d`` anticommutators ``eps_i sigma + sigma eps_i``, which
+    :func:`_dual_quotients` applies as substitutions, and this relation.
     """
     es, squares, s = _orthogonal_basis(ring)
-    d = len(es)
     diagonal = [(i, i, q) for i, q in enumerate(squares)]
     p1 = ring.multiply(s, s).get("y", 0)
     if p1:
-        diagonal.append((d, d, p1))
-    return [[(i, d, 1), (d, i, 1)] for i in range(d)] + [diagonal]
+        diagonal.append((len(es), len(es), p1))
+    return diagonal
 
 
 def _dual_quotients(
@@ -284,8 +270,7 @@ def _dual_quotients(
     # weight 2 alone spans g * g columns
     if max_weight < 2 or g * g > DUAL_COLUMN_BUDGET:
         return
-    # the others are the anticommutators, which the substitution below makes
-    *_, diagonal = _orthogonal_dual_relations(p.ring)
+    diagonal = _diagonal_dual_relation(p.ring)
     d = g - 1
     prev_dim = 1
     cur_dim = g
@@ -737,16 +722,14 @@ def _coformal_report(
     )
 
 
-def coformality_check(
-    N: FourManifold, b: BundleData, cutoff: int = WITNESS_DEGREE
-) -> CoformalityReport:
+def coformality_check(N: FourManifold, b: BundleData) -> CoformalityReport:
     """Decide coformality of M and produce a checkable witness.
 
     Either way the cohomology must have a quadratic presentation.  d >= 2:
     coformal; the witness is the agreement of the Koszul-dual ranks with the
-    decomposition ranks through ``cutoff``.  d = 1: not coformal; the
-    witness is the cubic differential ``dx = c^3`` of :func:`d1_model`,
-    and nothing more is computed here.  The evidence is printed elsewhere:
+    decomposition ranks through :data:`WITNESS_DEGREE`.  d = 1: not
+    coformal; the witness is the cubic differential ``dx = c^3`` of
+    :func:`d1_model`, and nothing more is computed here.  The evidence is printed elsewhere:
     ``koszul`` prints the naive dual series, which first diverges from the
     loop homology that ``series`` prints in degree 3, and ``model`` prints
     the model and its cohomology.
@@ -757,9 +740,9 @@ def coformality_check(
     if N.d == 1:
         return CoformalityReport(status="not_coformal", witness="dx=c^3")
     return _coformal_report(
-        lie_dims(presentation, cutoff),
-        ranks_from_decomposition(loop_factors(N, b, cutoff), cutoff),
-        cutoff,
+        lie_dims(presentation, WITNESS_DEGREE),
+        ranks_from_decomposition(loop_factors(N, b, WITNESS_DEGREE), WITNESS_DEGREE),
+        WITNESS_DEGREE,
     )
 
 

@@ -379,6 +379,17 @@ def nullspace_by_fractions(rows, ncols):
     return basis
 
 
+def quadratic_relations_by_fractions(ring):
+    """``R = ker(Sym^2 V -> H^4)`` of a ring, ``V = H^2``, read off its
+    products: dense Fraction vectors over the monomials (i, j), i <= j, in
+    lexicographic order."""
+    deg2 = ring.basis_of_degree(2)
+    sym2 = list(combinations_with_replacement(range(len(deg2)), 2))
+    products = [ring.product(deg2[i], deg2[j]) for i, j in sym2]
+    matrix = [[uv.get(h, 0) for uv in products] for h in ring.basis_of_degree(4)]
+    return nullspace_by_fractions(matrix, len(sym2))
+
+
 def quadratic_algebra_dims(p, cutoff):
     """Degree-wise dimensions of ``Sym(V)/(R)`` for a presentation ``p``:
     the weight-w ideal component ``R * Sym^{w-2} V`` spanned monomial by
@@ -386,17 +397,19 @@ def quadratic_algebra_dims(p, cutoff):
     generators."""
     g = p.generators
     sym2 = [(i, j) for i in range(g) for j in range(i, g)]
+    relations = quadratic_relations_by_fractions(p.ring)
     dims = [1, g]
     for w in range(2, cutoff + 1):
         monos = list(combinations_with_replacement(range(g), w))
         index = {m: i for i, m in enumerate(monos)}
         rows = []
-        for rel in p.relations:
+        for rel in relations:
             for lower in combinations_with_replacement(range(g), w - 2):
                 # distinct pairs times one lower monomial are distinct monomials
                 row = [0] * len(monos)
-                for k, c in rel.items():
-                    row[index[tuple(sorted(lower + sym2[k]))]] = c
+                for k, c in enumerate(rel):
+                    if c:
+                        row[index[tuple(sorted(lower + sym2[k]))]] = c
                 rows.append(row)
         dims.append(len(monos) - len(rref_by_fractions(rows)[1]))
     return dims[: cutoff + 1]
@@ -416,10 +429,9 @@ def dual_relation_space_by_fractions(p):
             row[i * g + j] = Fraction(1)
             row[j * g + i] = Fraction(-1)
             rows.append(row)
-    for rel in p.relations:
+    for rel in quadratic_relations_by_fractions(p.ring):
         row = [Fraction(0)] * (g * g)
-        for k, coeff in rel.items():
-            i, j = sym2[k]
+        for (i, j), coeff in zip(sym2, rel):
             row[i * g + j] += coeff
         rows.append(row)
     return nullspace_by_fractions(rows, g * g)

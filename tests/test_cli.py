@@ -441,6 +441,31 @@ class TestStrictSpecTypes:
         assert code == 2
         assert "InputError" in out
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"intersection_form": [[1]], "w2": [1], "p1": 1, "p1": 5}',
+             "duplicate key 'p1'"),
+            ('{"intersection_form": [[1]], "w2": [1], "p1": 1, "name": {"k": 1, "k": 2}}',
+             "duplicate key 'k'"),
+            ('{"intersection_form": [[1]], "w2": [1], "p1": 1, "ell": 7}',
+             "unknown key 'ell'"),
+            ('{"intersection_form": [[1]], "w2": [1], "p1": 1, "alpha": [3]}',
+             "unknown key 'alpha'"),
+            ('{"intersection_form": [[1]], "w2": [1], "p1": 1, "bogus": 1}',
+             "unknown key 'bogus'"),
+        ],
+        ids=["p1_twice", "nested_twice", "ell", "alpha", "bogus"],
+    )
+    def test_key_rejected_by_name(self, tmp_path, text, message):
+        """A key given twice is not read as its last value, and a key the
+        spec does not have is not ignored: both exit 2 and name the key."""
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(text)
+        code, out = run(["describe", str(spec_path)])
+        assert code == 2
+        assert f"InputError: {spec_path}: {message}" in out
+
     def test_int_valued_spec_still_accepted(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"intersection_form": [[1]], "w2": [1], "p1": 1}))

@@ -13,7 +13,12 @@ from loopsix import homotopy, linalg, rational
 from loopsix.cli import MAX_RANK
 from loopsix.errors import InputError
 from loopsix.homotopy import decompose, hilton_milnor, loop_factors, loop_homology_series
-from loopsix.manifold import bundle_from_classes, cohomology_ring, new_four_manifold
+from loopsix.manifold import (
+    SixManifoldRing,
+    bundle_from_classes,
+    cohomology_ring,
+    new_four_manifold,
+)
 from loopsix.linalg import rank
 from loopsix.rational import (
     CoformalityReport,
@@ -46,6 +51,7 @@ from conftest import (
     monomial_basis_by_recursion,
     quadratic_algebra_dims,
     quadratic_dual_dims_by_fractions,
+    quadratic_relations_by_fractions,
     random_pair,
     s2_model,
     spec_and_random_presentations,
@@ -77,6 +83,16 @@ DIAG4_P1_0 = ([[int(i == j) for j in range(4)] for i in range(4)], [1, 1, 1, 1],
 NEGATIVE_D3 = ([[-int(i == j) for j in range(3)] for i in range(3)], [1, 1, 1], 1)
 
 
+def rank1_ring(products):
+    """A hand-built rank-1 ring on the basis ``1, x1, t, t*x1, y, top`` whose
+    only nonzero products are these, each stored both ways round."""
+    degrees = {"1": 0, "x1": 2, "t": 2, "t*x1": 4, "y": 4, "top": 6}
+    table = {}
+    for (a, b), value in products.items():
+        table[a, b] = table[b, a] = value
+    return SixManifoldRing(1, tuple(degrees), degrees, table)
+
+
 class TestQuadraticPresentation:
     def test_d2_counts(self):
         _, _, p = presentation_for(*D2_TRIVIAL)
@@ -96,6 +112,30 @@ class TestQuadraticPresentation:
             ring = cohomology_ring(N, bundle_from_classes(N, [], p1))
             with pytest.raises(NotQuadratic):
                 quadratic_presentation(ring)
+
+    @pytest.mark.parametrize(
+        "products, message",
+        [
+            # x1 x1 = 0 and t t = t*x1: no product of degree-2 classes reaches y
+            (
+                {
+                    ("x1", "t"): {"t*x1": 1},
+                    ("t", "t"): {"t*x1": 1},
+                    ("t", "y"): {"top": 1},
+                },
+                "does not surject onto H\\^4",
+            ),
+            # the products span H^4, but none of them times H^2 reaches top
+            (
+                {("x1", "x1"): {"y": 1}, ("x1", "t"): {"t*x1": 1}},
+                "misses the top class",
+            ),
+        ],
+        ids=["misses_y", "misses_top"],
+    )
+    def test_structural_failures_raise(self, products, message):
+        with pytest.raises(NotQuadratic, match=message):
+            quadratic_presentation(rank1_ring(products))
 
     def test_quadratic_algebra_dims_vs_betti_for_koszul_input(self):
         # in the Koszul range the abstract quadratic algebra IS the cohomology
@@ -261,8 +301,8 @@ class TestCdga:
         presentations of isomorphic rings over Q must."""
         N = new_four_manifold([[q]])
         b = bundle_from_classes(N, [1], p1)
-        (relation,) = quadratic_presentation(cohomology_ring(N, b)).relations
-        c_xx, c_xt, c_tt = (relation.get(k, 0) for k in range(3))
+        (relation,) = quadratic_relations_by_fractions(cohomology_ring(N, b))
+        c_xx, c_xt, c_tt = relation
         db = d1_model(d1_model_parameter(b)).d_of("b")
         # generators c, a, b, x: the monomials c^2, c a and a^2
         monomials = ((2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0))
@@ -366,7 +406,7 @@ class TestCoformality:
     def test_higher_rank_coformal(self, d):
         rng = random.Random(d)
         N, b = random_pair(rng, d)
-        assert coformality_check(N, b, cutoff=6).status == "coformal"
+        assert coformality_check(N, b).status == "coformal"
 
 
 class TestEllipticity:
@@ -597,7 +637,7 @@ class TestOrthogonalDualCheck:
         labels = ring.basis_of_degree(2)
         assert rank([{c: b[x] for c, x in enumerate(labels) if x in b} for b in basis]) == g
         ours = []
-        for relation in rational._orthogonal_dual_relations(ring):
+        for relation in _dual_relations(ring):
             row = {}
             for k, l, c in relation:
                 row[k * g + l] = row.get(k * g + l, 0) + c
@@ -613,13 +653,13 @@ class TestOrthogonalDualCheck:
     def test_dual_relations_built_once(self, monkeypatch):
         _, _, p = presentation_for(*DESK_D2_0)
         calls = []
-        original = rational._orthogonal_dual_relations
+        original = rational._diagonal_dual_relation
 
         def counted(ring):
             calls.append(ring)
             return original(ring)
 
-        monkeypatch.setattr(rational, "_orthogonal_dual_relations", counted)
+        monkeypatch.setattr(rational, "_diagonal_dual_relation", counted)
         assert quadratic_dual_dims(p, 6) == [1, 3, 6, 10, 15, 21, 28]
         assert calls == [p.ring]
 
@@ -629,7 +669,7 @@ class TestOrthogonalDualCheck:
         def unreachable(ring):
             raise AssertionError("orthogonal basis built for a weight over budget")
 
-        monkeypatch.setattr(rational, "_orthogonal_dual_relations", unreachable)
+        monkeypatch.setattr(rational, "_diagonal_dual_relation", unreachable)
         assert quadratic_dual_dims(p, 6) == [1, 18]
 
     @pytest.mark.parametrize(
@@ -685,11 +725,20 @@ class TestOrthogonalDualCheck:
         assert weights == len(quadratic_dual_dims(p, 6)) - 2
 
 
+def _dual_relations(ring):
+    """All of R_perp over the orthogonal basis, as ``(letter, letter,
+    coefficient)`` triples: the anticommutators ``eps_i sigma + sigma
+    eps_i``, which the library substitutes, and its diagonal relation."""
+    d = ring.d
+    anticommutators = [[(i, d, 1), (d, i, 1)] for i in range(d)]
+    return anticommutators + [rational._diagonal_dual_relation(ring)]
+
+
 def _dual_weights(p):
     """``_dual_quotients(p, 6)`` weight by weight, as ``(rows, image, dim,
     dim A_{w-1})``: ``rows`` are all of ``A_{w-2} (x) R_perp``, built from
-    every relation of ``_orthogonal_dual_relations`` and the previous map."""
-    relations = rational._orthogonal_dual_relations(p.ring)
+    every relation of :func:`_dual_relations` and the previous map."""
+    relations = _dual_relations(p.ring)
     prev_dim, cur_dim = 1, p.generators
     previous = [{i: 1} for i in range(cur_dim)]
     for image, dim in rational._dual_quotients(p, 6):
@@ -711,36 +760,52 @@ class TestIntegerPath:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 6])
     def test_structure_constants_and_relations_are_int(self, monkeypatch, d):
+        """No Fraction is built from the ring to the dual check, and every
+        row that reaches ``linalg``, the presentation's included, is int."""
         N, b = random_pair(random.Random(d), d)
+        eliminated = []
+        original = linalg._forward
+
+        def recorded(rows):
+            eliminated.append(rows)
+            return original(rows)
 
         def no_fraction(cls, *args, **kwargs):
             raise AssertionError("a Fraction was built on the Koszul route")
 
+        monkeypatch.setattr(linalg, "_forward", recorded)
         monkeypatch.setattr(Fraction, "__new__", no_fraction)
         ring = cohomology_ring(N, b)
         p = quadratic_presentation(ring)
+        presentation_calls = len(eliminated)
         quadratic_dual_dims(p, 6)
         monkeypatch.undo()
         for x in ring.basis:
             for y in ring.basis:
                 assert all(type(c) is int for c in ring.product(x, y).values())
-        assert all(type(c) is int for rel in p.relations for c in rel.values())
+        assert presentation_calls == 1
+        assert all(
+            type(c) is int for rows in eliminated for row in rows for c in row.values()
+        )
 
     def test_presentation_eliminates_once(self, monkeypatch):
+        """One forward elimination of the Sym^2 -> H^4 matrix, and no
+        back-substitution."""
         ring = cohomology_ring(*random_pair(random.Random(3), 3))
-        calls = []
-        original = linalg.rref
+        calls = {"_forward": 0, "rref": 0}
+        for name in calls:
+            original = getattr(linalg, name)
 
-        def counted(rows):
-            calls.append(rows)
-            return original(rows)
+            def counted(rows, name=name, original=original):
+                calls[name] += 1
+                return original(rows)
 
-        monkeypatch.setattr(linalg, "rref", counted)
+            monkeypatch.setattr(linalg, name, counted)
         quadratic_presentation(ring)
-        assert len(calls) == 1
+        assert calls == {"_forward": 1, "rref": 0}
 
     def test_presentation_memory_follows_the_nonzeros(self):
-        # rank 64: 2,080 relations over 2,145 Sym^2 columns, 2,207 nonzeros
+        # rank 64: 65 rows over 2,145 Sym^2 columns, 192 nonzeros; R is not stored
         d = 64
         N = new_four_manifold([[int(i == j) for j in range(d)] for i in range(d)])
         ring = cohomology_ring(N, bundle_from_classes(N, [1] * d, d))

@@ -50,8 +50,7 @@ _D1 = new_four_manifold([[1]])
 D1_RING = cohomology_ring(_D1, bundle_from_classes(_D1, [1], 5))
 
 #: (class, keyword arguments, repr); FGAbelianGroup leaves its defaulted
-#: fields out, and QuadraticPresentation its ring (its ``generators`` is
-#: the ring's d + 1).
+#: fields out.
 RECORDS = [
     (Circle, {}, "Circle()"),
     (Sphere, {"dim": 2}, "Sphere(dim=2)"),
@@ -103,8 +102,8 @@ RECORDS = [
     ),
     (
         QuadraticPresentation,
-        {"relations": ({2: 1, 1: -1},), "ring": D1_RING},
-        "QuadraticPresentation(generators=2, relations=({2: 1, 1: -1},))",
+        {"ring": D1_RING},
+        f"QuadraticPresentation(ring={D1_RING!r})",
     ),
     (
         SullivanModel,
