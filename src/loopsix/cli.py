@@ -85,6 +85,10 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return data
 
 
+#: One decoder for every spec: ``json.loads`` with a hook builds one per call.
+_SPEC_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def load_manifold_spec(path: str | Path) -> tuple[FourManifold, BundleData, str]:
     """Read and validate a manifold spec file; returns (N, bundle, name).
 
@@ -92,9 +96,12 @@ def load_manifold_spec(path: str | Path) -> tuple[FourManifold, BundleData, str]
     ``intersection_form``, ``w2``, ``p1`` and ``name`` are invalid.
     """
     try:
-        # text, not bytes: json.loads would take bytes in UTF-16 or with a BOM
         with open(path, encoding="utf-8") as file:
-            data = json.loads(file.read(), object_pairs_hook=_unique_keys)
+            text = file.read()
+        if text.startswith("\ufeff"):  # json.loads' check, which decode lacks
+            message = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+            raise json.JSONDecodeError(message, text, 0)
+        data = _SPEC_DECODER.decode(text)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except InputError as exc:

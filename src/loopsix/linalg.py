@@ -5,21 +5,22 @@ elimination kernel, ``_forward``, brings rows to echelon form.  Denominators
 are cleared once on entry; rows are then combined by cross-multiplication
 and kept primitive, so no Fraction is ever formed and the entries stay
 small.  ``rank`` is its pivot count; :func:`rref` adds one back-substitution
-pass, and ``nullspace`` is read off ``rref``.  ``det_int`` is Bareiss on a
-square dense matrix.
+pass, and ``quotient_map`` reads the quotient by the row space, column by
+column, off ``rref``: transposed, that map is a basis of the right kernel.
+``det_int`` is Bareiss on a square dense matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError
 
 Rational = int | Fraction
 #: A sparse row: column index -> nonzero entry.  ``rref`` and ``rank`` also
-#: take Fraction entries; every row they and ``nullspace`` return is integer.
+#: take Fraction entries; every row they and ``quotient_map`` return is integer.
 Row = dict[int, int]
 
 
@@ -128,27 +129,33 @@ def rank(rows: list[Row]) -> int:
     return len(_forward(rows))
 
 
-def nullspace(rows: list[Row], ncols: int) -> list[Row]:
-    """Integer basis of the right kernel ``{v : M v = 0}`` of the matrix
-    with these rows and ``ncols`` columns.
+def quotient_map(
+    rows: list[Row], columns: Iterable[int], unit: int
+) -> tuple[dict[int, Row], list[int]]:
+    """The quotient of the span of ``columns``, which hold every entry of
+    the rows, by the row space, read off :func:`rref`: returns (map, pivots).
 
-    One sparse row per free column ``f`` of :func:`rref`, free columns
-    ascending: ``L_f`` at ``f``, zero at the other free columns, and
-    ``-(L_f // r_p[p]) * r_p[f]`` at the pivot p of each row ``r_p``.
-    ``L_f`` is the lcm of the pivot entries of the rows that reach f.
+    One coordinate per free column f, in the order of ``columns``.  Column
+    f maps to ``L_f`` there, and the pivot p of each row ``r_p`` to ``-(L_f
+    // r_p[p]) * r_p[f]``, with ``L_f`` the lcm of ``unit`` and the pivot
+    entries of the rows that reach f.  Transposed, the map is an integer
+    basis of the right kernel ``{v : M v = 0}``.
     """
     reduced, pivots = rref(rows)
-    scale = dict.fromkeys(sorted(set(range(ncols)).difference(pivots)), 1)
-    for p, row in zip(pivots, reduced):
-        for c in row:
-            if c != p:
-                scale[c] = lcm(scale[c], row[p])
-    basis = {f: {f: x} for f, x in scale.items()}
-    for p, row in zip(pivots, reduced):
-        for f, x in row.items():
-            if f != p:
-                basis[f][p] = -(scale[f] // row[p]) * x
-    return list(basis.values())
+    echelon = dict(zip(pivots, reduced))
+    scale: dict[int, int] = {}
+    for p, r in echelon.items():
+        for c in r:
+            scale[c] = lcm(scale.get(c, unit), r[p])
+    image: dict[int, Row] = {}
+    coord: dict[int, int] = {}
+    for c in columns:
+        if c not in echelon:
+            coord[c] = q = len(coord)
+            image[c] = {q: scale.get(c, unit)}
+    for p, r in echelon.items():
+        image[p] = {coord[c]: -(scale[c] // r[p]) * x for c, x in r.items() if c != p}
+    return image, pivots
 
 
 def integer_primitive(vector: Sequence[Rational]) -> list[int]:

@@ -298,32 +298,32 @@ def cohomology_ring(N: FourManifold, b: BundleData) -> SixManifoldRing:
     xs = [f"x{i+1}" for i in range(d)]
     txs = [f"t*x{i+1}" for i in range(d)]
     basis = ("1", *xs, "t", *txs, "y", "top")
-    degrees = {"1": 0, "t": 2, "y": 4, "top": 6}
-    for x in xs:
-        degrees[x] = 2
-    for tx in txs:
-        degrees[tx] = 4
+    degrees = {"1": 0, "t": 2, "y": 4, "top": 6, **dict.fromkeys(xs, 2)}
+    degrees.update(dict.fromkeys(txs, 4))
 
-    q_alpha = [sum(Q[i][j] * alpha[j] for j in range(d)) for i in range(d)]
-
+    # one pass over Q and alpha, storing only nonzero products
     table: dict[tuple[str, str], dict[str, int]] = {}
-
-    def put(a: str, c: str, value: dict[str, int]) -> None:
-        entry = {k: v for k, v in value.items() if v != 0}
-        if entry:
-            table[(a, c)] = table[(c, a)] = entry
-
     for a in basis:
-        put("1", a, {a: 1})
-    for i, xi in enumerate(xs):
-        for j in range(i, d):
-            put(xi, xs[j], {"y": Q[i][j]})
-        put(xi, "t", {txs[i]: 1})
-        for j, txj in enumerate(txs):
-            put(xi, txj, {"top": Q[i][j]})
-    put("t", "t", {**{txs[i]: alpha[i] for i in range(d)}, "y": b.ell})
-    for i, txi in enumerate(txs):
-        put("t", txi, {"top": q_alpha[i]})
-    put("t", "y", {"top": 1})
+        table["1", a] = table[a, "1"] = {a: 1}
+    tt: dict[str, int] = {}  # t^2
+    for i, (xi, txi, row, a) in enumerate(zip(xs, txs, Q, alpha)):
+        for xj, q in zip(xs[i:], row[i:]):
+            if q:
+                table[xi, xj] = table[xj, xi] = {"y": q}
+        table[xi, "t"] = table["t", xi] = {txi: 1}
+        q_alpha = 0
+        for txj, q, aj in zip(txs, row, alpha):
+            if q:
+                table[xi, txj] = table[txj, xi] = {"top": q}
+                q_alpha += q * aj
+        if q_alpha:
+            table["t", txi] = table[txi, "t"] = {"top": q_alpha}
+        if a:
+            tt[txi] = a
+    if b.ell:
+        tt["y"] = b.ell
+    if tt:
+        table["t", "t"] = tt
+    table["t", "y"] = table["y", "t"] = {"top": 1}
 
     return SixManifoldRing(d=d, basis=basis, _degrees=degrees, _table=table)

@@ -28,8 +28,9 @@ Lie elements, so the dual is an enveloping algebra, and by PBW right
 multiplication by sigma is injective on it.  Each anticommutator therefore
 rewrites ``(b sigma) eps_i`` as ``-(b eps_i) sigma`` with no elimination,
 and only the diagonal relation's rows, with that substitution made, reach
-``linalg``: ``nullspace`` for each weight's quotient map and ``rank``, which
-stops at echelon form, for the last weight (:func:`_dual_quotients`).  A
+``linalg``: each weight's quotient map is read off their echelon form
+(``quotient_map``), column by column, and ``rank``, which stops at echelon
+form, counts the last weight (:func:`_dual_quotients`).  A
 Sullivan model's monomials come from one iterative walk, so its generator
 count meets no recursion limit.
 """
@@ -45,7 +46,7 @@ from typing import Iterable, Iterator, Literal, Mapping, Sequence
 from ._record import Frozen, Record
 from .errors import InputError, UnsupportedError
 from .homotopy import LoopFactorMultiset, loop_factors
-from .linalg import Rational, Row, integer_primitive, nullspace, rank
+from .linalg import Rational, Row, integer_primitive, quotient_map, rank
 from .manifold import BundleData, FourManifold, SixManifoldRing, cohomology_ring
 from .series import GradedLieDims, TruncatedSeries, _expand, pbw_invert
 
@@ -183,16 +184,18 @@ def _orthogonal_basis(ring: SixManifoldRing) -> tuple[list[Row], list[int], Row]
     basis = []
     squares = []
     while rest:
-        k = next((k for k, v in enumerate(rest) if dot(v, q_times(v))), None)
-        if k is None:
+        for k, e in enumerate(rest):  # Q.v once per candidate
+            qe = q_times(e)
+            if dot(e, qe):
+                break
+        else:
             # the form is nondegenerate on their span: rest[0] pairs with some
             # rest[j], and then rest[0] + rest[j] is not isotropic
             first = q_times(rest[0])
             j = next(j for j, v in enumerate(rest) if dot(first, v))
-            rest[0] = [a + b for a, b in zip(rest[0], rest[j])]
-            k = 0
-        e = rest.pop(k)
-        qe = q_times(e)
+            k, e = 0, [a + b for a, b in zip(rest[0], rest[j])]
+            qe = q_times(e)
+        del rest[k]
         q = dot(e, qe)
         for n, v in enumerate(rest):
             c = dot(v, qe)
@@ -258,13 +261,16 @@ def _dual_quotients(
     b, eps_j)`` plus ``image(basis_b eps_j)`` in the sigma block.  Their
     pivots are distinct, so these rows are never built: a diagonal row's
     entry at such a column is replaced by ``-1/s_b`` times that image, in
-    the sigma block.  The next map is the transposed ``nullspace`` of the
-    diagonal rows on the other columns, and sends each pivot column to the
-    same combination of the sigma block's coordinates.  Rows and maps are
-    scaled by the lcm of the ``s_b``, so every entry is an integer.  The
-    last weight's dimension is ``ncols - d * dim A_{w-2} - rank(diagonal
-    rows)``.  A sigma-block pivot, which the argument rules out, raises
-    :class:`KoszulInconsistency`.
+    the sigma block.  The next map is read off the diagonal rows on the
+    other columns, the only ones they reach, by one
+    :func:`~loopsix.linalg.quotient_map`, and sends each anticommutator
+    column to that combination of the sigma block's coordinates.  Rows are
+    scaled by the lcm of the ``s_b``, and every coordinate scale of the map
+    is a multiple of it (the read-off's ``unit``), so every entry is an
+    integer and the scales do not compound from weight to weight.  The last
+    weight's dimension is ``ncols - d * dim A_{w-2} - rank(diagonal
+    rows)``.  A pivot of the read-off in the sigma block, which the
+    argument rules out, raises :class:`KoszulInconsistency`.
     """
     g = p.generators
     # weight 2 alone spans g * g columns
@@ -303,30 +309,21 @@ def _dual_quotients(
             # the last weight checked: its dimension needs no quotient map
             yield None, ncols - d * prev_dim - rank(rows)
             return
-        # one kernel vector per free column, its largest; the anticommutator
-        # pivots are free here, with unit vectors, and are skipped
-        following: list[Row] = [{} for _ in range(ncols)]
-        q = sigma_free = 0
-        for vector in nullspace(rows, ncols):
-            free = max(vector)
-            if free < sigma and free % cur_dim >= first:
-                continue
-            sigma_free += free >= sigma
-            for c, x in vector.items():
-                following[c][q] = scale * x
-            q += 1
-        if sigma_free != cur_dim:
+        # the anticommutator columns (first + a, eps_j) are in no row
+        columns = [c for c in range(ncols) if c >= sigma or c % cur_dim < first]
+        following, pivots = quotient_map(rows, columns, scale)
+        if pivots and pivots[-1] >= sigma:
             raise KoszulInconsistency(
                 f"right multiplication by sigma is not injective at weight {w}"
             )
         for j in range(d):
-            for a in range(prev_dim):
-                col = following[j * cur_dim + first + a]
+            for a, s in enumerate(scales):
+                following[j * cur_dim + first + a] = col = {}
                 for u, x in image[j * prev_dim + a].items():
                     ((v, y),) = following[sigma + u].items()
-                    col[v] = -(x * y // scales[a])
-        image = following
-        prev_dim, cur_dim = cur_dim, q
+                    col[v] = -(x * y // s)
+        image = [following[c] for c in range(ncols)]
+        prev_dim, cur_dim = cur_dim, ncols - d * prev_dim - len(pivots)
         yield image, cur_dim
 
 

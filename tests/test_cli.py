@@ -472,23 +472,23 @@ class TestStrictSpecTypes:
         assert run(["describe", str(spec_path)])[0] == 0
 
     @pytest.mark.parametrize(
-        "content",
+        "content, message",
         [
-            b'{"intersection_form": [], "p1": 4, "name": "\xff"}',
-            b'{"intersection_form": [], "p1": 4' + b"0" * 4300 + b"}",
-            b"[" * 100_000 + b"]" * 100_000,
-            b"\xef\xbb\xbf" + b'{"intersection_form": [], "p1": 4}',
-            '{"intersection_form": [], "p1": 4}'.encode("utf-16"),
+            (b'{"intersection_form": [], "p1": 4, "name": "\xff"}', "can't decode byte 0xff"),
+            (b'{"intersection_form": [], "p1": 4' + b"0" * 4300 + b"}", "4300 digits"),
+            (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth"),
+            (b"\xef\xbb\xbf" + b'{"intersection_form": [], "p1": 4}', "Unexpected UTF-8 BOM"),
+            ('{"intersection_form": [], "p1": 4}'.encode("utf-16"), "'utf-8' codec can't decode"),
         ],
         ids=["not_utf8", "integer_past_digit_limit", "nesting_past_recursion_limit",
              "utf8_bom", "utf16"],
     )
-    def test_unreadable(self, tmp_path, content):
+    def test_unreadable(self, tmp_path, content, message):
         spec_path = tmp_path / "spec.json"
         spec_path.write_bytes(content)
         code, out = run(["describe", str(spec_path)])
         assert code == 2
-        assert "InputError" in out and str(spec_path) in out
+        assert "InputError" in out and str(spec_path) in out and message in out
 
     @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
     def test_newlines_read_as_in_text_mode(self, tmp_path, newline):

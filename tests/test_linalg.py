@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from loopsix import linalg, rational
-from loopsix.linalg import nullspace, rank, rref
+from loopsix.linalg import quotient_map, rank, rref
 from loopsix.manifold import bundle_from_classes, new_four_manifold
 from loopsix.rational import (
     _d_monomial,
@@ -29,6 +29,18 @@ def reference_rank(rows):
 
 def same_span(a, b):
     return reference_rank(a) == reference_rank(b) == reference_rank(a + b)
+
+
+def read_off_basis(rows, columns, unit=1):
+    """The map :func:`quotient_map` reads off on ``columns``, transposed:
+    one dense vector per coordinate, indexed by position in ``columns``."""
+    image, pivots = quotient_map(rows, columns, unit)
+    assert sorted(image) == sorted(columns)
+    basis = [[0] * len(columns) for _ in range(len(columns) - len(pivots))]
+    for k, c in enumerate(columns):
+        for q, x in image[c].items():
+            basis[q][k] = x
+    return basis
 
 
 def random_matrix(rng, nrows, ncols, rank_bound):
@@ -114,11 +126,12 @@ class TestAgainstFractionElimination:
         assert rank(sparse(rows)) == reference_rank(rows)
 
     def test_nullspace_spans_the_kernel(self, rows):
+        """Transposed, the map :func:`quotient_map` reads off is an integer
+        basis of the right kernel."""
         ncols = len(rows[0])
-        basis = nullspace(sparse(rows), ncols)
-        assert all(isinstance(x, int) and x for v in basis for x in v.values())
-        assert all(0 <= c < ncols for v in basis for c in v)
-        basis = [[v.get(c, 0) for c in range(ncols)] for v in basis]
+        image, _ = quotient_map(sparse(rows), range(ncols), 1)
+        assert all(isinstance(x, int) and x for v in image.values() for x in v.values())
+        basis = read_off_basis(sparse(rows), list(range(ncols)))
         assert all(
             sum((a * x for a, x in zip(row, v)), Fraction(0)) == 0
             for row in rows
@@ -136,7 +149,21 @@ def test_d1_model_has_non_integral_entries():
 def test_empty_and_zero_matrices():
     assert rref([]) == ([], [])
     assert rank(sparse([[0, 0], [Fraction(0), 0]])) == 0
-    assert nullspace([], 2) == [{0: 1}, {1: 1}]
+    assert quotient_map([], range(2), 1) == ({0: {0: 1}, 1: {1: 1}}, [])
+    assert same_span(read_off_basis([], [0, 1]), nullspace_by_fractions([], 2))
+
+
+def test_quotient_map_coordinates():
+    """A column left out of ``columns`` gets no image, the coordinates
+    number the free columns in the order given, and each coordinate's scale
+    is the lcm of ``unit`` and the pivot entries of the rows reaching it."""
+    rows = [{0: 1, 3: 2}, {1: 1, 3: -1}]
+    image, pivots = quotient_map(rows, [0, 1, 3, 4], 1)
+    assert pivots == [0, 1]
+    assert image == {3: {0: 1}, 4: {1: 1}, 0: {0: -2}, 1: {0: 1}}
+    assert quotient_map([{0: 2, 2: 1}], [0, 2], 1) == ({2: {0: 2}, 0: {0: -1}}, [0])
+    assert quotient_map([{0: 2, 2: 1}], [0, 2], 3) == ({2: {0: 6}, 0: {0: -3}}, [0])
+    assert quotient_map([{0: 2, 2: 1}], [0, 2], 4) == ({2: {0: 4}, 0: {0: -2}}, [0])
 
 
 def test_input_is_not_modified():
@@ -161,26 +188,33 @@ def test_rows_reduce_only_at_their_leading_column(monkeypatch):
 
 @pytest.mark.parametrize("p", spec_and_random_presentations(6))
 def test_rank_is_the_rref_pivot_count_on_dual_check_matrices(monkeypatch, p):
-    """On the matrices the dual check hands to ``rank`` and ``nullspace``,
-    ``rank`` is the pivot count of ``rref``, and ``nullspace``, where each
-    quotient map comes from, spans the kernel of the Fraction reference."""
-    ranked, kernels = [], []
+    """On the matrices the dual check hands to ``rank`` and ``quotient_map``,
+    ``rank`` is the pivot count of ``rref``, and the read-off, where each
+    quotient map comes from, transposed spans the kernel of the Fraction
+    reference on the columns it was given (on all columns up to the last
+    one a row reaches, for the ranked matrix)."""
+    ranked, read = [], []
 
     def ranking(rows):
         ranked.append(rows)
         return rank(rows)
 
-    def kernel(rows, ncols):
-        kernels.append((rows, ncols))
-        return nullspace(rows, ncols)
+    def reading(rows, columns, unit):
+        read.append((rows, list(columns), unit))
+        return quotient_map(rows, columns, unit)
 
     monkeypatch.setattr(rational, "rank", ranking)
-    monkeypatch.setattr(rational, "nullspace", kernel)
+    monkeypatch.setattr(rational, "quotient_map", reading)
     quadratic_dual_dims(p, 6)
-    assert len(ranked) == 1 and kernels
-    for rows, ncols in kernels:
+    assert len(ranked) == 1 and read
+    last = ranked[0]
+    read.append((last, list(range(1 + max((c for row in last for c in row), default=-1))), 1))
+    for rows, columns, unit in read:
         assert rank(rows) == len(rref(rows)[1])
-        basis = [[v.get(c, 0) for c in range(ncols)] for v in nullspace(rows, ncols)]
-        dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
-        assert same_span(basis, nullspace_by_fractions(dense, ncols))
-    assert rank(ranked[0]) == len(rref(ranked[0])[1])
+        position = {c: k for k, c in enumerate(columns)}
+        dense = [[0] * len(columns) for _ in rows]
+        for row, out in zip(rows, dense):
+            for c, x in row.items():
+                out[position[c]] = x
+        basis = read_off_basis(rows, columns, unit)
+        assert same_span(basis, nullspace_by_fractions(dense, len(columns)))

@@ -710,6 +710,21 @@ class TestOrthogonalDualCheck:
             checked += 1
         assert checked == QUOTIENT_MAPS[p.ring.d]
 
+    def test_map_entries_do_not_compound(self):
+        """On this presentation the sigma-type scales exceed 1 (the diagonal
+        relation is ``5 eps_1 eps_1 + 5 eps_2 eps_2 + sigma sigma``).  Every
+        coordinate scale of a map is a multiple of their lcm, not that lcm
+        times its own, so the largest entry stays at 25 through weight 5;
+        multiplying each map by the lcm would grow it as 5, 125, 625,
+        15,625."""
+        p = quadratic_presentation(cohomology_ring(*random_pair(random.Random(2), 2)))
+        largest = [
+            max(abs(x) for column in image for x in column.values())
+            for image, _ in rational._dual_quotients(p, 6)
+            if image is not None
+        ]
+        assert len(largest) == QUOTIENT_MAPS[2] and max(largest) <= 25
+
     @pytest.mark.parametrize("p", spec_and_random_presentations(6))
     def test_no_sigma_column_is_a_pivot(self, p):
         """Right multiplication by sigma, the last letter, is injective: at
