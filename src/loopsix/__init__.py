@@ -43,12 +43,10 @@ from .homotopy import (
 )
 from .manifold import (
     BundleData,
-    CellStructureD0,
     FourManifold,
     SixManifoldRing,
     bundle_from_classes,
     cohomology_ring,
-    d0_cell_structure,
     is_spin,
     loop_rigidity_equivalent,
     new_four_manifold,

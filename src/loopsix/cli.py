@@ -28,7 +28,6 @@ from .manifold import (
     FourManifold,
     bundle_from_classes,
     cohomology_ring,
-    d0_cell_structure,
     is_spin,
     loop_rigidity_equivalent,
     new_four_manifold,
@@ -172,7 +171,7 @@ def _one_spec(body: Callable[..., Output]):
             f"w2: {json.dumps(w2)}  p1: {b.p1}  alpha: {json.dumps(alpha)}  ell: {b.ell}",
         ]
         if N.d == 0:
-            case = block["k"] = d0_cell_structure(b).k
+            case = block["k"] = abs(b.ell)
             lines.append(f"k: {case}")
         else:
             case = homotopy.y_space_report(N, b)

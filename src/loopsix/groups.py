@@ -63,6 +63,8 @@ class FGAbelianGroup(Record):
     counts: tuple[tuple[tuple[int, int], int], ...]
 
     def __init__(self, free_rank, counts=()) -> None:
+        if type(free_rank) is not int or free_rank < 0:
+            raise InputError(f"free rank must be a non-negative int, got {free_rank!r}")
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "counts", counts)
 

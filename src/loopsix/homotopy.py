@@ -36,7 +36,6 @@ from .manifold import (
     BundleData,
     FourManifold,
     WrongDimension,
-    d0_cell_structure,
     is_spin,
     pairing_parity,
 )
@@ -365,10 +364,15 @@ def y_space_report(N: FourManifold, b: BundleData) -> YSpaceReport:
 def analyze_circle_bundle(b: BundleData) -> dict:
     """Cell data of the circle-bundle 7-manifold X over M when d = 0.
 
-    For ``k != 0`` the total space is a Moore space P^4(k) with a 7-cell
-    attached; for ``k = 0`` it is S^3 x S^4.
+    M is ``S^2 u_{k eta} e^4 u e^6`` with ``k = |ell|``: every invariant read
+    off downstream (the order of pi_3, the prime factors entering the
+    decomposition) depends only on ``|k|``, and orientation-sensitive signs
+    are out of scope.  For ``k != 0`` the total space is a Moore space
+    P^4(k) with a 7-cell attached; for ``k = 0`` it is S^3 x S^4.
     """
-    k = d0_cell_structure(b).k
+    if b.d != 0:
+        raise WrongDimension(f"cell structure of this form needs d=0, got d={b.d}")
+    k = abs(b.ell)
     if k == 0:
         return {"k": 0, "cells": "S^3 x S^4"}
     return {"k": k, "cells": f"P^4({k}) u e^7", "moore_space_order": k, "top_cell": 7}

@@ -191,28 +191,6 @@ def pairing_parity(N: FourManifold, beta: Sequence[int]) -> Literal["odd", "even
     return "odd" if parity else "even"
 
 
-class CellStructureD0(Record):
-    """Cell structure ``S^2 u_{k eta} e^4 u e^6`` of M over the 4-sphere."""
-
-    __slots__ = ("k",)
-    k: int
-
-    def __init__(self, k) -> None:
-        object.__setattr__(self, "k", k)
-
-
-def d0_cell_structure(b: BundleData) -> CellStructureD0:
-    """Attaching number of the middle cell for bundles over the 4-sphere.
-
-    Normalized to ``k = |ell|``: every invariant read off downstream (the
-    order of pi_3, the prime factors entering the decomposition) depends only
-    on ``|k|``, and orientation-sensitive signs are out of scope.
-    """
-    if b.d != 0:
-        raise WrongDimension(f"cell structure of this form needs d=0, got d={b.d}")
-    return CellStructureD0(k=abs(b.ell))
-
-
 def loop_rigidity_equivalent(
     a: tuple[FourManifold, BundleData], b: tuple[FourManifold, BundleData]
 ) -> bool:

@@ -57,7 +57,8 @@ WITNESS_DEGREE = 8
 DUAL_CHECK_WEIGHT = 6
 # ... and stops early once a weight would need more columns than this, since
 # exact elimination beyond desk scale is pointless for a consistency check
-# (it reaches weight 6 at d = 2, 4 at d = 3, 3 at d = 4 and 6, 2 at d = 10, 16).
+# (it reaches weight 6 at d = 2, 4 at d = 3 and 3 at d = 4-6; from d = 7 on
+# weight 3 does not fit, and weights <= 2 need no check, so it runs none).
 DUAL_COLUMN_BUDGET = 320
 
 
@@ -234,13 +235,17 @@ def _dual_quotients(
 ) -> Iterator[tuple[list[Row] | None, int]]:
     """The dual algebra ``A = T(V*)/(R_perp)`` weight by weight.
 
-    For each weight w from 2 through ``max_weight`` whose ``dim A_{w-1} *
-    g`` columns fit :data:`DUAL_COLUMN_BUDGET`, yields ``(image, dim
-    A_w)``: ``image[c]`` holds the coordinates in ``A_w`` of column c of
-    ``A_{w-1} (x) V*``, a map whose kernel is the image of ``A_{w-2} (x)
-    R_perp``.  The last weight's dimension is counted without a map, and
-    its ``image`` is None.  Columns are last-letter-major: ``basis_u (x)
-    f_j`` is column ``j * dim A_{w-1} + u``, with ``sigma`` the last letter.
+    Weights <= 2 are fixed once Sym^2 V -> H^4 is onto, which
+    :func:`quadratic_presentation` checked, so nothing is yielded unless
+    ``max_weight >= 3`` and weight 3's ``(g^2 - g) g`` columns fit
+    :data:`DUAL_COLUMN_BUDGET` (d <= 6).  Then, for each weight w from 2
+    through ``max_weight`` whose ``dim A_{w-1} * g`` columns fit, yields
+    ``(image, dim A_w)``: ``image[c]`` holds the coordinates in ``A_w`` of
+    column c of ``A_{w-1} (x) V*``, a map whose kernel is the image of
+    ``A_{w-2} (x) R_perp``.  The last weight, 3 or above, is counted
+    without a map, and its ``image`` is None.  Columns are
+    last-letter-major: ``basis_u (x) f_j`` is column ``j * dim A_{w-1} +
+    u``, with ``sigma`` the last letter.
 
     Only the ``dim A_{w-2}`` rows of the diagonal relation reach
     :mod:`~loopsix.linalg`.  Every relation is a Lie element: the
@@ -273,8 +278,8 @@ def _dual_quotients(
     argument rules out, raises :class:`KoszulInconsistency`.
     """
     g = p.generators
-    # weight 2 alone spans g * g columns
-    if max_weight < 2 or g * g > DUAL_COLUMN_BUDGET:
+    # weights <= 2 hold once Sym^2 V -> H^4 is onto; weight 3 spans (g^2 - g) g
+    if max_weight < 3 or (g * g - g) * g > DUAL_COLUMN_BUDGET:
         return
     diagonal = _diagonal_dual_relation(p.ring)
     d = g - 1
@@ -331,8 +336,11 @@ def quadratic_dual_dims(p: QuadraticPresentation, max_weight: int) -> list[int]:
     """Dimensions of the quadratic dual algebra, degree by degree.
 
     Weight w is the quotient of ``A_{w-1} (x) V*`` by the image of ``A_{w-2}
-    (x) R_perp``.  Stops early (returning what it has) once the working
-    dimension exceeds :data:`DUAL_COLUMN_BUDGET`.  It runs in the orthogonal
+    (x) R_perp``.  Weights 0 and 1 are ``1`` and ``d + 1``; weight 2 and
+    beyond are computed only where weight 3 is reached (``max_weight >= 3``
+    and d <= 6), and otherwise the list stops at weight 1.  Stops early
+    (returning what it has) once the working dimension exceeds
+    :data:`DUAL_COLUMN_BUDGET`.  It runs in the orthogonal
     basis of the presentation's ring, where the dual is an enveloping
     algebra and right multiplication by sigma is injective (PBW), so only
     the diagonal relation's rows are eliminated (see :func:`_dual_quotients`).
@@ -350,9 +358,11 @@ def koszul_dual_series(
 
     With ``check=True`` the result is validated two ways: all coefficients
     must be nonnegative, and they must match the directly computed quadratic
-    dual dimensions through ``min(cutoff, DUAL_CHECK_WEIGHT)`` (subject to
-    :data:`DUAL_COLUMN_BUDGET`).  ``check=False`` returns the naive series
-    unverified, which is what ``koszul`` prints at d = 1.
+    dual dimensions through ``min(cutoff, DUAL_CHECK_WEIGHT)``.  Subject to
+    :data:`DUAL_COLUMN_BUDGET`, that direct check runs at d <= 6 and cutoff
+    >= 3; elsewhere it compares weights 0 and 1 only, which hold by
+    construction.  ``check=False`` returns the naive series unverified,
+    which is what ``koszul`` prints at d = 1.
     """
     alternated = [-c if n % 2 else c for n, c in enumerate(p.ring.betti())]
     dual = TruncatedSeries(tuple(_expand((1,), alternated, cutoff)))

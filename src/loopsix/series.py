@@ -60,6 +60,7 @@ class TruncatedSeries(Record):
     """A formal power series known exactly through degree ``cutoff``.
 
     ``coeffs[n]`` is the degree-n coefficient; ``len(coeffs) == cutoff + 1``.
+    Each is an ``int`` or a ``Fraction``, as :func:`_exact` requires.
     """
 
     __slots__ = ("coeffs",)
@@ -68,6 +69,9 @@ class TruncatedSeries(Record):
     def __init__(self, coeffs) -> None:
         if not coeffs:
             raise ValueError("a series needs at least its constant term")
+        for c in coeffs:
+            if type(c) is not int and not isinstance(c, Fraction):
+                raise ValueError(f"expected an int or Fraction, got {type(c).__name__}")
         object.__setattr__(self, "coeffs", coeffs)
 
     # -- constructors ----------------------------------------------------

@@ -443,7 +443,8 @@ def quadratic_dual_dims_by_fractions(p, max_weight, column_budget=320):
     g = p.generators
     dual_relations = dual_relation_space_by_fractions(p)
     dims = [1, g]
-    if max_weight < 2:
+    # the library's entry rule: start only where weight 3 is reachable
+    if max_weight < 3 or (g * g - g) * g > column_budget:
         return dims[: max_weight + 1]
     prev_dim, cur_dim = 1, g
     mult = [[[Fraction(int(r == i)) for r in range(g)]] for i in range(g)]

@@ -5,6 +5,7 @@ from itertools import product as iter_product
 import pytest
 
 from loopsix import UnsupportedCase
+from loopsix.homotopy import analyze_circle_bundle
 from loopsix.errors import InputError
 from loopsix.linalg import det_int
 from loopsix.manifold import (
@@ -16,7 +17,6 @@ from loopsix.manifold import (
     WrongDimension,
     bundle_from_classes,
     cohomology_ring,
-    d0_cell_structure,
     is_spin,
     loop_rigidity_equivalent,
     new_four_manifold,
@@ -199,14 +199,14 @@ class TestPairingParity:
 class TestD0Cells:
     def test_values(self):
         N = new_four_manifold([])
-        assert d0_cell_structure(bundle_from_classes(N, [], 4)).k == 1
-        assert d0_cell_structure(bundle_from_classes(N, [], 0)).k == 0
-        assert d0_cell_structure(bundle_from_classes(N, [], -60)).k == 15
+        assert analyze_circle_bundle(bundle_from_classes(N, [], 4))["k"] == 1
+        assert analyze_circle_bundle(bundle_from_classes(N, [], 0))["k"] == 0
+        assert analyze_circle_bundle(bundle_from_classes(N, [], -60))["k"] == 15
 
     def test_wrong_dimension(self):
         N = new_four_manifold([[1]])
         with pytest.raises(WrongDimension):
-            d0_cell_structure(bundle_from_classes(N, [1], 5))
+            analyze_circle_bundle(bundle_from_classes(N, [1], 5))
 
 
 class TestRigidity:

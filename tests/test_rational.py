@@ -664,13 +664,18 @@ class TestOrthogonalDualCheck:
         assert calls == [p.ring]
 
     def test_over_budget_builds_no_orthogonal_basis(self, monkeypatch):
-        p = quadratic_presentation(cohomology_ring(*random_pair(random.Random(17), 17)))
+        """Weights <= 2 hold by construction, so the check starts only where
+        weight 3 fits the budget: from rank 7 on, or below weight 3, it
+        builds nothing."""
 
         def unreachable(ring):
             raise AssertionError("orthogonal basis built for a weight over budget")
 
         monkeypatch.setattr(rational, "_diagonal_dual_relation", unreachable)
-        assert quadratic_dual_dims(p, 6) == [1, 18]
+        for d, max_weight in [(17, 6), (16, 6), (10, 6), (7, 6), (2, 2)]:
+            pair = random_pair(random.Random(d), d)
+            p = quadratic_presentation(cohomology_ring(*pair))
+            assert quadratic_dual_dims(p, max_weight) == [1, d + 1]
 
     @pytest.mark.parametrize(
         "spec, calls",

@@ -28,7 +28,6 @@ from loopsix.homotopy import (
 from loopsix.linalg import det_int
 from loopsix.manifold import (
     BundleData,
-    CellStructureD0,
     FourManifold,
     SixManifoldRing,
     bundle_from_classes,
@@ -94,7 +93,6 @@ RECORDS = [
         dict(w2=(1, 0), p1=5, alpha=(1, 0), ell=1),
         "BundleData(w2=(1, 0), p1=5, alpha=(1, 0), ell=1)",
     ),
-    (CellStructureD0, {"k": 3}, "CellStructureD0(k=3)"),
     (
         SixManifoldRing,
         dict(d=0, basis=("1", "y"), _degrees={"1": 0, "y": 4}, _table={}),
@@ -204,12 +202,27 @@ def test_classes_with_equal_fields_differ():
          "Lie dimensions must be integers"),
         (lambda: FGAbelianGroup.from_orders(4.5, 2), InputError,
          "group orders and free rank must be integers"),
+        (lambda: FGAbelianGroup(2.5), InputError,
+         "free rank must be a non-negative int, got 2.5"),
+        (lambda: FGAbelianGroup(True), InputError,
+         "free rank must be a non-negative int, got True"),
+        (lambda: FGAbelianGroup(-1), InputError,
+         "free rank must be a non-negative int, got -1"),
+        (lambda: FGAbelianGroup.from_orders(free_rank=-2), InputError,
+         "free rank must be a non-negative int, got -2"),
+        (lambda: TruncatedSeries((1.5, 1)), ValueError,
+         "expected an int or Fraction, got float"),
+        (lambda: TruncatedSeries((1, True)), ValueError,
+         "expected an int or Fraction, got bool"),
         (lambda: det_int([[1.5]]), InputError, "matrix entries must be integers"),
     ],
     ids=["Sphere", "SphereModN", "TruncatedSeries", "GradedLieDims", "Sphere-float",
          "Sphere-bool", "SphereModN-float", "TruncatedSeries-bool",
          "GradedLieDims-inexact", "GradedLieDims-float", "GradedLieDims-bool",
-         "pbw_expand-float", "FGAbelianGroup-float", "det_int-float"],
+         "pbw_expand-float", "FGAbelianGroup-float", "FGAbelianGroup-rank-float",
+         "FGAbelianGroup-rank-bool", "FGAbelianGroup-rank-negative",
+         "FGAbelianGroup-from-orders-negative", "TruncatedSeries-float",
+         "TruncatedSeries-bool-coefficient", "det_int-float"],
 )
 def test_constructor_checks(build, error, message):
     with pytest.raises(error) as info:
