@@ -297,7 +297,6 @@ def _rational(args, N: FourManifold, b: BundleData, case) -> Output:
         "rationally_elliptic": elliptic,
     }
     warnings = list(homotopy.extension_notes(N, b))
-    checked = min(args.cutoff, rational.WITNESS_DEGREE)
     more = []
     if N.d == 0:
         coformal = _d0_type(b)[1]
@@ -308,9 +307,7 @@ def _rational(args, N: FourManifold, b: BundleData, case) -> Output:
             # one Koszul check at the full cutoff; the witness reuses it
             presentation = rational.quadratic_presentation(cohomology_ring(N, b))
             dual_ranks = rational.lie_dims(presentation, args.cutoff)
-            report = rational._coformal_report(
-                dual_ranks.truncate(checked), ranks.truncate(checked), checked
-            )
+            report = rational._coformal_report(dual_ranks, ranks)
             result["koszul_ranks"] = list(dual_ranks.dims)
             result["two_path_agreement"] = dual_ranks == ranks
             more = [

@@ -25,3 +25,10 @@ class UnsupportedError(LoopSixError):
 
 class UnsupportedCase(UnsupportedError):
     """A case the decomposition machinery deliberately refuses to handle."""
+
+
+def _require_int(value, name: str, *, optional: bool = False) -> None:
+    """Refuse a degree bound or count that is not an exact ``int``: a
+    ``bool`` or a ``float`` is not coerced.  ``optional`` also allows None."""
+    if type(value) is not int and not (optional and value is None):
+        raise InputError(f"{name} must be an int, got {value!r}")

@@ -24,7 +24,7 @@ from pathlib import Path
 from types import MappingProxyType
 
 from ._record import Frozen, Record
-from .errors import InputError, UnsupportedError
+from .errors import InputError, UnsupportedError, _require_int
 from .homotopy import LoopFactorMultiset
 from .series import _prime_powers
 
@@ -250,6 +250,8 @@ def _read_table(file_path: Path) -> SphereTable:
 
 def pi_sphere(table: SphereTable, n: int, k: int) -> FGAbelianGroup:
     """pi_k(S^n): forced values below the diagonal, table lookup above."""
+    _require_int(n, "sphere dimension")
+    _require_int(k, "degree")
     if n < 1 or k < 1:
         raise InputError("sphere dimension and degree must be >= 1")
     if k < n:
@@ -269,6 +271,7 @@ def pi_manifold(
     factors: LoopFactorMultiset, table: SphereTable, k: int
 ) -> FGAbelianGroup:
     """pi_k(M) = pi_{k-1}(Loop M), summed over the decomposition factors."""
+    _require_int(k, "k")
     if k < 2:
         raise InputError("pi_k of the manifold is assembled only for k >= 2")
     if factors.truncated and k > factors.cutoff + 1:

@@ -31,7 +31,7 @@ from functools import cache
 from typing import Iterable, Mapping, Union
 
 from ._record import Record
-from .errors import InputError, UnsupportedCase
+from .errors import InputError, UnsupportedCase, _require_int
 from .manifold import (
     BundleData,
     FourManifold,
@@ -393,6 +393,8 @@ def bouquet_spheres(d: int, cutoff: int) -> dict[int, int]:
     ``1/((1-t)(1-t^2))`` is ``m//2 + 1``, so there are ``(d-2)(n-1)``
     n-spheres for every n >= 2.  Dimensions above ``cutoff`` are omitted.
     """
+    _require_int(d, "d")
+    _require_int(cutoff, "cutoff")
     if d < 2:
         raise InputError(f"the bouquet summand exists only for d >= 2, got d={d}")
     if d == 2:
@@ -436,6 +438,7 @@ def hilton_milnor(
     ``cutoff + 1`` with exact Witt counts; no word lists are built.
     Dimensions and counts must be exact ``int``s, counts nonnegative.
     """
+    _require_int(cutoff, "cutoff")
     letters: dict[int, int] = {}  # weight -> count; one pass checks and fills it
     for dim, count in Counter(spheres).items():
         if type(dim) is not int or type(count) is not int or count < 0:
@@ -474,6 +477,7 @@ def loop_factors(N: FourManifold, b: BundleData, cutoff: int) -> LoopFactorMulti
     ``Loop(S^m)`` are enumerated for ``m <= cutoff + 1``, which determines
     rational homotopy ranks through degree ``cutoff``.
     """
+    _require_int(cutoff, "cutoff")
     if cutoff < 1:
         raise InputError("cutoff must be >= 1")
     circles = 0
@@ -586,6 +590,7 @@ def loop_homology_series(expr: Node, cutoff: int) -> TruncatedSeries:
     built node by node and expanded once by :func:`loopsix.series._expand`,
     in O(cutoff * deg den) steps.
     """
+    _require_int(cutoff, "cutoff")
     node = normalize(expr)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")

@@ -44,7 +44,7 @@ from math import lcm
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 from ._record import Frozen, Record
-from .errors import InputError, UnsupportedError
+from .errors import InputError, UnsupportedError, _require_int
 from .homotopy import LoopFactorMultiset, loop_factors
 from .linalg import Rational, Row, integer_primitive, quotient_map, rank
 from .manifold import BundleData, FourManifold, SixManifoldRing, cohomology_ring
@@ -53,13 +53,13 @@ from .series import GradedLieDims, TruncatedSeries, _expand, pbw_invert
 
 # The coformality witness compares the two routes' ranks through this degree.
 WITNESS_DEGREE = 8
-# The direct Koszul check compares weights through min(cutoff, this) ...
-DUAL_CHECK_WEIGHT = 6
-# ... and stops early once a weight would need more columns than this, since
-# exact elimination beyond desk scale is pointless for a consistency check
-# (it reaches weight 6 at d = 2, 4 at d = 3 and 3 at d = 4-6; from d = 7 on
-# weight 3 does not fit, and weights <= 2 need no check, so it runs none).
-DUAL_COLUMN_BUDGET = 320
+# The direct Koszul check maps weight w while its dim A_{w-1} * g columns
+# (g = d + 1) number at most this, and ranks the first wider weight or the
+# cutoff last.  Any value from 49 to 62 maps weights 2-5 at d = 2 (9 to 45
+# columns; 6 needs 63), 2-3 at d = 3 (48; 4 needs 132), 2 at d = 4-6 (up to
+# 49) and all at d = 1 (4 each).  From d = 7 on weight 2 spans (d + 1)^2 >= 64
+# columns, and weights <= 2 need no check, so it runs none.
+DUAL_MAP_COLUMNS = 60
 
 
 class NotQuadratic(UnsupportedError):
@@ -150,6 +150,7 @@ def hilbert_series(p: QuadraticPresentation, cutoff: int) -> TruncatedSeries:
     H^*(M; Q), whether or not the quadratic algebra on (V, R) truncates by
     itself).
     """
+    _require_int(cutoff, "cutoff")
     return TruncatedSeries.from_coefficients(p.ring.betti(), cutoff=cutoff)
 
 
@@ -237,15 +238,15 @@ def _dual_quotients(
 
     Weights <= 2 are fixed once Sym^2 V -> H^4 is onto, which
     :func:`quadratic_presentation` checked, so nothing is yielded unless
-    ``max_weight >= 3`` and weight 3's ``(g^2 - g) g`` columns fit
-    :data:`DUAL_COLUMN_BUDGET` (d <= 6).  Then, for each weight w from 2
-    through ``max_weight`` whose ``dim A_{w-1} * g`` columns fit, yields
-    ``(image, dim A_w)``: ``image[c]`` holds the coordinates in ``A_w`` of
-    column c of ``A_{w-1} (x) V*``, a map whose kernel is the image of
-    ``A_{w-2} (x) R_perp``.  The last weight, 3 or above, is counted
-    without a map, and its ``image`` is None.  Columns are
-    last-letter-major: ``basis_u (x) f_j`` is column ``j * dim A_{w-1} +
-    u``, with ``sigma`` the last letter.
+    ``max_weight >= 3`` and weight 2's ``g^2`` columns fit
+    :data:`DUAL_MAP_COLUMNS` (d <= 6).  Then each weight w whose ``dim
+    A_{w-1} * g`` columns fit yields ``(image, dim A_w)``: ``image[c]``
+    holds the coordinates in ``A_w`` of column c of ``A_{w-1} (x) V*``, a
+    map whose kernel is the image of ``A_{w-2} (x) R_perp``.  The first
+    wider weight, or ``max_weight``, is ranked without a map and ends the
+    check; its ``image`` is None.  Both widths are known before elimination.
+    Columns are last-letter-major: ``basis_u (x) f_j`` is column ``j * dim
+    A_{w-1} + u``, with ``sigma`` the last letter.
 
     Only the ``dim A_{w-2}`` rows of the diagonal relation reach
     :mod:`~loopsix.linalg`.  Every relation is a Lie element: the
@@ -278,8 +279,8 @@ def _dual_quotients(
     argument rules out, raises :class:`KoszulInconsistency`.
     """
     g = p.generators
-    # weights <= 2 hold once Sym^2 V -> H^4 is onto; weight 3 spans (g^2 - g) g
-    if max_weight < 3 or (g * g - g) * g > DUAL_COLUMN_BUDGET:
+    # weights <= 2 hold once Sym^2 V -> H^4 is onto; weight 2 spans g^2 columns
+    if max_weight < 3 or g * g > DUAL_MAP_COLUMNS:
         return
     diagonal = _diagonal_dual_relation(p.ring)
     d = g - 1
@@ -289,8 +290,6 @@ def _dual_quotients(
     image: list[Row] = [{i: 1} for i in range(g)]
     for w in range(2, max_weight + 1):
         ncols = cur_dim * g
-        if ncols > DUAL_COLUMN_BUDGET:
-            return
         sigma = d * cur_dim  # the first column of the sigma block
         first = cur_dim - prev_dim  # basis_b * sigma maps to first + b
         scales = [image[d * prev_dim + b][first + b] for b in range(prev_dim)]
@@ -310,7 +309,7 @@ def _dual_quotients(
                         col = j * cur_dim + u
                         row[col] = row.get(col, 0) + scale * c * x
             rows.append({col: x for col, x in row.items() if x})
-        if w == max_weight or (ncols - g * prev_dim) * g > DUAL_COLUMN_BUDGET:
+        if w == max_weight or ncols > DUAL_MAP_COLUMNS:
             # the last weight checked: its dimension needs no quotient map
             yield None, ncols - d * prev_dim - rank(rows)
             return
@@ -338,13 +337,14 @@ def quadratic_dual_dims(p: QuadraticPresentation, max_weight: int) -> list[int]:
     Weight w is the quotient of ``A_{w-1} (x) V*`` by the image of ``A_{w-2}
     (x) R_perp``.  Weights 0 and 1 are ``1`` and ``d + 1``; weight 2 and
     beyond are computed only where weight 3 is reached (``max_weight >= 3``
-    and d <= 6), and otherwise the list stops at weight 1.  Stops early
-    (returning what it has) once the working dimension exceeds
-    :data:`DUAL_COLUMN_BUDGET`.  It runs in the orthogonal
+    and d <= 6), and otherwise the list stops at weight 1.  It ends before
+    ``max_weight`` at the first weight wider than :data:`DUAL_MAP_COLUMNS`:
+    6 at d = 2, 4 at d = 3 and 3 at d = 4-6.  It runs in the orthogonal
     basis of the presentation's ring, where the dual is an enveloping
     algebra and right multiplication by sigma is injective (PBW), so only
     the diagonal relation's rows are eliminated (see :func:`_dual_quotients`).
     """
+    _require_int(max_weight, "max_weight")
     dims = [1, p.generators][: max_weight + 1]
     dims.extend([dim for _, dim in _dual_quotients(p, max_weight)])
     return dims
@@ -358,12 +358,13 @@ def koszul_dual_series(
 
     With ``check=True`` the result is validated two ways: all coefficients
     must be nonnegative, and they must match the directly computed quadratic
-    dual dimensions through ``min(cutoff, DUAL_CHECK_WEIGHT)``.  Subject to
-    :data:`DUAL_COLUMN_BUDGET`, that direct check runs at d <= 6 and cutoff
-    >= 3; elsewhere it compares weights 0 and 1 only, which hold by
-    construction.  ``check=False`` returns the naive series unverified,
-    which is what ``koszul`` prints at d = 1.
+    dual dimensions ``quadratic_dual_dims(p, cutoff)``, which decides how
+    far that goes: at d <= 6 and cutoff >= 3 up to the first weight wider
+    than :data:`DUAL_MAP_COLUMNS`, and elsewhere weights 0 and 1 only, which
+    hold by construction.  ``check=False`` returns the naive series
+    unverified, which is what ``koszul`` prints at d = 1.
     """
+    _require_int(cutoff, "cutoff")
     alternated = [-c if n % 2 else c for n, c in enumerate(p.ring.betti())]
     dual = TruncatedSeries(tuple(_expand((1,), alternated, cutoff)))
     if not check:
@@ -374,7 +375,7 @@ def koszul_dual_series(
                 f"dual series coefficient at weight {n} is negative ({dual[n]}); "
                 "the input algebra is not Koszul"
             )
-    direct = quadratic_dual_dims(p, min(cutoff, DUAL_CHECK_WEIGHT))
+    direct = quadratic_dual_dims(p, cutoff)
     for w, dim in enumerate(direct):
         if dual[w] != dim:
             raise KoszulInconsistency(
@@ -393,6 +394,7 @@ def lie_dims(p: QuadraticPresentation, cutoff: int) -> GradedLieDims:
     :class:`~loopsix.series.NegativeLieDimension`, and that failure is itself
     the non-coformality signal.
     """
+    _require_int(cutoff, "cutoff")
     if p.ring.d == 1:
         raise KoszulInconsistency(
             "d = 1 cohomology is not Koszul; its naive dual series does not "
@@ -414,6 +416,7 @@ def ranks_from_decomposition(
     ``S^1`` contributes degree 1; ``Loop(S^m)`` contributes degree m-1 for
     odd m, degrees m-1 and 2m-2 for even m; ``S^3{n}`` is rationally trivial.
     """
+    _require_int(cutoff, "cutoff")
     if factors.truncated and cutoff > factors.cutoff:
         raise InputError(
             f"factor enumeration only reaches degree {factors.cutoff}, "
@@ -436,7 +439,11 @@ def free_graded_lie_dims(
     """Dimensions of the free graded Lie algebra on generators of the given
     degrees: PBW inversion of the tensor-algebra series ``1/(1 - sum t^deg)``.
     """
+    _require_int(cutoff, "cutoff")
     counts = Counter(degrees)
+    for deg, count in counts.items():
+        _require_int(deg, "generator degree")
+        _require_int(count, "generator count")
     if any(d < 1 for d in counts):
         raise InputError("generator degrees must be >= 1")
     denominator = [1] + [0] * cutoff
@@ -631,6 +638,7 @@ def cdga_cohomology(model: SullivanModel, cutoff: int) -> list[int]:
     Checks ``d o d = 0`` on generators first; then straightforward
     rank-nullity on the monomial bases degree by degree.
     """
+    _require_int(cutoff, "cutoff")
     check_square_zero(model)
     bases = _monomial_bases(model, cutoff + 1)
     ranks = [0]  # ranks[q] is the rank of d into degree q
@@ -711,10 +719,13 @@ class CoformalityReport(Record):
 
 
 def _coformal_report(
-    dual_ranks: GradedLieDims, decomposition_ranks: GradedLieDims, cutoff: int
+    dual_ranks: GradedLieDims, decomposition_ranks: GradedLieDims
 ) -> CoformalityReport:
     """The d >= 2 witness: both routes' ranks, which must agree through
-    ``cutoff``."""
+    ``min(dual_ranks.cutoff, WITNESS_DEGREE)``; both are truncated there."""
+    cutoff = min(dual_ranks.cutoff, WITNESS_DEGREE)
+    dual_ranks = dual_ranks.truncate(cutoff)
+    decomposition_ranks = decomposition_ranks.truncate(cutoff)
     if dual_ranks != decomposition_ranks:
         raise KoszulInconsistency(
             "Koszul-dual ranks disagree with decomposition ranks: "
@@ -749,7 +760,6 @@ def coformality_check(N: FourManifold, b: BundleData) -> CoformalityReport:
     return _coformal_report(
         lie_dims(presentation, WITNESS_DEGREE),
         ranks_from_decomposition(loop_factors(N, b, WITNESS_DEGREE), WITNESS_DEGREE),
-        WITNESS_DEGREE,
     )
 
 

@@ -32,7 +32,7 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
 from ._record import Record
-from .errors import InputError
+from .errors import InputError, _require_int
 
 Rational = Union[int, Fraction]
 
@@ -81,6 +81,7 @@ class TruncatedSeries(Record):
         cls, values: Iterable[Rational], cutoff: int | None = None
     ) -> "TruncatedSeries":
         """Build a series from leading coefficients, zero-padded to ``cutoff``."""
+        _require_int(cutoff, "cutoff", optional=True)
         coeffs = [_exact(v) for v in values]
         if cutoff is not None:
             if cutoff < 0:
@@ -236,8 +237,11 @@ def lie_ring_weight_counts(
     ``p_n = n [t^n] -log(1 - f)`` of the alphabet's generating polynomial
     ``f``, which obey the integer recurrence ``p_n = n f_n + sum f_k p_{n-k}``.
     """
+    _require_int(cutoff, "cutoff")
     f: dict[int, int] = {}
     for weight, count in letter_counts.items():
+        _require_int(weight, "letter weight")
+        _require_int(count, "letter count")
         if weight < 1:
             raise InputError("letter weights must be >= 1")
         if count < 0:
@@ -293,6 +297,7 @@ class GradedLieDims(Record):
 
     @classmethod
     def from_dims(cls, dims: Iterable[int], cutoff: int | None = None) -> "GradedLieDims":
+        _require_int(cutoff, "cutoff", optional=True)
         values = list(dims)
         if cutoff is not None:
             if len(values) > cutoff:
@@ -339,6 +344,7 @@ def pbw_expand(dims: GradedLieDims, cutoff: int | None = None) -> TruncatedSerie
     ``c_m = m [t^m] log h``, Newton's identity ``m h_m = sum_{k=1..m} c_k
     h_{m-k}`` gives ``h`` degree by degree, on integers throughout.
     """
+    _require_int(cutoff, "cutoff", optional=True)
     n = dims.cutoff if cutoff is None else cutoff
     c = [0] * (n + 1)
     for degree, dim in enumerate(dims.dims[:n], 1):

@@ -437,21 +437,20 @@ def dual_relation_space_by_fractions(p):
     return nullspace_by_fractions(rows, g * g)
 
 
-def quadratic_dual_dims_by_fractions(p, max_weight, column_budget=320):
+def quadratic_dual_dims_by_fractions(p, max_weight, map_columns=60):
     """Weight-by-weight dimensions of T(V*)/(R_perp) with Fraction quotient
-    maps, under the same column budget as the library."""
+    maps, under the same width rule as the library: the first weight wider
+    than ``map_columns`` is the last one computed."""
     g = p.generators
     dual_relations = dual_relation_space_by_fractions(p)
     dims = [1, g]
     # the library's entry rule: start only where weight 3 is reachable
-    if max_weight < 3 or (g * g - g) * g > column_budget:
+    if max_weight < 3 or g * g > map_columns:
         return dims[: max_weight + 1]
     prev_dim, cur_dim = 1, g
     mult = [[[Fraction(int(r == i)) for r in range(g)]] for i in range(g)]
     for _ in range(2, max_weight + 1):
         ncols = cur_dim * g
-        if ncols > column_budget:
-            break
         rows = []
         for b in range(prev_dim):
             for s in dual_relations:
@@ -475,6 +474,8 @@ def quadratic_dual_dims_by_fractions(p, max_weight, column_budget=320):
         mult = [[reduce_unit(u * g + j) for u in range(cur_dim)] for j in range(g)]
         prev_dim, cur_dim = cur_dim, len(free_cols)
         dims.append(cur_dim)
+        if ncols > map_columns:
+            break
     return dims
 
 

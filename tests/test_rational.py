@@ -1,3 +1,4 @@
+import inspect
 import random
 import subprocess
 import sys
@@ -559,9 +560,71 @@ class TestDualCheckWork:
 
 
 #: Quotient maps that ``_dual_quotients(p, 6)`` builds, by rank: one for
-#: each weight below the last that :data:`~loopsix.rational.DUAL_COLUMN_BUDGET`
-#: lets it check.
+#: each weight whose columns number at most
+#: :data:`~loopsix.rational.DUAL_MAP_COLUMNS`.
 QUOTIENT_MAPS = {2: 4, 3: 2, 4: 1, 5: 1, 6: 1}
+
+
+def _random_presentation(d):
+    return quadratic_presentation(cohomology_ring(*random_pair(random.Random(d), d)))
+
+
+class TestDualCheckReach:
+    """One width rule decides how far the direct dual check runs."""
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_wrong_relations_stay_bounded(self, monkeypatch, d):
+        """With no diagonal relation the dual grows past the series at weight
+        2; the check still raises there, and no quotient map is wider than
+        the rule allows, at any cutoff."""
+        p = _random_presentation(d)
+        widths = []
+        original = rational.quotient_map
+
+        def measured(rows, columns, unit):
+            widths.append(len(columns))
+            return original(rows, columns, unit)
+
+        monkeypatch.setattr(rational, "_diagonal_dual_relation", lambda ring: [])
+        monkeypatch.setattr(rational, "quotient_map", measured)
+        with pytest.raises(KoszulInconsistency, match="mismatch at weight 2:"):
+            koszul_dual_series(p, 150)
+        assert widths and max(widths) <= rational.DUAL_MAP_COLUMNS
+
+    @pytest.mark.parametrize(
+        "d, maps, ranked_rows, dims",
+        [(2, 4, 15, [1, 3, 6, 10, 15, 21, 28]), (3, 2, 12, [1, 4, 12, 33, 88])],
+    )
+    def test_large_cutoff_stops_at_the_first_wide_weight(
+        self, monkeypatch, d, maps, ranked_rows, dims
+    ):
+        """At cutoff 150, d = 2 maps weights 2-5 and ranks weight 6 (its
+        ``dim A_4`` rows), and d = 3 maps weights 2-3 and ranks weight 4."""
+        p = _random_presentation(d)
+        calls = {"quotient_map": 0, "rank": []}
+        quotient_map, rank_rows = rational.quotient_map, rational.rank
+
+        def counted_map(rows, columns, unit):
+            calls["quotient_map"] += 1
+            return quotient_map(rows, columns, unit)
+
+        def counted_rank(rows):
+            calls["rank"].append(len(rows))
+            return rank_rows(rows)
+
+        monkeypatch.setattr(rational, "quotient_map", counted_map)
+        monkeypatch.setattr(rational, "rank", counted_rank)
+        koszul_dual_series(p, 150)
+        assert calls == {"quotient_map": maps, "rank": [ranked_rows]}
+        assert quadratic_dual_dims(p, 150) == dims
+
+    def test_max_weight_past_the_rule(self):
+        assert quadratic_dual_dims(_random_presentation(2), 12) == [1, 3, 6, 10, 15, 21, 28]
+        assert quadratic_dual_dims(_random_presentation(1), 12) == [1] + [2] * 12
+
+    def test_tracer_binds_max_weight(self):
+        """The benchmark's tracer reads the requested weight by this name."""
+        assert "max_weight" in inspect.signature(quadratic_dual_dims).parameters
 
 
 class TestOrthogonalDualCheck:
@@ -570,8 +633,8 @@ class TestOrthogonalDualCheck:
 
     # The committed specs and generated ring presentations of rank 1 to 6,
     # then desk, special and random ones.  The dense Fraction reference is
-    # slow beyond rank 8, and from rank 7 on the budget checks only weights
-    # that hold by construction.
+    # slow beyond rank 8, and from rank 7 on the width rule checks only
+    # weights that hold by construction.
     @pytest.mark.parametrize(
         "p",
         _input_presentations()
