@@ -95,8 +95,8 @@ def load_manifold_spec(path: str | Path) -> tuple[FourManifold, BundleData, str]
     ``intersection_form``, ``w2``, ``p1`` and ``name`` are invalid.
     """
     try:
-        with open(path, encoding="utf-8") as file:
-            text = file.read()
+        with open(path, "rb") as file:  # CR LF and CR read as LF, as in text mode
+            text = file.read().decode().replace("\r\n", "\n").replace("\r", "\n")
         if text.startswith("\ufeff"):  # json.loads' check, which decode lacks
             message = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
             raise json.JSONDecodeError(message, text, 0)
@@ -143,6 +143,13 @@ def load_manifold_spec(path: str | Path) -> tuple[FourManifold, BundleData, str]
 # Commands
 # ---------------------------------------------------------------------------
 
+def _text(value: bool | Sequence[int]) -> str:
+    """A bool or an int list in a text line, spelled as JSON spells it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return f"[{', '.join(map(str, value))}]"
+
+
 # What a command body returns: its JSON result, its text lines, its warnings.
 Output = tuple[dict[str, Any], list[str], list[str]]
 
@@ -167,8 +174,8 @@ def _one_spec(body: Callable[..., Output]):
         lines = [
             f"name: {name}",
             f"d: {N.d}",
-            f"spin: {json.dumps(spin)}",
-            f"w2: {json.dumps(w2)}  p1: {b.p1}  alpha: {json.dumps(alpha)}  ell: {b.ell}",
+            f"spin: {_text(spin)}",
+            f"w2: {_text(w2)}  p1: {b.p1}  alpha: {_text(alpha)}  ell: {b.ell}",
         ]
         if N.d == 0:
             case = block["k"] = abs(b.ell)
@@ -176,7 +183,7 @@ def _one_spec(body: Callable[..., Output]):
         else:
             case = homotopy.y_space_report(N, b)
             block["case"], block["beta"] = case.case, list(case.beta)
-            lines.append(f"case: {case.case} (beta = {json.dumps(block['beta'])})")
+            lines.append(f"case: {case.case} (beta = {_text(block['beta'])})")
         result, more, warnings = body(args, N, b, case)
         return {"input": block, "result": result, "warnings": warnings}, lines + more
 
@@ -222,9 +229,9 @@ def _describe(args, N: FourManifold, b: BundleData, case) -> Output:
         ]
     result["coformal"] = coformal
     lines = [
-        f"betti: {json.dumps(result['betti'])}",
+        f"betti: {_text(result['betti'])}",
         f"form determinant: {N.determinant}",
-        f"rationally elliptic: {json.dumps(elliptic)}",
+        f"rationally elliptic: {_text(elliptic)}",
         f"coformal: {coformal}",
     ]
     return result, lines + more, []
@@ -311,16 +318,16 @@ def _rational(args, N: FourManifold, b: BundleData, case) -> Output:
             result["koszul_ranks"] = list(dual_ranks.dims)
             result["two_path_agreement"] = dual_ranks == ranks
             more = [
-                f"koszul ranks: {json.dumps(result['koszul_ranks'])}",
-                f"two-path agreement: {json.dumps(result['two_path_agreement'])}",
+                f"koszul ranks: {_text(result['koszul_ranks'])}",
+                f"two-path agreement: {_text(result['two_path_agreement'])}",
             ]
         coformal = report.status
         result["coformality_witness"] = report.witness
     result["coformal"] = coformal
     lines = [
         f"homotopy ranks (degrees 1..{args.cutoff}):",
-        json.dumps(result["ranks"]),
-        f"rationally elliptic: {json.dumps(elliptic)}",
+        _text(result["ranks"]),
+        f"rationally elliptic: {_text(elliptic)}",
         f"coformal: {coformal}",
     ]
     return result, lines + more, warnings
@@ -339,13 +346,13 @@ def _koszul(args, N: FourManifold, b: BundleData, case) -> Output:
     lines = [
         f"generators: {presentation.generators}  "
         f"relations: {presentation.relation_count}",
-        f"hilbert: {json.dumps(result['hilbert'])}",
+        f"hilbert: {_text(result['hilbert'])}",
     ]
     warnings: list[str] = []
     if N.d == 1:
         naive = rational.koszul_dual_series(presentation, args.cutoff, check=False)
         result["naive_dual"] = list(naive.integer_coefficients())
-        lines.append(f"naive dual: {json.dumps(result['naive_dual'])}")
+        lines.append(f"naive dual: {_text(result['naive_dual'])}")
         warnings.append(
             "d = 1: the cohomology is not Koszul, so the naive dual series "
             "does not compute homotopy ranks (first divergence in degree 3)"
@@ -354,8 +361,8 @@ def _koszul(args, N: FourManifold, b: BundleData, case) -> Output:
         dual = rational.koszul_dual_series(presentation, args.cutoff)
         result["dual"] = list(dual.integer_coefficients())
         result["lie_dims"] = list(pbw_invert(dual).dims)
-        lines.append(f"dual: {json.dumps(result['dual'])}")
-        lines.append(f"lie dims: {json.dumps(result['lie_dims'])}")
+        lines.append(f"dual: {_text(result['dual'])}")
+        lines.append(f"lie dims: {_text(result['lie_dims'])}")
     return result, lines, warnings
 
 
@@ -423,7 +430,7 @@ def _model(args, N: FourManifold, b: BundleData, case) -> Output:
     for name, terms in model_json["differential"].items():
         rendered = " + ".join(_render_model_term(t) for t in terms)
         lines.append(f"d({name}) = {rendered}")
-    lines.append(f"cohomology: {json.dumps(cohomology)}")
+    lines.append(f"cohomology: {_text(cohomology)}")
     if N.d == 1:
         lines.append(f"note: {note}")
     return result, lines, []
@@ -453,7 +460,7 @@ def _compare(args) -> tuple[dict[str, Any], list[str]]:
     lines = [
         f"A: {name_a} (d={Na.d}) -> {text_a}",
         f"B: {name_b} (d={Nb.d}) -> {text_b}",
-        f"loop spaces equivalent: {json.dumps(equivalent)}",
+        f"loop spaces equivalent: {_text(equivalent)}",
         f"criterion: {criterion}",
     ]
     return {"result": result, "warnings": warnings}, lines

@@ -26,9 +26,9 @@ function of integer polynomials, expanded to the cutoff once by the shared
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Iterable, Mapping
 from functools import cache
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 from ._record import Record
 from .errors import InputError, UnsupportedCase, _require_int
@@ -440,7 +440,8 @@ def hilton_milnor(
     """
     _require_int(cutoff, "cutoff")
     letters: dict[int, int] = {}  # weight -> count; one pass checks and fills it
-    for dim, count in Counter(spheres).items():
+    pairs = spheres.items() if isinstance(spheres, Mapping) else ((s, 1) for s in spheres)
+    for dim, count in pairs:
         if type(dim) is not int or type(count) is not int or count < 0:
             raise InputError(
                 "Hilton-Milnor needs int sphere dimensions and nonnegative int "
@@ -451,7 +452,7 @@ def hilton_milnor(
                 raise InputError(
                     "Hilton-Milnor needs a wedge of simply connected spheres"
                 )
-            letters[dim - 1] = count
+            letters[dim - 1] = letters.get(dim - 1, 0) + count
     n_letters = sum(letters.values())
     weight_counts = lie_ring_weight_counts(letters, cutoff) if n_letters else []
     loops = tuple([

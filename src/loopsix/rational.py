@@ -37,11 +37,11 @@ count meets no recursion limit.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
-from typing import Iterable, Iterator, Literal, Mapping, Sequence
+from typing import Literal
 
 from ._record import Frozen, Record
 from .errors import InputError, UnsupportedError, _require_int
@@ -440,10 +440,12 @@ def free_graded_lie_dims(
     degrees: PBW inversion of the tensor-algebra series ``1/(1 - sum t^deg)``.
     """
     _require_int(cutoff, "cutoff")
-    counts = Counter(degrees)
-    for deg, count in counts.items():
+    counts: dict[int, int] = {}  # each item checked first: 1 and True share a key
+    pairs = degrees.items() if isinstance(degrees, Mapping) else ((g, 1) for g in degrees)
+    for deg, count in pairs:
         _require_int(deg, "generator degree")
         _require_int(count, "generator count")
+        counts[deg] = counts.get(deg, 0) + count
     if any(d < 1 for d in counts):
         raise InputError("generator degrees must be >= 1")
     denominator = [1] + [0] * cutoff

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from loopsix import cli, homotopy, linalg, manifold, rational, series
 from loopsix.cli import emit_report, run
+from loopsix.errors import InputError
 from loopsix.groups import FGAbelianGroup
 
 from conftest import INPUTS, REPO_ROOT, random_unimodular_form
@@ -514,6 +515,65 @@ class TestStrictSpecTypes:
         assert "name: stem" in run(["describe", str(spec_path)])[1]
         spec_path.write_text(json.dumps({**spec, "name": "given"}))
         assert "name: given" in run(["describe", str(spec_path)])[1]
+
+
+def text_mode_message(target):
+    """What ``load_manifold_spec`` says of a file it cannot read or parse, from
+    the file read in text mode and fed to the same decoder."""
+    try:
+        with open(target, encoding="utf-8") as file:
+            cli._SPEC_DECODER.decode(file.read())
+    except OSError as exc:
+        return f"cannot read {target}: {exc}"
+    except ValueError as exc:
+        return f"{target}: not valid JSON ({exc})"
+    raise AssertionError(f"{target} reads and parses")
+
+
+class TestBytesRead:
+    """The spec is read as bytes, decoded as strict UTF-8 and given text
+    mode's newlines: every message is the one a text-mode read gives."""
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"intersection_form": [], "p1": 4, "name": "' + b"x" * 9000 + b'\xff"}',
+            b'{"intersection_form": [],\r',
+            b'{\r\n"intersection_form": [],\r\n"p1": 4, "name": "a\rb"}',
+            b'{\r\n"intersection_form": [],\r\n"p1": 4, "name": "a\r\nb"}',
+        ],
+        ids=["byte_past_8k", "lone_cr_at_end", "cr_in_string", "crlf_in_string"],
+    )
+    def test_message_as_in_text_mode(self, tmp_path, content):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_bytes(content)
+        message = text_mode_message(spec_path)
+        if b"\r" in content:  # the message depends on the newline translation
+            with pytest.raises(ValueError) as untranslated:
+                cli._SPEC_DECODER.decode(content.decode())
+            assert str(untranslated.value) not in message
+        with pytest.raises(InputError) as refused:
+            cli.load_manifold_spec(spec_path)
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("name", ["", "missing.json"], ids=["directory", "missing"])
+    def test_unopenable_as_in_text_mode(self, tmp_path, name):
+        target = tmp_path / name
+        with pytest.raises(InputError) as refused:
+            cli.load_manifold_spec(target)
+        assert str(refused.value) == text_mode_message(target)
+
+
+class TestTextLines:
+    """Text lines print bools and int lists as ``json.dumps`` does."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [[], [-3, 0, -17], [int("9" * 4000), -1], (1, -2, 3), True, False],
+        ids=["empty", "negative", "4000_digits", "tuple", "true", "false"],
+    )
+    def test_text_is_json(self, value):
+        assert cli._text(value) == json.dumps(value)
 
 
 class TestParserReuse:

@@ -83,6 +83,16 @@ def test_bound_is_an_exact_int(call, name, value):
             "generator degree must be an int, got 1.0",
             id="free_lie_float_degree",
         ),
+        pytest.param(  # counted with the 1 before it, True would pass as a 1
+            lambda: rational.free_graded_lie_dims([1, True], 3),
+            "generator degree must be an int, got True",
+            id="free_lie_bool_after_equal_int",
+        ),
+        pytest.param(
+            lambda: rational.free_graded_lie_dims([2, 1, 2.0], 3),
+            "generator degree must be an int, got 2.0",
+            id="free_lie_float_after_equal_int",
+        ),
         pytest.param(
             lambda: rational.free_graded_lie_dims({2: 1.0}, 3),
             "generator count must be an int, got 1.0",

@@ -217,8 +217,10 @@ class TestHiltonMilnor:
 
     @pytest.mark.parametrize(
         "spheres",
-        [{3: -1}, {3: 1.5}, {2.0: 1, 3: 1}, {3: True, 2: 1}, [2, 3.0]],
-        ids=["negative", "float-count", "float-dim", "bool-count", "float-list"],
+        [{3: -1}, {3: 1.5}, {2.0: 1, 3: 1}, {3: True, 2: 1}, [2, 3.0],
+         [3, 3.0], [2, 3, 2.0]],
+        ids=["negative", "float-count", "float-dim", "bool-count", "float-list",
+             "float-after-equal-int", "float-after-equal-ints"],
     )
     def test_rejects_inexact_sphere_data(self, spheres):
         with pytest.raises(InputError, match="int sphere dimensions"):
