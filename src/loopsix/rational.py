@@ -47,11 +47,17 @@ from ._record import Frozen, Record
 from .errors import InputError, UnsupportedError, _require_int
 from .homotopy import LoopFactorMultiset, loop_factors
 from .linalg import Rational, Row, integer_primitive, quotient_map, rank
-from .manifold import BundleData, FourManifold, SixManifoldRing, cohomology_ring
+from .manifold import (
+    BundleData,
+    FourManifold,
+    NotUnimodular,
+    SixManifoldRing,
+    cohomology_ring,
+)
 from .series import GradedLieDims, TruncatedSeries, _expand, pbw_invert
 
 
-# The coformality witness compares the two routes' ranks through this degree.
+# Depth of ``describe``'s two-route check, and of every printed coformality witness.
 WITNESS_DEGREE = 8
 # The direct Koszul check maps weight w while its dim A_{w-1} * g columns
 # (g = d + 1) number at most this, and ranks the first wider weight or the
@@ -191,10 +197,12 @@ def _orthogonal_basis(ring: SixManifoldRing) -> tuple[list[Row], list[int], Row]
             if dot(e, qe):
                 break
         else:
-            # the form is nondegenerate on their span: rest[0] pairs with some
-            # rest[j], and then rest[0] + rest[j] is not isotropic
+            # a nondegenerate form pairs rest[0] with some rest[j], and then
+            # rest[0] + rest[j] is not isotropic
             first = q_times(rest[0])
-            j = next(j for j, v in enumerate(rest) if dot(first, v))
+            j = next((j for j, v in enumerate(rest) if dot(first, v)), None)
+            if j is None:
+                raise NotUnimodular("the form read from the ring is degenerate")
             k, e = 0, [a + b for a, b in zip(rest[0], rest[j])]
             qe = q_times(e)
         del rest[k]
@@ -356,27 +364,22 @@ def koszul_dual_series(
     """Hilbert series of the Koszul dual: reciprocal of the Hilbert series
     at ``-s``.
 
-    With ``check=True`` the result is validated two ways: all coefficients
-    must be nonnegative, and they must match the directly computed quadratic
-    dual dimensions ``quadratic_dual_dims(p, cutoff)``, which decides how
-    far that goes: at d <= 6 and cutoff >= 3 up to the first weight wider
-    than :data:`DUAL_MAP_COLUMNS`, and elsewhere weights 0 and 1 only, which
-    hold by construction.  ``check=False`` returns the naive series
-    unverified, which is what ``koszul`` prints at d = 1.
+    With ``check=True`` the coefficients must match the directly computed
+    quadratic dual dimensions ``quadratic_dual_dims(p, cutoff)``, which
+    decides how far that goes: at d <= 6 and cutoff >= 3 up to the first
+    weight wider than :data:`DUAL_MAP_COLUMNS`, and elsewhere weights 0 and
+    1 only, which hold by construction.  ``check=False`` returns the naive
+    series unverified, which is what ``koszul`` prints at d = 1.
     """
     _require_int(cutoff, "cutoff")
     alternated = [-c if n % 2 else c for n, c in enumerate(p.ring.betti())]
     dual = TruncatedSeries(tuple(_expand((1,), alternated, cutoff)))
     if not check:
         return dual
-    for n in range(cutoff + 1):
-        if dual[n] < 0:
-            raise KoszulInconsistency(
-                f"dual series coefficient at weight {n} is negative ({dual[n]}); "
-                "the input algebra is not Koszul"
-            )
-    direct = quadratic_dual_dims(p, cutoff)
-    for w, dim in enumerate(direct):
+    # No coefficient can be negative: betti() is (1, d + 1, d + 1, 1) for every
+    # ring, so the series is 1/((1 - t)(1 - dt + t^2)), whose coefficients are
+    # >= 0 at every d >= 0 (periodic at d <= 1, increasing from d = 2 on).
+    for w, dim in enumerate(quadratic_dual_dims(p, cutoff)):
         if dual[w] != dim:
             raise KoszulInconsistency(
                 f"dual dimension mismatch at weight {w}: series gives {dual[w]}, "
@@ -723,23 +726,18 @@ class CoformalityReport(Record):
 def _coformal_report(
     dual_ranks: GradedLieDims, decomposition_ranks: GradedLieDims
 ) -> CoformalityReport:
-    """The d >= 2 witness: both routes' ranks, which must agree through
-    ``min(dual_ranks.cutoff, WITNESS_DEGREE)``; both are truncated there."""
+    """The d >= 2 witness: both routes' ranks must agree in every degree they
+    carry, or :class:`KoszulInconsistency` names the first that differs.  The
+    witness text shows them through ``min(dual_ranks.cutoff, WITNESS_DEGREE)``."""
+    for n in range(1, max(dual_ranks.cutoff, decomposition_ranks.cutoff) + 1):
+        if dual_ranks.dim(n) != decomposition_ranks.dim(n):
+            raise KoszulInconsistency(
+                f"Koszul-dual ranks disagree with decomposition ranks in degree {n}: "
+                f"{dual_ranks.dim(n)} vs {decomposition_ranks.dim(n)}"
+            )
     cutoff = min(dual_ranks.cutoff, WITNESS_DEGREE)
-    dual_ranks = dual_ranks.truncate(cutoff)
-    decomposition_ranks = decomposition_ranks.truncate(cutoff)
-    if dual_ranks != decomposition_ranks:
-        raise KoszulInconsistency(
-            "Koszul-dual ranks disagree with decomposition ranks: "
-            f"{dual_ranks} vs {decomposition_ranks}"
-        )
-    return CoformalityReport(
-        status="coformal",
-        witness=(
-            f"dual and decomposition ranks agree through degree {cutoff}: "
-            f"{dual_ranks}"
-        ),
-    )
+    agree = f"dual and decomposition ranks agree through degree {cutoff}"
+    return CoformalityReport("coformal", f"{agree}: {dual_ranks.truncate(cutoff)}")
 
 
 def coformality_check(N: FourManifold, b: BundleData) -> CoformalityReport:

@@ -120,6 +120,37 @@ class TestGoldenOutputs:
         assert "two-path agreement: true" in out
 
 
+class TestRoutesAgreeOrExitThree:
+    """A disagreement between the two routes' ranks exits 3: ``rational``
+    compares them in every degree it prints, ``describe`` through
+    ``WITNESS_DEGREE``."""
+
+    @staticmethod
+    def add_one(monkeypatch, degree):
+        """Patch the decomposition route to add 1 to its rank in ``degree``."""
+        original = rational.ranks_from_decomposition
+
+        def wrong(factors, cutoff):
+            dims = list(original(factors, cutoff).dims)
+            if cutoff >= degree:
+                dims[degree - 1] += 1
+            return series.GradedLieDims(tuple(dims))
+
+        monkeypatch.setattr(rational, "ranks_from_decomposition", wrong)
+
+    def test_rational_late_disagreement(self, monkeypatch):
+        self.add_one(monkeypatch, 10)
+        code, out = run(["rational", path("d2_spin.json"), "--cutoff", "10"])
+        assert code == 3
+        assert "error: KoszulInconsistency:" in out and "in degree 10: 0 vs 1" in out
+
+    def test_describe_disagreement(self, monkeypatch):
+        self.add_one(monkeypatch, rational.WITNESS_DEGREE)
+        code, out = run(["describe", path("d2_spin.json")])
+        assert code == 3
+        assert "error: KoszulInconsistency:" in out and "in degree 8: 0 vs 1" in out
+
+
 class TestCompare:
     def test_d2_spin_vs_nonspin(self):
         code, out = run(

@@ -15,6 +15,8 @@ from loopsix.cli import MAX_RANK
 from loopsix.errors import InputError
 from loopsix.homotopy import decompose, hilton_milnor, loop_factors, loop_homology_series
 from loopsix.manifold import (
+    FourManifold,
+    NotUnimodular,
     SixManifoldRing,
     bundle_from_classes,
     cohomology_ring,
@@ -40,7 +42,7 @@ from loopsix.rational import (
     quadratic_presentation,
     ranks_from_decomposition,
 )
-from loopsix.series import NegativeLieDimension, pbw_invert
+from loopsix.series import GradedLieDims, NegativeLieDimension, _expand, pbw_invert
 
 from conftest import (
     DESK_D2_0,
@@ -900,3 +902,51 @@ class TestIntegerPath:
             tracemalloc.stop()
         assert p.relation_count == (d + 1) * (d + 2) // 2 - (d + 1)
         assert peak <= 8 * 2**20
+
+
+class TestEveryCheckFails:
+    """Each run-time check on the Koszul route raises when its condition
+    fails, reached through hand-built input or a patched route."""
+
+    def test_late_disagreement_names_its_degree(self):
+        """The routes are compared in every degree, not only through
+        ``WITNESS_DEGREE``."""
+        dims = (3, 3) + (0,) * 8
+        wrong = GradedLieDims(dims[:9] + (1,))
+        with pytest.raises(KoszulInconsistency, match="in degree 10: 0 vs 1$"):
+            rational._coformal_report(GradedLieDims(dims), wrong)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_sigma_pivot_raises(self, monkeypatch, d):
+        """With sigma sigma as the only diagonal relation, sigma sigma is
+        zero in the dual, so right multiplication by sigma is not injective
+        at weight 2."""
+        p = _random_presentation(d)
+        monkeypatch.setattr(
+            rational, "_diagonal_dual_relation", lambda ring: [(ring.d, ring.d, 1)]
+        )
+        with pytest.raises(
+            KoszulInconsistency,
+            match="right multiplication by sigma is not injective at weight 2",
+        ):
+            quadratic_dual_dims(p, 3)
+
+    def test_dual_series_has_no_negative_coefficient(self):
+        """Why ``koszul_dual_series`` checks no sign: every ring's Betti
+        numbers are (1, d + 1, d + 1, 1), and the reciprocal of their
+        alternating series has no negative coefficient at any loaded rank."""
+        for d in range(MAX_RANK + 1):
+            assert min(_expand((1,), [1, -(d + 1), d + 1, -1], 150)) >= 0, d
+
+    @pytest.mark.parametrize(
+        "form",
+        [((0,),), ((0, 0), (0, 0)), ((1, 0), (0, 0))],
+        ids=["zero-rank-1", "zero-rank-2", "isotropic-after-a-pivot"],
+    )
+    def test_degenerate_form_is_invalid_input(self, form):
+        """The record constructor does not validate; a degenerate form read
+        from its ring has no orthogonal basis, which is invalid input."""
+        N = FourManifold(form, 0)
+        p = quadratic_presentation(cohomology_ring(N, bundle_from_classes(N, [0] * N.d, 4)))
+        with pytest.raises(NotUnimodular, match="the form read from the ring is degenerate"):
+            koszul_dual_series(p, 4)
