@@ -27,8 +27,13 @@ class UnsupportedCase(UnsupportedError):
     """A case the decomposition machinery deliberately refuses to handle."""
 
 
-def _require_int(value, name: str, *, optional: bool = False) -> None:
+def _require_int(
+    value, name: str, *, optional: bool = False, minimum: int | None = None
+) -> None:
     """Refuse a degree bound or count that is not an exact ``int``: a
-    ``bool`` or a ``float`` is not coerced.  ``optional`` also allows None."""
+    ``bool`` or a ``float`` is not coerced.  ``optional`` also allows None;
+    an ``int`` below ``minimum`` is refused too."""
     if type(value) is not int and not (optional and value is None):
         raise InputError(f"{name} must be an int, got {value!r}")
+    if minimum is not None and value is not None and value < minimum:
+        raise InputError(f"{name} must be >= {minimum}")

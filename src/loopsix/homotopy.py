@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from functools import cache
+from itertools import groupby
+from operator import itemgetter
 from typing import Union
 
 from ._record import Record
@@ -142,12 +144,9 @@ def _children(node: Node) -> tuple[Node, ...]:
     return getattr(node, _NARY[type(node)][2])
 
 
-def node_key(node: Node):
-    """Total deterministic order on normalized nodes.
-
-    Circle < S^3{n} (by n) < Loop(S^m) (by m) < Loop(composite) < spheres <
-    products < wedges < smashes; composites compare by their children.
-    """
+def _key(node: Node, child_keys: tuple) -> tuple:
+    """The sort key of ``node``, built from its children's keys (a loop's
+    one child is its space): the key rule, stated once."""
     if isinstance(node, Circle):
         return (0,)
     if isinstance(node, SphereModN):
@@ -155,41 +154,67 @@ def node_key(node: Node):
     if isinstance(node, Loop):
         if isinstance(node.space, Sphere):
             return (2, node.space.dim)
-        return (3, node_key(node.space))
+        return (3, child_keys[0])
     if isinstance(node, Sphere):
         return (4, node.dim)
     if type(node) in _NARY:
-        return (_NARY[type(node)][0], tuple([node_key(c) for c in _children(node)]))
+        return (_NARY[type(node)][0], child_keys)
     raise TypeError(f"not a homotopy expression: {node!r}")
+
+
+def node_key(node: Node):
+    """Total deterministic order on normalized nodes.
+
+    Circle < S^3{n} (by n) < Loop(S^m) (by m) < Loop(composite) < spheres <
+    products < wedges < smashes; composites compare by their children.
+    :func:`normalize` builds the same keys as it goes, each once.
+    """
+    if isinstance(node, Loop):
+        return _key(node, (node_key(node.space),))
+    children = _children(node) if type(node) in _NARY else ()
+    return _key(node, tuple([node_key(c) for c in children]))
 
 
 def normalize(node: Node) -> Node:
     """Canonical form: flatten and sort products/wedges/smashes, drop point
     summands and factors, collapse smashes with a point to the point, and
-    collapse singletons."""
+    collapse singletons, in one bottom-up pass that builds each key once."""
+    return _normal(node)[0]
+
+
+def _normal(node: Node) -> tuple[Node, tuple]:
+    """:func:`normalize` with the :func:`node_key` of the normal form."""
     if isinstance(node, (Circle, Sphere, SphereModN)):
-        return node
+        return node, _key(node, ())
     if isinstance(node, Loop):
-        inner = normalize(node.space)
+        inner, key = _normal(node.space)
         if is_trivial(inner):
-            return TRIVIAL
-        return Loop(inner)
+            return _POINT
+        node = node if inner is node.space else Loop(inner)
+        return node, _key(node, (key,))
     if type(node) not in _NARY:
         raise TypeError(f"not a homotopy expression: {node!r}")
     kind = type(node)
-    parts: list[Node] = []
-    for child in map(normalize, _children(node)):
+    parts: list[tuple[tuple, Node]] = []  # (key, child)
+    for child, key in map(_normal, _children(node)):
         if is_trivial(child):
             if kind is Smash:
-                return TRIVIAL  # X ^ pt = pt
+                return _POINT  # X ^ pt = pt
             continue  # X x pt = X v pt = X
-        if isinstance(child, kind):
-            parts.extend(_children(child))
+        if isinstance(child, kind):  # its key's second entry lists its children's
+            parts.extend(zip(key[1], _children(child)))
         else:
-            parts.append(child)
-    if len(parts) == 1:
-        return parts[0]
-    return kind(tuple(sorted(parts, key=node_key))) if parts else TRIVIAL
+            parts.append((key, child))
+    if len(parts) <= 1:
+        return parts[0][::-1] if parts else _POINT
+    parts.sort(key=itemgetter(0))
+    keys, children = zip(*parts)
+    node = node if children == _children(node) else kind(children)
+    return node, _key(node, keys)
+
+
+#: What :func:`_normal` returns when a node collapses to the point.
+_POINT = (TRIVIAL, node_key(TRIVIAL))
 
 
 def render(node: Node) -> str:
@@ -478,9 +503,7 @@ def loop_factors(N: FourManifold, b: BundleData, cutoff: int) -> LoopFactorMulti
     ``Loop(S^m)`` are enumerated for ``m <= cutoff + 1``, which determines
     rational homotopy ranks through degree ``cutoff``.
     """
-    _require_int(cutoff, "cutoff")
-    if cutoff < 1:
-        raise InputError("cutoff must be >= 1")
+    _require_int(cutoff, "cutoff", minimum=1)
     circles = 0
     mods: list[int] = []
     loops: dict[int, int] = {}
@@ -519,11 +542,11 @@ def loop_factors(N: FourManifold, b: BundleData, cutoff: int) -> LoopFactorMulti
 _Poly = tuple[int, ...]  # integer coefficients, constant term first
 
 
-def _add(a: _Poly, b: _Poly, sign: int = 1) -> _Poly:
-    """``a + sign * b``."""
+def _add(a: _Poly, b: _Poly, scale: int = 1) -> _Poly:
+    """``a + scale * b``."""
     out = list(a) + [0] * (len(b) - len(a))
     for k, y in enumerate(b):
-        out[k] += sign * y
+        out[k] += scale * y
     return tuple(out)
 
 
@@ -539,7 +562,8 @@ def _mul(a: _Poly, b: _Poly, cutoff: int) -> _Poly:
 
 def _homology(node: Node, cutoff: int) -> tuple[_Poly, _Poly]:
     """Unreduced rational homology series of a normalized node as a quotient
-    ``(num, den)`` of polynomials, ``den(0) = 1``, known through ``cutoff``."""
+    ``(num, den)`` of polynomials, ``den(0) = 1``, known through ``cutoff``.
+    A run of m equal summands of a wedge is evaluated once, as m (h - 1)."""
     if isinstance(node, (Circle, Sphere)):
         dim = 1 if isinstance(node, Circle) else node.dim
         return ((1,) + (0,) * (dim - 1) + (1,) if dim <= cutoff else (1,)), (1,)
@@ -562,20 +586,20 @@ def _homology(node: Node, cutoff: int) -> tuple[_Poly, _Poly]:
                 f"{name} is not simply connected; cannot expand its loops"
             )
         return den[: cutoff + 1], _add(den, reduced[1:], -1)[: cutoff + 1]
-    hs = [_homology(c, cutoff) for c in _children(node)]
     if isinstance(node, Wedge):  # 1 + sum(h - 1), adding numerators over equal dens
         num, den = (0,), (1,)  # the sum so far
-        for n, d in hs:
+        for summand, run in groupby(node.summands):  # m equal summands add m (h - 1)
+            n, d = _homology(summand, cutoff)
             n = _add(n, d, -1)
-            if d != den:  # a / b + n / d = (a d + n b) / (b d)
+            if d != den:  # a / b + m n / d = (a d + m n b) / (b d)
                 num, n = _mul(num, d, cutoff), _mul(n, den, cutoff)
                 den = _mul(den, d, cutoff)
-            num = _add(num, n)
+            num = _add(num, n, len(list(run)))
         return _add(num, den), den
     # prod(h), or for a smash (of at least two factors once normalized) 1 + prod(h - 1)
     smash = isinstance(node, Smash)
     num, den = (1,), (1,)
-    for n, d in hs:
+    for n, d in [_homology(c, cutoff) for c in _children(node)]:
         num = _mul(num, _add(n, d, -1) if smash else n, cutoff)
         den = _mul(den, d, cutoff)
     return (_add(num, den) if smash else num), den
@@ -591,10 +615,8 @@ def loop_homology_series(expr: Node, cutoff: int) -> TruncatedSeries:
     built node by node and expanded once by :func:`loopsix.series._expand`,
     in O(cutoff * deg den) steps.
     """
-    _require_int(cutoff, "cutoff")
+    _require_int(cutoff, "cutoff", minimum=0)
     node = normalize(expr)
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
     for f in node.factors if isinstance(node, Product) else (node,):
         if not (isinstance(f, (Circle, SphereModN, Loop)) or is_trivial(f)):
             raise UnsupportedNode(f"not a loop-space factor: {render(f)}")

@@ -81,11 +81,9 @@ class TruncatedSeries(Record):
         cls, values: Iterable[Rational], cutoff: int | None = None
     ) -> "TruncatedSeries":
         """Build a series from leading coefficients, zero-padded to ``cutoff``."""
-        _require_int(cutoff, "cutoff", optional=True)
+        _require_int(cutoff, "cutoff", optional=True, minimum=0)
         coeffs = [_exact(v) for v in values]
         if cutoff is not None:
-            if cutoff < 0:
-                raise ValueError("cutoff must be nonnegative")
             if len(coeffs) > cutoff + 1:
                 coeffs = coeffs[: cutoff + 1]
             else:
@@ -297,7 +295,7 @@ class GradedLieDims(Record):
 
     @classmethod
     def from_dims(cls, dims: Iterable[int], cutoff: int | None = None) -> "GradedLieDims":
-        _require_int(cutoff, "cutoff", optional=True)
+        _require_int(cutoff, "cutoff", optional=True, minimum=0)
         values = list(dims)
         if cutoff is not None:
             if len(values) > cutoff:
@@ -344,7 +342,7 @@ def pbw_expand(dims: GradedLieDims, cutoff: int | None = None) -> TruncatedSerie
     ``c_m = m [t^m] log h``, Newton's identity ``m h_m = sum_{k=1..m} c_k
     h_{m-k}`` gives ``h`` degree by degree, on integers throughout.
     """
-    _require_int(cutoff, "cutoff", optional=True)
+    _require_int(cutoff, "cutoff", optional=True, minimum=0)
     n = dims.cutoff if cutoff is None else cutoff
     c = [0] * (n + 1)
     for degree, dim in enumerate(dims.dims[:n], 1):

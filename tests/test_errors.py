@@ -25,7 +25,14 @@ BOUNDS = [
         id="TruncatedSeries.from_coefficients",
     ),
     pytest.param(
-        lambda c: series.GradedLieDims.from_dims([1], c), "cutoff", id="GradedLieDims.from_dims"
+        lambda c: series.GradedLieDims.from_dims([1, 2, 3], c),
+        "cutoff",
+        id="GradedLieDims.from_dims",
+    ),
+    pytest.param(
+        lambda c: series.GradedLieDims((4, 5, 6)).truncate(c),
+        "cutoff",
+        id="GradedLieDims.truncate",
     ),
     pytest.param(
         lambda c: series.pbw_expand(series.GradedLieDims((1,)), c), "cutoff", id="pbw_expand"
@@ -68,6 +75,27 @@ def test_bound_is_an_exact_int(call, name, value):
     with pytest.raises(InputError, match=f"^{name} must be an int, got {value!r}$"):
         call(value)
     call(3)  # the same call with an int runs
+
+
+#: The bounds that refuse cutoff -1 with an ``InputError`` naming the bound,
+#: before any work; the rest still return an empty result there.
+NONNEGATIVE = {
+    "TruncatedSeries.from_coefficients",
+    "GradedLieDims.from_dims",
+    "GradedLieDims.truncate",
+    "pbw_expand",
+    "loop_homology_series",
+    "hilbert_series",
+    "koszul_dual_series",
+    "lie_dims",
+    "free_graded_lie_dims",
+}
+
+
+@pytest.mark.parametrize("call, name", [p for p in BOUNDS if p.id in NONNEGATIVE])
+def test_negative_cutoff_is_refused(call, name):
+    with pytest.raises(InputError, match=f"^{name} must be >= 0$"):
+        call(-1)
 
 
 @pytest.mark.parametrize(

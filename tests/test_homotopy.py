@@ -81,6 +81,29 @@ class TestNormalization:
         )
         assert render(expr) == "S^1 x Loop(S^2) x Loop(S^2 x S^3)"
 
+    def test_one_key_per_node(self, monkeypatch):
+        # the unnormalized d = 10 tree, with its two copies of J and of
+        # Loop(S^2 x S^3), each walked as a subtree of its own
+        trees = []
+        monkeypatch.setattr(homotopy, "normalize", lambda node: trees.append(node))
+        homotopy._decompose_rank.__wrapped__(10)
+        monkeypatch.undo()
+        (raw,) = trees
+
+        def nodes(node):
+            if isinstance(node, Loop):
+                return 1 + nodes(node.space)
+            if isinstance(node, (Product, Wedge, Smash)):
+                return 1 + sum(map(nodes, homotopy._children(node)))
+            return 1
+
+        normal = decompose(*random_pair(random.Random(10), 10))
+        keys = []
+        key = homotopy._key
+        monkeypatch.setattr(homotopy, "_key", lambda *args: keys.append(0) or key(*args))
+        assert normalize(raw) == normal
+        assert len(keys) == nodes(raw) == 49
+
 
 class TestDecompose:
     def test_d1(self):
@@ -675,6 +698,11 @@ class TestRulesMatchReference:
             Loop(Circle()),
             Loop(Product((Sphere(4), Wedge((Sphere(2), Sphere(2)))))),
             Product((SphereModN(3), SphereModN(5))),
+            # runs of equal wedge summands, each evaluated once
+            Loop(Wedge((Sphere(2),) * 5)),
+            Loop(Wedge((Smash((Sphere(2), Loop(Sphere(3)))),) * 2 + (Sphere(3),))),
+            # a run of m = 2 whose denominator 1 - t^2 is not the sum's so far
+            Loop(Wedge((Sphere(4), Loop(Sphere(3)), Sphere(2), Loop(Sphere(3))))),
         ],
     )
     @pytest.mark.parametrize("cutoff", [0, 1, 2, 12])
