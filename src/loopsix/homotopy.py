@@ -41,7 +41,9 @@ from .manifold import (
     is_spin,
     pairing_parity,
 )
-from .series import TruncatedSeries, _expand, _prime_powers, lie_ring_weight_counts
+from .series import (
+    TruncatedSeries, _Poly, _add, _expand, _mul, _prime_powers, _witt_counts
+)
 
 # Largest odd attaching number that decompose factors: trial division up to
 # its square root takes about 0.2 s for a prime just below 10^12 (2-vCPU host).
@@ -408,23 +410,28 @@ def analyze_circle_bundle(b: BundleData) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _bouquet_letters(d: int) -> tuple[_Poly, _Poly]:
+    """The bouquet's letter series ``(d-2) t / (1-t)^2`` as ``(num, den)``:
+    (d-2) w letters of weight w, one per sphere of dimension w + 1."""
+    return (0, d - 2), (1, -2, 1)
+
+
 def bouquet_spheres(d: int, cutoff: int) -> dict[int, int]:
     """Sphere multiset of the bouquet ``J v (J ^ Loop(S^2 x S^3))``.
 
     With ``J`` the wedge of (d-2) copies of S^2 v S^3, the reduced homology
-    series of the bouquet is ``(d-2)(t^2+t^3)/((1-t)(1-t^2))``; since the
+    series of the bouquet is ``(d-2)(t^2+t^3)/((1-t)(1-t^2)) = (d-2) t^2 /
+    (1-t)^2``, which is ``t`` times :func:`_bouquet_letters`; since the
     space is a bouquet of spheres with free homology, the coefficient of
-    ``t^n`` is the number of n-spheres.  That of ``t^m`` in
-    ``1/((1-t)(1-t^2))`` is ``m//2 + 1``, so there are ``(d-2)(n-1)``
-    n-spheres for every n >= 2.  Dimensions above ``cutoff`` are omitted.
+    ``t^n`` is the number of n-spheres, ``(d-2)(n-1)`` for every n >= 2.
+    Dimensions above ``cutoff`` are omitted.
     """
     _require_int(d, "d")
-    _require_int(cutoff, "cutoff")
+    _require_int(cutoff, "cutoff", minimum=0)
     if d < 2:
         raise InputError(f"the bouquet summand exists only for d >= 2, got d={d}")
-    if d == 2:
-        return {}
-    return {n: (d - 2) * (n - 1) for n in range(2, cutoff + 1)}
+    num, den = _bouquet_letters(d)
+    return {n: c for n, c in enumerate(_expand((0, *num), den, cutoff)) if c}
 
 
 class LoopFactorMultiset(Record):
@@ -460,10 +467,11 @@ def hilton_milnor(
     A sphere of dimension ``n_i + 1`` contributes a letter of weight
     ``n_i``; each basic product of total weight ``w`` contributes one
     factor ``Loop(S^{w+1})``.  Factors are enumerated up to dimension
-    ``cutoff + 1`` with exact Witt counts; no word lists are built.
+    ``cutoff + 1`` with exact Witt counts, in O(cutoff * distinct dimensions)
+    steps of :func:`loopsix.series._witt_counts`; no word lists are built.
     Dimensions and counts must be exact ``int``s, counts nonnegative.
     """
-    _require_int(cutoff, "cutoff")
+    _require_int(cutoff, "cutoff", minimum=0)
     letters: dict[int, int] = {}  # weight -> count; one pass checks and fills it
     pairs = spheres.items() if isinstance(spheres, Mapping) else ((s, 1) for s in spheres)
     for dim, count in pairs:
@@ -478,18 +486,13 @@ def hilton_milnor(
                     "Hilton-Milnor needs a wedge of simply connected spheres"
                 )
             letters[dim - 1] = letters.get(dim - 1, 0) + count
-    n_letters = sum(letters.values())
-    weight_counts = lie_ring_weight_counts(letters, cutoff) if n_letters else []
-    loops = tuple([
-        (w + 1, weight_counts[w - 1])
-        for w in range(1, cutoff + 1)
-        if weight_counts and weight_counts[w - 1]
-    ])
+    counts = _witt_counts([letters.get(w, 0) for w in range(cutoff + 1)], (1,), cutoff)
+    loops = tuple([(w + 1, c) for w, c in enumerate(counts, 1) if c])
     return LoopFactorMultiset(
         circles=0,
         sphere_loops=loops,
         mod_factors=(),
-        truncated=n_letters >= 2,
+        truncated=sum(letters.values()) >= 2,
         cutoff=cutoff,
     )
 
@@ -498,10 +501,10 @@ def loop_factors(N: FourManifold, b: BundleData, cutoff: int) -> LoopFactorMulti
     """Expand the factors of :func:`decompose` into circle/loop-sphere factors.
 
     ``Loop(S^2 x S^3)`` contributes ``Loop(S^2)`` and ``Loop(S^3)``; the
-    wedge summand for d >= 3 is expanded through Hilton-Milnor, with its
-    spheres counted by :func:`bouquet_spheres`.  Factors
-    ``Loop(S^m)`` are enumerated for ``m <= cutoff + 1``, which determines
-    rational homotopy ranks through degree ``cutoff``.
+    wedge summand for d >= 3 is expanded through Hilton-Milnor, in O(cutoff)
+    steps from the closed-form letter series that :func:`bouquet_spheres`
+    expands.  Factors ``Loop(S^m)`` are enumerated for ``m <= cutoff + 1``,
+    which determines rational homotopy ranks through degree ``cutoff``.
     """
     _require_int(cutoff, "cutoff", minimum=1)
     circles = 0
@@ -514,10 +517,9 @@ def loop_factors(N: FourManifold, b: BundleData, cutoff: int) -> LoopFactorMulti
         elif isinstance(f, SphereModN):
             mods.append(f.order)
         elif isinstance(f.space, Wedge):
-            expansion = hilton_milnor(bouquet_spheres(N.d, cutoff + 1), cutoff)
-            for m, c in expansion.sphere_loops:
+            for m, c in enumerate(_witt_counts(*_bouquet_letters(N.d), cutoff), 2):
                 loops[m] = loops.get(m, 0) + c
-            truncated = truncated or expansion.truncated
+            truncated = True
         else:  # Loop of a sphere or of a product of spheres
             space = f.space
             for sphere in space.factors if isinstance(space, Product) else (space,):
@@ -537,27 +539,6 @@ def loop_factors(N: FourManifold, b: BundleData, cutoff: int) -> LoopFactorMulti
 # ---------------------------------------------------------------------------
 # Rational loop homology series
 # ---------------------------------------------------------------------------
-
-
-_Poly = tuple[int, ...]  # integer coefficients, constant term first
-
-
-def _add(a: _Poly, b: _Poly, scale: int = 1) -> _Poly:
-    """``a + scale * b``."""
-    out = list(a) + [0] * (len(b) - len(a))
-    for k, y in enumerate(b):
-        out[k] += scale * y
-    return tuple(out)
-
-
-def _mul(a: _Poly, b: _Poly, cutoff: int) -> _Poly:
-    """``a * b`` through degree ``cutoff``."""
-    out = [0] * min(len(a) + len(b) - 1, cutoff + 1)
-    for i, x in enumerate(a[: cutoff + 1]):
-        if x:
-            for j, y in enumerate(b[: cutoff + 1 - i]):
-                out[i + j] += x * y
-    return tuple(out)
 
 
 def _homology(node: Node, cutoff: int) -> tuple[_Poly, _Poly]:

@@ -355,7 +355,7 @@ def quadratic_dual_dims(p: QuadraticPresentation, max_weight: int) -> list[int]:
     algebra and right multiplication by sigma is injective (PBW), so only
     the diagonal relation's rows are eliminated (see :func:`_dual_quotients`).
     """
-    _require_int(max_weight, "max_weight")
+    _require_int(max_weight, "max_weight", minimum=0)
     dims = [1, p.generators][: max_weight + 1]
     dims.extend([dim for _, dim in _dual_quotients(p, max_weight)])
     return dims
@@ -422,7 +422,7 @@ def ranks_from_decomposition(
     ``S^1`` contributes degree 1; ``Loop(S^m)`` contributes degree m-1 for
     odd m, degrees m-1 and 2m-2 for even m; ``S^3{n}`` is rationally trivial.
     """
-    _require_int(cutoff, "cutoff")
+    _require_int(cutoff, "cutoff", minimum=0)
     if factors.truncated and cutoff > factors.cutoff:
         raise InputError(
             f"factor enumeration only reaches degree {factors.cutoff}, "
@@ -646,7 +646,7 @@ def cdga_cohomology(model: SullivanModel, cutoff: int) -> list[int]:
     Checks ``d o d = 0`` on generators first; then straightforward
     rank-nullity on the monomial bases degree by degree.
     """
-    _require_int(cutoff, "cutoff")
+    _require_int(cutoff, "cutoff", minimum=0)
     check_square_zero(model)
     bases = _monomial_bases(model, cutoff + 1)
     ranks = [0]  # ranks[q] is the rank of d into degree q

@@ -8,13 +8,14 @@ Arithmetic truncates to the smaller cutoff of the operands, so mixing
 series of different precision silently keeps only the degrees both sides
 know about.  Every rational function ``num / den`` in the package -- a
 reciprocal, a loop-homology series, a Koszul dual series, a tensor-algebra
-series -- is expanded by the one private :func:`_expand`.
+series, the log-derivative of a letter series -- is expanded by the one
+private :func:`_expand`, in time that follows the nonzero terms of ``den``.
 
 The combinatorial entry points are
 
 * :func:`lie_ring_weight_counts` -- Witt counts of the Hall basis of a
-  free Lie ring by weight, for a weighted alphabet (the form the
-  Hilton-Milnor expansion needs),
+  free Lie ring by weight, for a weighted alphabet; the Hilton-Milnor
+  expansion reads them off a closed-form letter series in O(cutoff),
 * :func:`pbw_expand` / :func:`pbw_invert` -- the Poincare-Birkhoff-Witt
   dictionary between graded Lie algebra dimensions and the Hilbert series
   of the universal enveloping algebra, with the usual parity convention
@@ -160,16 +161,41 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return a * b
 
 
+_Poly = tuple[int, ...]  # integer coefficients, constant term first
+
+
+def _add(a: _Poly, b: _Poly, scale: int = 1) -> _Poly:
+    """``a + scale * b``."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for k, y in enumerate(b):
+        out[k] += scale * y
+    return tuple(out)
+
+
+def _mul(a: _Poly, b: _Poly, cutoff: int) -> _Poly:
+    """``a * b`` through degree ``cutoff``."""
+    out = [0] * min(len(a) + len(b) - 1, cutoff + 1)
+    for i, x in enumerate(a[: cutoff + 1]):
+        if x:
+            for j, y in enumerate(b[: cutoff + 1 - i]):
+                out[i + j] += x * y
+    return tuple(out)
+
+
 def _expand(num: Sequence, den: Sequence, cutoff: int) -> list[Rational]:
     """The power series ``num / den`` through degree ``cutoff``, for
-    ``den[0] == 1``: ``num = den * out`` solved degree by degree, in
-    O(cutoff * deg den) steps.  Integral input gives integral output."""
+    ``den[0] == 1``: ``num = den * out`` solved degree by degree, one product
+    per nonzero term of ``den`` and degree, so zeros -- padding to the cutoff
+    or inside ``den`` -- cost nothing.  Integral input gives integral output."""
     out = list(num[: cutoff + 1]) + [0] * (cutoff + 1 - len(num))
-    tail = list(den[1 : cutoff + 1])
-    while tail and not tail[-1]:  # callers may pad den with zeros to the cutoff
-        tail.pop()
+    terms = [(k, c) for k, c in enumerate(den[1 : cutoff + 1], 1) if c]
     for n in range(1, cutoff + 1):
-        out[n] -= sum(map(mul, tail, reversed(out[max(n - len(tail), 0) : n])))
+        x = out[n]
+        for k, c in terms:
+            if k > n:
+                break
+            x -= mul(c, out[n - k])
+        out[n] = x
     return out
 
 
@@ -230,13 +256,12 @@ def lie_ring_weight_counts(
     ``letter_counts[w]`` letters of weight ``w >= 1`` generate a free Lie
     ring; entry ``n-1`` of the result is the number of basic products of
     total weight ``n``, which is the number of Lyndon words of weight ``n``
-    over the alphabet.  Computed, without enumerating words, by Moebius
-    inversion of the power sums
-    ``p_n = n [t^n] -log(1 - f)`` of the alphabet's generating polynomial
-    ``f``, which obey the integer recurrence ``p_n = n f_n + sum f_k p_{n-k}``.
+    over the alphabet.  Computed, without enumerating words, by
+    :func:`_witt_counts` on the alphabet's generating polynomial ``f`` (the
+    letter series ``f / 1``), in O(cutoff * distinct letter weights) steps.
     """
-    _require_int(cutoff, "cutoff")
-    f: dict[int, int] = {}
+    _require_int(cutoff, "cutoff", minimum=0)
+    f = [0] * (cutoff + 1)
     for weight, count in letter_counts.items():
         _require_int(weight, "letter weight")
         _require_int(count, "letter count")
@@ -244,17 +269,21 @@ def lie_ring_weight_counts(
             raise InputError("letter weights must be >= 1")
         if count < 0:
             raise InputError("letter counts must be nonnegative")
-        if count and weight <= cutoff:
+        if weight <= cutoff:
             f[weight] = count
-    letters = sorted(f.items())
-    power_sums = [0] * (cutoff + 1)
-    for n in range(1, cutoff + 1):
-        p_n = n * f.get(n, 0)
-        for k, fk in letters:
-            if k >= n:
-                break
-            p_n += fk * power_sums[n - k]
-        power_sums[n] = p_n
+    return _witt_counts(f, (1,), cutoff)
+
+
+def _witt_counts(num: Sequence[int], den: Sequence[int], cutoff: int) -> list[int]:
+    """Hall-basis counts by weight ``1..cutoff`` for the letter series
+    ``f = num / den`` of integer polynomials, ``den[0] == 1``: the power
+    sums ``p_n = n [t^n] -log(1 - f)`` are the expansion of ``t (den num' -
+    num den') / (den (den - num))``, O(cutoff) steps per nonzero term of its
+    denominator, and ``sum_{d | n} mu(d) p_{n/d}`` is n times the count of n.
+    """
+    d_num, d_den = ([k * c for k, c in enumerate(p)][1:] for p in (num, den))
+    top = _add(_mul(den, d_num, cutoff), _mul(num, d_den, cutoff), -1)
+    power_sums = _expand((0, *top), _mul(den, _add(den, num, -1), cutoff), cutoff)
     sums = [0] * (cutoff + 1)  # sums[n] = sum_{d | n} mu(d) p_{n/d}
     for d, mu in enumerate(_mobius_sieve(cutoff)):
         if mu:

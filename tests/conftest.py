@@ -261,6 +261,43 @@ def lie_ring_weight_counts_by_log(
     return counts
 
 
+def lie_ring_weight_counts_by_recurrence(
+    letter_counts: dict[int, int], cutoff: int
+) -> list[int]:
+    """Hall-basis counts by weight from the power sums'
+    integer recurrence ``p_n = n f_n + sum_k f_k p_{n-k}``.
+
+    ``f`` is the alphabet's generating polynomial, walked letter weight by
+    letter weight in O(cutoff * letters) steps (the library's method before
+    it expanded a closed-form letter series); the power sums
+    ``p_n = n [t^n] -log(1 - f)`` are Moebius-inverted by trial division.
+    """
+    f = {w: c for w, c in letter_counts.items() if c and w <= cutoff}
+    power_sums = [0] * (cutoff + 1)
+    for n in range(1, cutoff + 1):
+        power_sums[n] = n * f.get(n, 0) + sum(
+            c * power_sums[n - k] for k, c in f.items() if k < n
+        )
+
+    def mobius(n: int) -> int:
+        sign, p = 1, 2
+        while p * p <= n:
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return 0
+                sign = -sign
+            p += 1
+        return -sign if n > 1 else sign
+
+    counts = []
+    for n in range(1, cutoff + 1):
+        total = sum(mobius(e) * power_sums[n // e] for e in range(1, n + 1) if n % e == 0)
+        assert total % n == 0 and total >= 0
+        counts.append(total // n)
+    return counts
+
+
 # ---------------------------------------------------------------------------
 # PBW by multiplying out the enveloping-algebra factors
 # ---------------------------------------------------------------------------

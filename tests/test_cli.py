@@ -366,7 +366,7 @@ class TestEachStageOnce:
         (series, "pbw_invert"),
         (homotopy, "decompose"),
         (homotopy, "loop_factors"),
-        (homotopy, "hilton_milnor"),
+        (series, "_witt_counts"),
         (homotopy, "loop_homology_series"),
         (rational, "cdga_cohomology"),
         (cli, "emit_report"),

@@ -78,17 +78,23 @@ def test_bound_is_an_exact_int(call, name, value):
 
 
 #: The bounds that refuse cutoff -1 with an ``InputError`` naming the bound,
-#: before any work; the rest still return an empty result there.
+#: before any work; ``loop_factors`` starts at 1 and ``pi_manifold`` at 2.
 NONNEGATIVE = {
     "TruncatedSeries.from_coefficients",
     "GradedLieDims.from_dims",
     "GradedLieDims.truncate",
     "pbw_expand",
+    "lie_ring_weight_counts",
+    "bouquet_spheres",
+    "hilton_milnor",
     "loop_homology_series",
     "hilbert_series",
+    "quadratic_dual_dims",
     "koszul_dual_series",
     "lie_dims",
+    "ranks_from_decomposition",
     "free_graded_lie_dims",
+    "cdga_cohomology",
 }
 
 

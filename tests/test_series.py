@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from loopsix import series
 from loopsix.errors import InputError
-from loopsix.homotopy import bouquet_spheres, decompose, loop_homology_series
+from loopsix.homotopy import (
+    _bouquet_letters,
+    bouquet_spheres,
+    decompose,
+    loop_factors,
+    loop_homology_series,
+)
 from loopsix.series import (
     GradedLieDims,
     NegativeLieDimension,
@@ -15,6 +21,7 @@ from loopsix.series import (
     ZeroConstantTerm,
     _expand,
     _mobius_sieve,
+    _witt_counts,
     lie_ring_weight_counts,
     pbw_expand,
     pbw_invert,
@@ -24,6 +31,7 @@ from loopsix.series import (
 
 from conftest import (
     lie_ring_weight_counts_by_log,
+    lie_ring_weight_counts_by_recurrence,
     lyndon_count_for_weight,
     pbw_expand_by_factors,
     pbw_invert_by_factors,
@@ -343,6 +351,36 @@ class TestIntegerKernel:
         )
 
 
+class TestClosedFormLetterSeries:
+    """The bouquet's Witt counts, read off its letter series ``(d-2) t /
+    (1-t)^2``, match both references on the cutoff-long alphabet that
+    ``bouquet_spheres`` lists, in work that grows linearly with the cutoff."""
+
+    @pytest.mark.parametrize(
+        "d, cutoff", [(d, 40) for d in range(3, 17)] + [(d, 300) for d in (3, 10, 64, 192)]
+    )
+    def test_matches_references(self, d, cutoff):
+        letters = {dim - 1: count for dim, count in bouquet_spheres(d, cutoff + 1).items()}
+        counts = _witt_counts(*_bouquet_letters(d), cutoff)
+        assert counts == lie_ring_weight_counts_by_recurrence(letters, cutoff)
+        assert counts == lie_ring_weight_counts(letters, cutoff)
+        if cutoff <= 40:  # the Fraction log expansion grows as cutoff^3
+            assert counts == lie_ring_weight_counts_by_log(letters, cutoff)
+
+    def test_loop_factors_work_is_linear(self, monkeypatch):
+        products = []
+
+        def counted(a, b):
+            products.append((a, b))
+            return a * b
+
+        N, b = random_pair(random.Random(10), 10)
+        monkeypatch.setattr(series, "mul", counted)
+        factors = loop_factors(N, b, 150)
+        assert 0 < len(products) <= 5 * 150
+        assert factors.loops_by_dim()[151] > 0
+
+
 class TestExpandWork:
     """``_expand``'s work follows the degree of ``den``: zeros padded out to
     the cutoff (1/H(-t) in ``koszul_dual_series``, 1/(1 - sum t^deg) in
@@ -362,3 +400,19 @@ class TestExpandWork:
         unpadded = len(products)
         assert _expand((1,), den + [0] * cutoff, cutoff) == plain
         assert len(products) == 2 * unpadded <= 2 * 3 * cutoff
+
+    @pytest.mark.parametrize("cutoff", [3, 40, 150])
+    def test_interior_zeros_cost_nothing(self, monkeypatch, cutoff):
+        den = [1, 0, 0, -2, 0, 0, 0, 0, 0, 1]  # 1 - 2t^3 + t^9
+        products = []
+
+        def counted(a, b):
+            products.append((a, b))
+            return a * b
+
+        monkeypatch.setattr(series, "mul", counted)
+        out = _expand((1,), den, cutoff)
+        # one product per nonzero term of den, in each degree that reaches it
+        assert len(products) == sum(cutoff - k + 1 for k in (3, 9) if k <= cutoff)
+        monkeypatch.undo()
+        assert S(*den, cutoff=cutoff) * S(*out) == TruncatedSeries.one(cutoff)
