@@ -42,7 +42,8 @@ from .manifold import (
     pairing_parity,
 )
 from .series import (
-    TruncatedSeries, _Poly, _add, _expand, _mul, _prime_powers, _witt_counts
+    TruncatedSeries, _Poly, _add, _expand, _mul, _multiset, _prime_powers, _witt_counts,
+    lie_ring_weight_counts,
 )
 
 # Largest odd attaching number that decompose factors: trial division up to
@@ -467,26 +468,13 @@ def hilton_milnor(
     A sphere of dimension ``n_i + 1`` contributes a letter of weight
     ``n_i``; each basic product of total weight ``w`` contributes one
     factor ``Loop(S^{w+1})``.  Factors are enumerated up to dimension
-    ``cutoff + 1`` with exact Witt counts, in O(cutoff * distinct dimensions)
-    steps of :func:`loopsix.series._witt_counts`; no word lists are built.
-    Dimensions and counts must be exact ``int``s, counts nonnegative.
+    ``cutoff + 1`` by :func:`loopsix.series.lie_ring_weight_counts`; no word
+    lists are built.  ``spheres`` maps dimensions to counts, or lists one
+    dimension per sphere; exact ``int``s, dimensions >= 2, counts >= 0.
     """
     _require_int(cutoff, "cutoff", minimum=0)
-    letters: dict[int, int] = {}  # weight -> count; one pass checks and fills it
-    pairs = spheres.items() if isinstance(spheres, Mapping) else ((s, 1) for s in spheres)
-    for dim, count in pairs:
-        if type(dim) is not int or type(count) is not int or count < 0:
-            raise InputError(
-                "Hilton-Milnor needs int sphere dimensions and nonnegative int "
-                f"counts, got {dim!r}: {count!r}"
-            )
-        if count:
-            if dim < 2:
-                raise InputError(
-                    "Hilton-Milnor needs a wedge of simply connected spheres"
-                )
-            letters[dim - 1] = letters.get(dim - 1, 0) + count
-    counts = _witt_counts([letters.get(w, 0) for w in range(cutoff + 1)], (1,), cutoff)
+    letters = {n - 1: c for n, c in _multiset(spheres, "sphere", "dimension", 2).items()}
+    counts = lie_ring_weight_counts(letters, cutoff)
     loops = tuple([(w + 1, c) for w, c in enumerate(counts, 1) if c])
     return LoopFactorMultiset(
         circles=0,

@@ -243,11 +243,7 @@ class SixManifoldRing(Frozen):
         """Bilinear extension of the basis product table."""
         out: dict[str, int] = {}
         for la, ca in u.items():
-            if ca == 0:
-                continue
             for lb, cb in v.items():
-                if cb == 0:
-                    continue
                 for lc, cc in self._table.get((la, lb), {}).items():
                     out[lc] = out.get(lc, 0) + ca * cb * cc
         return {k: v for k, v in out.items() if v != 0}

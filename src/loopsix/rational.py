@@ -54,7 +54,7 @@ from .manifold import (
     SixManifoldRing,
     cohomology_ring,
 )
-from .series import GradedLieDims, TruncatedSeries, _expand, pbw_invert
+from .series import GradedLieDims, TruncatedSeries, _expand, _multiset, pbw_invert
 
 
 # Depth of ``describe``'s two-route check, and of every printed coformality witness.
@@ -444,18 +444,12 @@ def free_graded_lie_dims(
 ) -> GradedLieDims:
     """Dimensions of the free graded Lie algebra on generators of the given
     degrees: PBW inversion of the tensor-algebra series ``1/(1 - sum t^deg)``.
+    ``degrees`` maps degrees to counts, or lists one degree per generator;
+    exact ``int``s, degrees >= 1, counts >= 0.
     """
     _require_int(cutoff, "cutoff", minimum=0)
-    counts: dict[int, int] = {}  # each item checked first: 1 and True share a key
-    pairs = degrees.items() if isinstance(degrees, Mapping) else ((g, 1) for g in degrees)
-    for deg, count in pairs:
-        _require_int(deg, "generator degree")
-        _require_int(count, "generator count")
-        counts[deg] = counts.get(deg, 0) + count
-    if any(d < 1 for d in counts):
-        raise InputError("generator degrees must be >= 1")
     denominator = [1] + [0] * cutoff
-    for deg, count in counts.items():
+    for deg, count in _multiset(degrees, "generator", "degree", 1).items():
         if deg <= cutoff:
             denominator[deg] -= count
     return pbw_invert(TruncatedSeries(tuple(_expand((1,), denominator, cutoff))))

@@ -121,23 +121,16 @@ class TruncatedSeries(Record):
     # freed results pile up on the small-tuple free lists until a full gc.
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.cutoff, other.cutoff)
-        return TruncatedSeries(
-            tuple([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
-        )
+        n = min(len(self.coeffs), len(other.coeffs))
+        return TruncatedSeries(_add(self.coeffs[:n], other.coeffs[:n]))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.cutoff, other.cutoff)
-        return TruncatedSeries(
-            tuple([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
-        )
+        n = min(len(self.coeffs), len(other.coeffs))
+        return TruncatedSeries(_add(self.coeffs[:n], other.coeffs[:n], -1))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.cutoff, other.cutoff)
-        a, b_reversed = self.coeffs, other.coeffs[n::-1]
-        return TruncatedSeries(
-            tuple([sum(map(mul, a[: k + 1], b_reversed[n - k :])) for k in range(n + 1)])
-        )
+        return TruncatedSeries(_mul(self.coeffs, other.coeffs, n))
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if exponent < 0:
@@ -161,7 +154,7 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return a * b
 
 
-_Poly = tuple[int, ...]  # integer coefficients, constant term first
+_Poly = tuple[Rational, ...]  # coefficients, constant term first
 
 
 def _add(a: _Poly, b: _Poly, scale: int = 1) -> _Poly:
@@ -248,27 +241,41 @@ def _mobius_sieve(n: int) -> list[int]:
     return mu
 
 
+def _multiset(
+    items: Mapping[int, int] | Iterable[int], noun: str, grading: str, floor: int
+) -> dict[int, int]:
+    """``items`` -- a mapping item -> count, or a list of items -- as a dict
+    item -> total count.  Each pair is checked before it is counted, zero
+    counts included, so that a ``True`` never passes as a 1."""
+    out: dict[int, int] = {}
+    pairs = items.items() if isinstance(items, Mapping) else ((x, 1) for x in items)
+    for item, count in pairs:
+        _require_int(item, f"{noun} {grading}")
+        _require_int(count, f"{noun} count")
+        if item < floor:
+            raise InputError(f"{noun} {grading}s must be >= {floor}")
+        if count < 0:
+            raise InputError(f"{noun} counts must be nonnegative")
+        out[item] = out.get(item, 0) + count
+    return out
+
+
 def lie_ring_weight_counts(
-    letter_counts: Mapping[int, int], cutoff: int
+    letter_counts: Mapping[int, int] | Iterable[int], cutoff: int
 ) -> list[int]:
     """Total Hall-basis counts by weight for a weighted alphabet.
 
-    ``letter_counts[w]`` letters of weight ``w >= 1`` generate a free Lie
-    ring; entry ``n-1`` of the result is the number of basic products of
-    total weight ``n``, which is the number of Lyndon words of weight ``n``
-    over the alphabet.  Computed, without enumerating words, by
+    ``letter_counts[w]`` letters of weight ``w >= 1`` (or a list of weights,
+    one per letter; exact ``int``s, counts >= 0) generate a free Lie ring;
+    entry ``n-1`` of the result is the number of basic products of total
+    weight ``n``, which is the number of Lyndon words of weight ``n`` over
+    the alphabet.  Computed, without enumerating words, by
     :func:`_witt_counts` on the alphabet's generating polynomial ``f`` (the
     letter series ``f / 1``), in O(cutoff * distinct letter weights) steps.
     """
     _require_int(cutoff, "cutoff", minimum=0)
     f = [0] * (cutoff + 1)
-    for weight, count in letter_counts.items():
-        _require_int(weight, "letter weight")
-        _require_int(count, "letter count")
-        if weight < 1:
-            raise InputError("letter weights must be >= 1")
-        if count < 0:
-            raise InputError("letter counts must be nonnegative")
+    for weight, count in _multiset(letter_counts, "letter", "weight", 1).items():
         if weight <= cutoff:
             f[weight] = count
     return _witt_counts(f, (1,), cutoff)

@@ -299,6 +299,36 @@ def lie_ring_weight_counts_by_recurrence(
 
 
 # ---------------------------------------------------------------------------
+# Truncated series arithmetic on plain lists of Fractions
+# ---------------------------------------------------------------------------
+
+
+def series_sum_by_fractions(a, b, sign: int = 1) -> list[Fraction]:
+    """``a + sign * b`` through the shorter of the two coefficient lists."""
+    return [Fraction(x) + sign * Fraction(y) for x, y in zip(a, b)]
+
+
+def series_product_by_fractions(a, b) -> list[Fraction]:
+    """The Cauchy product through the shorter of the two coefficient lists."""
+    n = min(len(a), len(b))
+    return [sum(Fraction(a[i]) * b[k - i] for i in range(k + 1)) for k in range(n)]
+
+
+def series_power_by_fractions(a, exponent: int) -> list[Fraction]:
+    """``a ** exponent`` by repeated products; a negative exponent powers the
+    inverse, solved from ``a * inverse = 1`` degree by degree."""
+    if exponent < 0:
+        inverse = [1 / Fraction(a[0])]
+        for k in range(1, len(a)):
+            inverse.append(-sum(a[i] * inverse[k - i] for i in range(1, k + 1)) / a[0])
+        a, exponent = inverse, -exponent
+    out = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
+    for _ in range(exponent):
+        out = series_product_by_fractions(out, a)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # PBW by multiplying out the enveloping-algebra factors
 # ---------------------------------------------------------------------------
 

@@ -2,14 +2,25 @@
 
 Each public function that takes a cutoff, a degree or a count checks it once
 at its entry with ``errors._require_int`` and raises :class:`InputError`
-naming the argument, before its own range check.
+naming the argument, before its own range check.  The library's other
+refusals at its edges keep their exception types and messages.
 """
+
+from fractions import Fraction
 
 import pytest
 
 from loopsix import groups, homotopy, rational, series
 from loopsix.errors import InputError
-from loopsix.manifold import bundle_from_classes, cohomology_ring, new_four_manifold
+from loopsix.linalg import det_int
+from loopsix.manifold import (
+    NotPrimitive,
+    WrongDimension,
+    bundle_from_classes,
+    cohomology_ring,
+    new_four_manifold,
+    pairing_parity,
+)
 
 N2 = new_four_manifold([[0, 1], [1, 0]])
 B2 = bundle_from_classes(N2, [0, 0], 0)
@@ -167,3 +178,117 @@ def test_negative_cutoff_is_refused(call, name):
 def test_no_other_integer_is_coerced(call, message):
     with pytest.raises(InputError, match=f"^{message}$"):
         call()
+
+
+N0 = new_four_manifold([])
+B0 = bundle_from_classes(N0, [], 0)
+
+
+#: Refusals at the library's edges, each with its exception type and message.
+REFUSALS = [
+    pytest.param(
+        lambda: rational.make_sullivan_model([("a", 2), ("a", 3)], {}),
+        InputError,
+        "generator names must be distinct",
+        id="model_duplicate_name",
+    ),
+    pytest.param(
+        lambda: rational.make_sullivan_model([("a", 0)], {}),
+        InputError,
+        "generator degrees must be >= 1",
+        id="model_degree_zero",
+    ),
+    pytest.param(
+        lambda: rational.make_sullivan_model([("a", 2)], {"b": {(1,): 1}}),
+        InputError,
+        "differential given for unknown generator 'b'",
+        id="model_unknown_generator",
+    ),
+    pytest.param(
+        lambda: rational.make_sullivan_model([("a", 2), ("b", 3)], {"b": {(2,): 1}}),
+        InputError,
+        "monomial exponent tuple has the wrong length",
+        id="model_short_exponents",
+    ),
+    pytest.param(
+        lambda: rational.coformality_check(N0, B0),
+        InputError,
+        "coformality_check needs d >= 1",
+        id="coformality_d0",
+    ),
+    pytest.param(
+        lambda: homotopy.y_space_report(N0, B0),
+        WrongDimension,
+        "the Y-space analysis needs d >= 1, got d=0",
+        id="y_space_d0",
+    ),
+    pytest.param(
+        lambda: homotopy.bouquet_spheres(1, 4),
+        InputError,
+        "the bouquet summand exists only for d >= 2, got d=1",
+        id="bouquet_d1",
+    ),
+    pytest.param(
+        lambda: groups.pi_sphere(TABLE, 0, 3),
+        InputError,
+        "sphere dimension and degree must be >= 1",
+        id="pi_sphere_n0",
+    ),
+    pytest.param(
+        lambda: groups.FGAbelianGroup.from_orders(2, free_rank=2.5),
+        InputError,
+        "group orders and free rank must be integers",
+        id="from_orders_float_rank",
+    ),
+    pytest.param(
+        lambda: N2.pairing([1]),
+        WrongDimension,
+        "vectors must have length d=2",
+        id="pairing_short_vector",
+    ),
+    pytest.param(
+        lambda: pairing_parity(N2, [1, 0, 0]),
+        NotPrimitive,
+        "beta must be a primitive class of length d=2",
+        id="pairing_parity_long_vector",
+    ),
+    pytest.param(
+        lambda: det_int([[1, 2]]), ValueError, "matrix is not square", id="det_not_square"
+    ),
+    pytest.param(
+        lambda: series.TruncatedSeries.one(2)[3],
+        IndexError,
+        "degree 3 outside cutoff 2",
+        id="series_past_cutoff",
+    ),
+    pytest.param(
+        lambda: series.TruncatedSeries((1, Fraction(1, 2))).integer_coefficients(),
+        ValueError,
+        "coefficient of degree 1 is not an integer: 1/2",
+        id="series_half_coefficient",
+    ),
+    pytest.param(
+        lambda: series.GradedLieDims((1,)).dim(0),
+        ValueError,
+        "degrees start at 1",
+        id="lie_dims_degree_zero",
+    ),
+] + [
+    pytest.param(
+        lambda f=f: f(5), TypeError, "not a homotopy expression: 5", id=f"{f.__name__}_non_node"
+    )
+    for f in (homotopy.normalize, homotopy.node_key, homotopy.render, homotopy.ast_to_json)
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_refusal_type_and_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_det_of_a_zero_column_is_zero():
+    # no row below the first pivot is nonzero: elimination stops at once
+    assert det_int([[0, 0], [0, 0]]) == 0

@@ -239,14 +239,20 @@ class TestHiltonMilnor:
             hilton_milnor([1, 2], 4)
 
     @pytest.mark.parametrize(
-        "spheres",
-        [{3: -1}, {3: 1.5}, {2.0: 1, 3: 1}, {3: True, 2: 1}, [2, 3.0],
-         [3, 3.0], [2, 3, 2.0]],
+        "spheres, message",
+        [({3: -1}, "sphere counts must be nonnegative"),
+         ({3: 1.5}, "sphere count must be an int, got 1.5"),
+         ({2.0: 1, 3: 1}, "sphere dimension must be an int, got 2.0"),
+         ({3: True, 2: 1}, "sphere count must be an int, got True"),
+         ([2, 3.0], "sphere dimension must be an int, got 3.0"),
+         ([3, 3.0], "sphere dimension must be an int, got 3.0"),
+         ([2, 3, 2.0], "sphere dimension must be an int, got 2.0"),
+         ({1: 0, 3: 1}, "sphere dimensions must be >= 2")],
         ids=["negative", "float-count", "float-dim", "bool-count", "float-list",
-             "float-after-equal-int", "float-after-equal-ints"],
+             "float-after-equal-int", "float-after-equal-ints", "zero-count-circle"],
     )
-    def test_rejects_inexact_sphere_data(self, spheres):
-        with pytest.raises(InputError, match="int sphere dimensions"):
+    def test_rejects_inexact_sphere_data(self, spheres, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
             hilton_milnor(spheres, 5)
 
     @given(

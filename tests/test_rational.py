@@ -221,6 +221,14 @@ class TestRanks:
         assert free_graded_lie_dims([2], 4).dims == (0, 1, 0, 0)
         assert free_graded_lie_dims([1], 4).dims == (1, 1, 0, 0)
 
+    @pytest.mark.parametrize(
+        "degrees, cutoff", [({3: -1}, 2), ({2: -1}, 5)], ids=["past_cutoff", "pbw"]
+    )
+    def test_free_graded_lie_refuses_negative_counts(self, degrees, cutoff):
+        # refused as input, before PBW inversion could meet a negative dimension
+        with pytest.raises(InputError, match="^generator counts must be nonnegative$"):
+            free_graded_lie_dims(degrees, cutoff)
+
     def test_free_graded_lie_matches_bracket_oracle(self):
         assert free_graded_lie_dims([1, 1], 6).dims == tuple(
             graded_free_lie_dims_oracle(2, 6)
@@ -340,6 +348,16 @@ class TestCdga:
     def test_exterior_generators_square_to_zero(self):
         model = make_sullivan_model([("u", 3)], {})
         assert cdga_cohomology(model, 7) == [1, 0, 0, 1, 0, 0, 0, 0]
+
+    def test_odd_generators_carry_koszul_signs(self):
+        # the Heisenberg 3-manifold times a 2-torus: Lambda(x, y, z, u, w) in
+        # degree 1 with dw = xy + xz + xu; d of a product moves dw past odd
+        # generators, with a sign, and meets odd squares such as x * xy
+        model = make_sullivan_model(
+            [(name, 1) for name in "xyzuw"],
+            {"w": {(1, 1, 0, 0, 0): 1, (1, 0, 1, 0, 0): 1, (1, 0, 0, 1, 0): 1}},
+        )
+        assert cdga_cohomology(model, 5) == [1, 4, 7, 7, 4, 1]
 
     @pytest.mark.parametrize(
         "generators, differential, message",

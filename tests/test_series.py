@@ -36,6 +36,15 @@ from conftest import (
     pbw_expand_by_factors,
     pbw_invert_by_factors,
     random_pair,
+    series_power_by_fractions,
+    series_product_by_fractions,
+    series_sum_by_fractions,
+)
+
+
+#: int and Fraction coefficients, for series of either kind
+COEFFICIENTS = st.one_of(
+    st.integers(-5, 5), st.fractions(min_value=-3, max_value=3, max_denominator=4)
 )
 
 
@@ -94,6 +103,25 @@ class TestArithmetic:
         f = TruncatedSeries.from_coefficients([unit] + tail, cutoff=10)
         assert series_mul(f, series_reciprocal(f)) == TruncatedSeries.one(10)
 
+    @given(
+        st.lists(COEFFICIENTS, min_size=1, max_size=8),
+        st.lists(COEFFICIENTS, min_size=1, max_size=8),
+        st.integers(-3, 3),
+        st.sampled_from([1, -1]),
+    )
+    @settings(max_examples=150)
+    def test_operators_match_fraction_reference(self, a, b, exponent, unit):
+        # the cutoffs differ whenever the lists do; a negative power inverts,
+        # so its base gets a unit constant term
+        x, y = TruncatedSeries.from_coefficients(a), TruncatedSeries.from_coefficients(b)
+        assert list((x + y).coeffs) == series_sum_by_fractions(a, b)
+        assert list((x - y).coeffs) == series_sum_by_fractions(a, b, -1)
+        assert list((x * y).coeffs) == series_product_by_fractions(a, b)
+        if exponent < 0:
+            a = [unit] + a[1:]
+            x = TruncatedSeries.from_coefficients(a)
+        assert list((x**exponent).coeffs) == series_power_by_fractions(a, exponent)
+
 
 class TestWittCounts:
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
@@ -110,6 +138,9 @@ class TestWittCounts:
             lyndon_count_for_weight([1, 2], w) for w in range(1, 10)
         ]
         assert lie_ring_weight_counts({1: 2}, 8) == [2, 1, 2, 3, 6, 9, 18, 30]
+
+    def test_weight_counts_take_a_list_of_weights(self):
+        assert lie_ring_weight_counts([1, 1], 4) == [2, 1, 2, 3]
 
     @pytest.mark.parametrize(
         "call",
