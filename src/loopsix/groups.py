@@ -15,11 +15,9 @@ Sphere groups come from a shipped data file covering n, k <= 15 (see
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from functools import cache
 from itertools import chain, repeat
-from operator import neg
 from pathlib import Path
 from types import MappingProxyType
 
@@ -103,20 +101,23 @@ class FGAbelianGroup(Record):
         """Number of cyclic torsion summands, each of prime-power order."""
         return sum(n for _, n in self.counts)
 
-    def invariant_factors(self) -> list[int]:
-        """Cyclic orders n_1 >= n_2 >= ... with n_{i+1} | n_i.
+    def _runs(self) -> list[tuple[int, int]]:
+        """The invariant factors as ``[(order, length), ...]``, largest first.
 
         Each prime's powers, largest first, fill positions 0, 1, ... of the
-        list, one run per power; the runs of all primes are merged, so the
-        work is per distinct prime power and each run of equal orders is
-        one list repetition.
+        factor list, one run per power; merging the runs of all primes
+        gives one run of equal orders wherever no prime's power changes.
+
+        >>> FGAbelianGroup.from_orders(4, 4, 2, 3, 3)._runs()
+        [(12, 2), (2, 1)]
         """
         # per prime: (where its run of a power ends, power), last run first
         runs: dict[int, list[tuple[int, int]]] = {}
         for (p, q), n in reversed(self.counts):
             prime_runs = runs.setdefault(p, [])
             prime_runs.insert(0, (n + (prime_runs[0][0] if prime_runs else 0), q))
-        factors: list[int] = []
+        merged: list[tuple[int, int]] = []
+        start = 0
         for end in sorted({end for prime_runs in runs.values() for end, _ in prime_runs}):
             order = 1
             for prime_runs in runs.values():
@@ -125,43 +126,35 @@ class FGAbelianGroup(Record):
                     order *= q
                     if run_end == end:
                         prime_runs.pop()
-            factors += [order] * (end - len(factors))
-        return factors
+            merged.append((order, end - start))
+            start = end
+        return merged
+
+    def invariant_factors(self) -> list[int]:
+        """Cyclic orders n_1 >= n_2 >= ... with n_{i+1} | n_i; each run of
+        equal orders is expanded by one ``repeat``, not summand by summand."""
+        return list(chain.from_iterable(repeat(q, n) for q, n in self._runs()))
 
     def text(self) -> str:
         """Render as ``Z^a + Z/n1 + Z/n2 ...`` with invariant factors.
 
+        Each run of equal orders is one string repetition, not one string
+        per summand.
+
         >>> FGAbelianGroup.from_orders(4, 3, 2).text()
         'Z/12 + Z/2'
+        >>> FGAbelianGroup.from_orders(4, 4, 2, free_rank=2).text()
+        'Z^2 + Z/4 + Z/4 + Z/2'
         """
-        return group_text(self.free_rank, self.invariant_factors())
+        rank = self.free_rank
+        parts = [f"Z^{rank}"] if rank > 1 else ["Z"] * rank
+        for order, n in self._runs():
+            z = f"Z/{order}"
+            parts.append(f"{z} + " * (n - 1) + z)
+        return " + ".join(parts) or "0"
 
     def __str__(self) -> str:
         return self.text()
-
-
-def group_text(free_rank: int, invariant_factors: Sequence[int]) -> str:
-    """``Z^a + Z/n1 + Z/n2 ...`` from a free rank and invariant factors.
-
-    ``invariant_factors`` must be non-increasing, as
-    :meth:`FGAbelianGroup.invariant_factors` returns them: each run of
-    equal orders is found by bisection and joined at once.
-
-    >>> group_text(2, [4, 4, 2])
-    'Z^2 + Z/4 + Z/4 + Z/2'
-    """
-    parts = []
-    if free_rank == 1:
-        parts.append("Z")
-    elif free_rank > 1:
-        parts.append(f"Z^{free_rank}")
-    i, size = 0, len(invariant_factors)
-    while i < size:
-        n = invariant_factors[i]
-        j = bisect_right(invariant_factors, -n, i, size, key=neg)
-        parts.append(" + ".join([f"Z/{n}"] * (j - i)))
-        i = j
-    return " + ".join(parts) if parts else "0"
 
 
 class SphereTable(Frozen):

@@ -38,7 +38,7 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
         raise InputError("matrix entries must be integers")
     a = [list(row) for row in rows]
     if any(len(row) != n for row in a):
-        raise ValueError("matrix is not square")
+        raise InputError("matrix is not square")
     sign = 1
     prev = 1
     for k in range(n - 1):

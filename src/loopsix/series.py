@@ -158,10 +158,14 @@ _Poly = tuple[Rational, ...]  # coefficients, constant term first
 
 
 def _add(a: _Poly, b: _Poly, scale: int = 1) -> _Poly:
-    """``a + scale * b``."""
+    """``a + scale * b``; at ``scale == 1`` no term is multiplied."""
     out = list(a) + [0] * (len(b) - len(a))
-    for k, y in enumerate(b):
-        out[k] += scale * y
+    if scale == 1:
+        for k, y in enumerate(b):
+            out[k] += y
+    else:
+        for k, y in enumerate(b):
+            out[k] += scale * y
     return tuple(out)
 
 
@@ -347,7 +351,7 @@ class GradedLieDims(Record):
     def dim(self, degree: int) -> int:
         """Dimension in a given degree; zero beyond the cutoff."""
         if degree < 1:
-            raise ValueError("degrees start at 1")
+            raise InputError("degrees start at 1")
         if degree > len(self.dims):
             return 0
         return self.dims[degree - 1]

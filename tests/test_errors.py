@@ -253,7 +253,7 @@ REFUSALS = [
         id="pairing_parity_long_vector",
     ),
     pytest.param(
-        lambda: det_int([[1, 2]]), ValueError, "matrix is not square", id="det_not_square"
+        lambda: det_int([[1, 2]]), InputError, "matrix is not square", id="det_not_square"
     ),
     pytest.param(
         lambda: series.TruncatedSeries.one(2)[3],
@@ -269,7 +269,7 @@ REFUSALS = [
     ),
     pytest.param(
         lambda: series.GradedLieDims((1,)).dim(0),
-        ValueError,
+        InputError,
         "degrees start at 1",
         id="lie_dims_degree_zero",
     ),

@@ -140,6 +140,17 @@ class TestRunsOfEqualOrders:
         assert group.text() == " + ".join(["Z/2"] * 10**6)
 
 
+def test_text_never_expands_the_summands(monkeypatch):
+    group = FGAbelianGroup(1, (((2, 2), 10**6), ((3, 9), 7)))
+    expected = one_string_per_summand(1, one_summand_at_a_time(group))
+
+    def refuse(self):
+        raise AssertionError("text() expanded the invariant factors")
+
+    monkeypatch.setattr(FGAbelianGroup, "invariant_factors", refuse)
+    assert group.text() == expected
+
+
 class TestSphereTable:
     def test_shipped_values(self, table):
         assert pi_sphere(table, 2, 3) == FGAbelianGroup.free(1)

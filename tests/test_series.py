@@ -123,6 +123,30 @@ class TestArithmetic:
         assert list((x**exponent).coeffs) == series_power_by_fractions(a, exponent)
 
 
+class TestStr:
+    """``str`` of a series is its coefficients, constant term first."""
+
+    @pytest.mark.parametrize(
+        "series, text",
+        [
+            (TruncatedSeries.one(0), "[1]"),
+            (TruncatedSeries.from_coefficients([], cutoff=2), "[0, 0, 0]"),
+            (S(1, -4, 4, -1), "[1, -4, 4, -1]"),
+            (S(1, Fraction(1, 2), Fraction(-6, 4), cutoff=4), "[1, 1/2, -3/2, 0, 0]"),
+            (S(Fraction(4, 2), Fraction(-1, 3)), "[2, -1/3]"),
+        ],
+    )
+    def test_format(self, series, text):
+        assert str(series) == text
+        assert f"{series}" == text
+
+    def test_no_empty_series_renders(self):
+        with pytest.raises(ValueError, match="at least its constant term"):
+            TruncatedSeries(())
+        with pytest.raises(ValueError, match="at least its constant term"):
+            TruncatedSeries.from_coefficients([])
+
+
 class TestWittCounts:
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_witt_word_identity(self, q):
