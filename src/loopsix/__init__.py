@@ -31,7 +31,6 @@ from .homotopy import (
     Wedge,
     analyze_circle_bundle,
     ast_to_json,
-    bouquet_spheres,
     decompose,
     extension_notes,
     hilton_milnor,

@@ -265,14 +265,14 @@ def _pi(args, N: FourManifold, b: BundleData, case) -> Output:
     payloads, lines = [], []
     for k, group in enumerate(groups, start=2):
         text = group.text()
-        payload = {
-            "free_rank": group.free_rank,
-            "invariant_factors": group.invariant_factors(),
-            "text": text,
-        }
         if args.format == "json":  # one entry per summand: only JSON prints it
-            payload["torsion"] = list(group.torsion)
-        payloads.append({"k": k, "group": payload})
+            payload = {
+                "free_rank": group.free_rank,
+                "invariant_factors": group.invariant_factors(),
+                "text": text,
+                "torsion": list(group.torsion),
+            }
+            payloads.append({"k": k, "group": payload})
         lines.append(f"pi_{k}(M) = {text}")
     cut = f"loop factor enumeration truncated at dimension {factors.cutoff + 1}"
     warnings = [cut] if factors.truncated else []

@@ -7,7 +7,7 @@ Two broad families matter to callers (and fix the CLI exit codes):
   bad table file, ...); it is also a ``ValueError``, for callers catching that.
 * :class:`UnsupportedError` -- the input is valid but the requested
   computation is outside the supported range (the unresolved d=0 attaching
-  numbers, homotopy degrees past the shipped tables, ...).
+  numbers, homotopy degrees past the sphere table, ...).
 """
 
 

@@ -82,10 +82,6 @@ class FGAbelianGroup(Record):
         return cls(free_rank, tuple(sorted(counts.items())))
 
     @classmethod
-    def trivial(cls) -> "FGAbelianGroup":
-        return cls(0)
-
-    @classmethod
     def free(cls, rank: int) -> "FGAbelianGroup":
         return cls(rank)
 
@@ -152,9 +148,6 @@ class FGAbelianGroup(Record):
             z = f"Z/{order}"
             parts.append(f"{z} + " * (n - 1) + z)
         return " + ".join(parts) or "0"
-
-    def __str__(self) -> str:
-        return self.text()
 
 
 class SphereTable(Frozen):
@@ -248,14 +241,14 @@ def pi_sphere(table: SphereTable, n: int, k: int) -> FGAbelianGroup:
     if n < 1 or k < 1:
         raise InputError("sphere dimension and degree must be >= 1")
     if k < n:
-        return FGAbelianGroup.trivial()
+        return FGAbelianGroup(0)
     if k == n:
         return FGAbelianGroup.free(1)
     try:
         return table.entries[(n, k)]
     except KeyError:
         raise TableOutOfRange(
-            f"pi_{k}(S^{n}) is outside the shipped table "
+            f"pi_{k}(S^{n}) is outside the sphere table "
             f"(coverage n <= {table.max_n}, k <= {table.max_k})"
         ) from None
 

@@ -134,7 +134,7 @@ def is_trivial(node: Node) -> bool:
     return isinstance(node, Wedge) and not node.summands
 
 
-#: The n-ary nodes: (rank in node_key, JSON kind, field of the children,
+#: The n-ary nodes: (rank in the sort key, JSON kind, field of the children,
 #: separator in render).
 _NARY = {
     Product: (5, "product", "factors", " x "),
@@ -149,7 +149,12 @@ def _children(node: Node) -> tuple[Node, ...]:
 
 def _key(node: Node, child_keys: tuple) -> tuple:
     """The sort key of ``node``, built from its children's keys (a loop's
-    one child is its space): the key rule, stated once."""
+    one child is its space): the key rule, stated once.
+
+    A total deterministic order on normalized nodes: Circle < S^3{n} (by n)
+    < Loop(S^m) (by m) < Loop(composite) < spheres < products < wedges <
+    smashes; composites compare by their children.
+    """
     if isinstance(node, Circle):
         return (0,)
     if isinstance(node, SphereModN):
@@ -165,19 +170,6 @@ def _key(node: Node, child_keys: tuple) -> tuple:
     raise TypeError(f"not a homotopy expression: {node!r}")
 
 
-def node_key(node: Node):
-    """Total deterministic order on normalized nodes.
-
-    Circle < S^3{n} (by n) < Loop(S^m) (by m) < Loop(composite) < spheres <
-    products < wedges < smashes; composites compare by their children.
-    :func:`normalize` builds the same keys as it goes, each once.
-    """
-    if isinstance(node, Loop):
-        return _key(node, (node_key(node.space),))
-    children = _children(node) if type(node) in _NARY else ()
-    return _key(node, tuple([node_key(c) for c in children]))
-
-
 def normalize(node: Node) -> Node:
     """Canonical form: flatten and sort products/wedges/smashes, drop point
     summands and factors, collapse smashes with a point to the point, and
@@ -186,7 +178,7 @@ def normalize(node: Node) -> Node:
 
 
 def _normal(node: Node) -> tuple[Node, tuple]:
-    """:func:`normalize` with the :func:`node_key` of the normal form."""
+    """:func:`normalize` with the sort key (:func:`_key`) of the normal form."""
     if isinstance(node, (Circle, Sphere, SphereModN)):
         return node, _key(node, ())
     if isinstance(node, Loop):
@@ -217,7 +209,7 @@ def _normal(node: Node) -> tuple[Node, tuple]:
 
 
 #: What :func:`_normal` returns when a node collapses to the point.
-_POINT = (TRIVIAL, node_key(TRIVIAL))
+_POINT = (TRIVIAL, _key(TRIVIAL, ()))
 
 
 def render(node: Node) -> str:
@@ -413,26 +405,15 @@ def analyze_circle_bundle(b: BundleData) -> dict:
 
 def _bouquet_letters(d: int) -> tuple[_Poly, _Poly]:
     """The bouquet's letter series ``(d-2) t / (1-t)^2`` as ``(num, den)``:
-    (d-2) w letters of weight w, one per sphere of dimension w + 1."""
-    return (0, d - 2), (1, -2, 1)
+    (d-2) w letters of weight w, one per sphere of dimension w + 1.
 
-
-def bouquet_spheres(d: int, cutoff: int) -> dict[int, int]:
-    """Sphere multiset of the bouquet ``J v (J ^ Loop(S^2 x S^3))``.
-
-    With ``J`` the wedge of (d-2) copies of S^2 v S^3, the reduced homology
-    series of the bouquet is ``(d-2)(t^2+t^3)/((1-t)(1-t^2)) = (d-2) t^2 /
-    (1-t)^2``, which is ``t`` times :func:`_bouquet_letters`; since the
-    space is a bouquet of spheres with free homology, the coefficient of
-    ``t^n`` is the number of n-spheres, ``(d-2)(n-1)`` for every n >= 2.
-    Dimensions above ``cutoff`` are omitted.
+    With ``J`` the wedge of (d-2) copies of S^2 v S^3, the bouquet ``J v (J ^
+    Loop(S^2 x S^3))`` has free reduced homology with series
+    ``(d-2)(t^2+t^3)/((1-t)(1-t^2)) = (d-2) t^2 / (1-t)^2``: it is a wedge of
+    (d-2)(n-1) n-spheres for every n >= 2, and an n-sphere is a letter of
+    weight n - 1.
     """
-    _require_int(d, "d")
-    _require_int(cutoff, "cutoff", minimum=0)
-    if d < 2:
-        raise InputError(f"the bouquet summand exists only for d >= 2, got d={d}")
-    num, den = _bouquet_letters(d)
-    return {n: c for n, c in enumerate(_expand((0, *num), den, cutoff)) if c}
+    return (0, d - 2), (1, -2, 1)
 
 
 class LoopFactorMultiset(Record):
@@ -490,9 +471,9 @@ def loop_factors(N: FourManifold, b: BundleData, cutoff: int) -> LoopFactorMulti
 
     ``Loop(S^2 x S^3)`` contributes ``Loop(S^2)`` and ``Loop(S^3)``; the
     wedge summand for d >= 3 is expanded through Hilton-Milnor, in O(cutoff)
-    steps from the closed-form letter series that :func:`bouquet_spheres`
-    expands.  Factors ``Loop(S^m)`` are enumerated for ``m <= cutoff + 1``,
-    which determines rational homotopy ranks through degree ``cutoff``.
+    steps from its closed-form letter series :func:`_bouquet_letters`.
+    Factors ``Loop(S^m)`` are enumerated for ``m <= cutoff + 1``, which
+    determines rational homotopy ranks through degree ``cutoff``.
     """
     _require_int(cutoff, "cutoff", minimum=1)
     circles = 0

@@ -84,11 +84,8 @@ class TruncatedSeries(Record):
         """Build a series from leading coefficients, zero-padded to ``cutoff``."""
         _require_int(cutoff, "cutoff", optional=True, minimum=0)
         coeffs = [_exact(v) for v in values]
-        if cutoff is not None:
-            if len(coeffs) > cutoff + 1:
-                coeffs = coeffs[: cutoff + 1]
-            else:
-                coeffs += [0] * (cutoff + 1 - len(coeffs))
+        if cutoff is not None:  # truncate or pad: a negative repeat gives []
+            coeffs = coeffs[: cutoff + 1] + [0] * (cutoff + 1 - len(coeffs))
         return cls(tuple(coeffs))
 
     @classmethod
@@ -131,19 +128,6 @@ class TruncatedSeries(Record):
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.cutoff, other.cutoff)
         return TruncatedSeries(_mul(self.coeffs, other.coeffs, n))
-
-    def __pow__(self, exponent: int) -> "TruncatedSeries":
-        if exponent < 0:
-            return series_reciprocal(self) ** (-exponent)
-        result = TruncatedSeries.one(self.cutoff)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(c) for c in self.coeffs) + "]"
@@ -337,11 +321,8 @@ class GradedLieDims(Record):
     def from_dims(cls, dims: Iterable[int], cutoff: int | None = None) -> "GradedLieDims":
         _require_int(cutoff, "cutoff", optional=True, minimum=0)
         values = list(dims)
-        if cutoff is not None:
-            if len(values) > cutoff:
-                values = values[:cutoff]
-            else:
-                values += [0] * (cutoff - len(values))
+        if cutoff is not None:  # truncate or pad: a negative repeat gives []
+            values = values[:cutoff] + [0] * (cutoff - len(values))
         return cls(tuple(values))
 
     @property

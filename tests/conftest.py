@@ -298,6 +298,12 @@ def lie_ring_weight_counts_by_recurrence(
     return counts
 
 
+def bouquet_spheres(d: int, cutoff: int) -> dict[int, int]:
+    """Sphere multiset of the rank-d bouquet ``J v (J ^ Loop(S^2 x S^3))``
+    in the closed form ``{n: (d-2)(n-1)}``, for ``2 <= n <= cutoff``."""
+    return {n: (d - 2) * (n - 1) for n in range(2, cutoff + 1)} if d > 2 else {}
+
+
 # ---------------------------------------------------------------------------
 # Truncated series arithmetic on plain lists of Fractions
 # ---------------------------------------------------------------------------
@@ -312,20 +318,6 @@ def series_product_by_fractions(a, b) -> list[Fraction]:
     """The Cauchy product through the shorter of the two coefficient lists."""
     n = min(len(a), len(b))
     return [sum(Fraction(a[i]) * b[k - i] for i in range(k + 1)) for k in range(n)]
-
-
-def series_power_by_fractions(a, exponent: int) -> list[Fraction]:
-    """``a ** exponent`` by repeated products; a negative exponent powers the
-    inverse, solved from ``a * inverse = 1`` degree by degree."""
-    if exponent < 0:
-        inverse = [1 / Fraction(a[0])]
-        for k in range(1, len(a)):
-            inverse.append(-sum(a[i] * inverse[k - i] for i in range(1, k + 1)) / a[0])
-        a, exponent = inverse, -exponent
-    out = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
-    for _ in range(exponent):
-        out = series_product_by_fractions(out, a)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -339,7 +339,7 @@ class TestEachStageOnce:
         monkeypatch.setattr(FGAbelianGroup, "invariant_factors", counted)
         code, _ = run(["pi", path("d3.json"), "--max", "8", *fmt])
         assert code == 0
-        assert len(calls) == 7  # pi_2..pi_8
+        assert len(calls) == (7 if fmt else 0)  # pi_2..pi_8, printed only in JSON
 
     def test_describe_form_determinant_once(self, monkeypatch):
         calls = []
@@ -811,6 +811,14 @@ class TestLargePi:
         argv = ["pi", path("d0_k1.json"), "--max", "7", "--table", str(table)]
         code, out = run(argv)
         assert code == 0 and "pi_7(M) = Z\n" in out
+
+    def test_table_file_out_of_range_names_no_shipped_table(self, tmp_path):
+        table = tmp_path / "table.txt"
+        table.write_text("2 3 0 5\n")
+        code, out = run(["pi", path("d1.json"), "--max", "5", "--table", str(table)])
+        assert code == 3
+        assert "TableOutOfRange: pi_4(S^2) is outside the sphere table" in out
+        assert "shipped" not in out
 
 
 class TestHighCutoff:

@@ -51,7 +51,6 @@ BOUNDS = [
     pytest.param(
         lambda c: series.lie_ring_weight_counts({1: 2}, c), "cutoff", id="lie_ring_weight_counts"
     ),
-    pytest.param(lambda c: homotopy.bouquet_spheres(3, c), "cutoff", id="bouquet_spheres"),
     pytest.param(lambda c: homotopy.hilton_milnor({3: 1}, c), "cutoff", id="hilton_milnor"),
     pytest.param(lambda c: homotopy.loop_factors(N2, B2, c), "cutoff", id="loop_factors"),
     pytest.param(
@@ -96,7 +95,6 @@ NONNEGATIVE = {
     "GradedLieDims.truncate",
     "pbw_expand",
     "lie_ring_weight_counts",
-    "bouquet_spheres",
     "hilton_milnor",
     "loop_homology_series",
     "hilbert_series",
@@ -159,11 +157,6 @@ def test_negative_cutoff_is_refused(call, name):
             id="pi_sphere_float_k",
         ),
         pytest.param(
-            lambda: homotopy.bouquet_spheres(3.0, 4),
-            "d must be an int, got 3.0",
-            id="bouquet_float_d",
-        ),
-        pytest.param(
             lambda: series.lie_ring_weight_counts({1: 2.0}, 3),
             "letter count must be an int, got 2.0",
             id="weight_counts_float_count",
@@ -223,12 +216,6 @@ REFUSALS = [
         id="y_space_d0",
     ),
     pytest.param(
-        lambda: homotopy.bouquet_spheres(1, 4),
-        InputError,
-        "the bouquet summand exists only for d >= 2, got d=1",
-        id="bouquet_d1",
-    ),
-    pytest.param(
         lambda: groups.pi_sphere(TABLE, 0, 3),
         InputError,
         "sphere dimension and degree must be >= 1",
@@ -277,7 +264,7 @@ REFUSALS = [
     pytest.param(
         lambda f=f: f(5), TypeError, "not a homotopy expression: 5", id=f"{f.__name__}_non_node"
     )
-    for f in (homotopy.normalize, homotopy.node_key, homotopy.render, homotopy.ast_to_json)
+    for f in (homotopy.normalize, homotopy.render, homotopy.ast_to_json)
 ]
 
 

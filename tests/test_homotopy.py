@@ -19,21 +19,19 @@ from loopsix.homotopy import (
     Wedge,
     analyze_circle_bundle,
     ast_to_json,
-    bouquet_spheres,
     decompose,
     extension_notes,
     hilton_milnor,
     loop_factors,
     loop_homology_series,
-    node_key,
     normalize,
     render,
     y_space_report,
 )
 from loopsix.manifold import bundle_from_classes, new_four_manifold
-from loopsix.series import TruncatedSeries, series_reciprocal
+from loopsix.series import TruncatedSeries, _expand, series_reciprocal
 
-from conftest import lyndon_count_for_weight, random_pair
+from conftest import bouquet_spheres, lyndon_count_for_weight, random_pair
 
 
 def t_power(degree, cutoff):
@@ -183,25 +181,36 @@ class TestYSpace:
         assert report.y_cells == "(S^2 v S^2 v S^3 v S^3) u e^5"
 
 
+def letter_spheres(d, cutoff):
+    """The sphere multiset read off ``t`` times the bouquet's letter series
+    ``homotopy._bouquet_letters`` by ``series._expand``."""
+    num, den = homotopy._bouquet_letters(d)
+    return {n: c for n, c in enumerate(_expand((0, *num), den, cutoff)) if c}
+
+
 class TestBouquet:
+    """The bouquet's letter series, expanded, lists its spheres."""
+
     def test_d2_empty(self):
-        assert bouquet_spheres(2, 10) == {}
+        assert letter_spheres(2, 10) == {}
 
     def test_d3(self):
-        assert bouquet_spheres(3, 6) == {2: 1, 3: 2, 4: 3, 5: 4, 6: 5}
+        assert letter_spheres(3, 6) == {2: 1, 3: 2, 4: 3, 5: 4, 6: 5}
 
     def test_d4_doubles_d3(self):
-        assert bouquet_spheres(4, 4) == {2: 2, 3: 4, 4: 6}
+        assert letter_spheres(4, 4) == {2: 2, 3: 4, 4: 6}
 
     def test_closed_form_matches_series(self):
         for d in range(2, 13):
             for cutoff in range(61):
-                assert bouquet_spheres(d, cutoff) == series_bouquet_spheres(d, cutoff)
+                spheres = series_bouquet_spheres(d, cutoff)
+                assert letter_spheres(d, cutoff) == spheres
+                assert bouquet_spheres(d, cutoff) == spheres
 
 
 def series_bouquet_spheres(d, cutoff):
-    """``bouquet_spheres`` as the series ``(d-2)(t^2+t^3)/((1-t)(1-t^2))``,
-    the form it had before the closed form; kept as a reference."""
+    """The bouquet's spheres as the series ``(d-2)(t^2+t^3)/((1-t)(1-t^2))``,
+    the form they had before the closed form; kept as a reference."""
     if d == 2:
         return {}
     h_z = series_reciprocal(
@@ -680,7 +689,7 @@ class TestRulesMatchReference:
             assert normalize(node) == ref_normalize(node)
             assert render(node) == ref_render(node)
             assert ast_to_json(node) == ref_ast_to_json(node)
-            assert node_key(node) == ref_node_key(node)
+            assert homotopy._normal(node)[1] == ref_node_key(normalize(node))
 
     @given(expressions(5), st.integers(0, 30))
     @settings(

@@ -9,7 +9,6 @@ from loopsix import series
 from loopsix.errors import InputError
 from loopsix.homotopy import (
     _bouquet_letters,
-    bouquet_spheres,
     decompose,
     loop_factors,
     loop_homology_series,
@@ -30,13 +29,13 @@ from loopsix.series import (
 )
 
 from conftest import (
+    bouquet_spheres,
     lie_ring_weight_counts_by_log,
     lie_ring_weight_counts_by_recurrence,
     lyndon_count_for_weight,
     pbw_expand_by_factors,
     pbw_invert_by_factors,
     random_pair,
-    series_power_by_fractions,
     series_product_by_fractions,
     series_sum_by_fractions,
 )
@@ -106,21 +105,14 @@ class TestArithmetic:
     @given(
         st.lists(COEFFICIENTS, min_size=1, max_size=8),
         st.lists(COEFFICIENTS, min_size=1, max_size=8),
-        st.integers(-3, 3),
-        st.sampled_from([1, -1]),
     )
     @settings(max_examples=150)
-    def test_operators_match_fraction_reference(self, a, b, exponent, unit):
-        # the cutoffs differ whenever the lists do; a negative power inverts,
-        # so its base gets a unit constant term
+    def test_operators_match_fraction_reference(self, a, b):
+        # the cutoffs differ whenever the lists do
         x, y = TruncatedSeries.from_coefficients(a), TruncatedSeries.from_coefficients(b)
         assert list((x + y).coeffs) == series_sum_by_fractions(a, b)
         assert list((x - y).coeffs) == series_sum_by_fractions(a, b, -1)
         assert list((x * y).coeffs) == series_product_by_fractions(a, b)
-        if exponent < 0:
-            a = [unit] + a[1:]
-            x = TruncatedSeries.from_coefficients(a)
-        assert list((x**exponent).coeffs) == series_power_by_fractions(a, exponent)
 
 
 class TestStr:
@@ -236,7 +228,7 @@ class TestPbw:
         assert pbw_invert(series).dims == (2, 3, 2, 3, 6, 11, 18, 30)
 
     def test_invert_three_sphere_like(self):
-        series = series_reciprocal(S(1, -1, cutoff=7)) ** 3
+        series = series_reciprocal(S(1, -3, 3, -1, cutoff=7))  # 1 / (1 - t)^3
         assert pbw_invert(series).dims == (3, 3, 0, 0, 0, 0, 0)
 
     def test_invert_one_is_zero(self):
@@ -380,8 +372,8 @@ class TestIntegerKernel:
 
     @pytest.mark.parametrize("d", [3, 6, 10])
     def test_bouquet_inputs_are_int(self, d):
-        spheres = bouquet_spheres(d, 41)
-        assert all(type(n) is int and type(c) is int for n, c in spheres.items())
+        num, den = _bouquet_letters(d)
+        assert all(type(c) is int for c in _expand((0, *num), den, 41))
         assert all_int(S(0, 0, d - 2, d - 2, cutoff=41))
 
     def test_integral_fractions_are_stored_as_int(self):
