@@ -32,7 +32,6 @@ from .manifold import (
     loop_rigidity_equivalent,
     new_four_manifold,
 )
-from .series import pbw_invert
 
 SCHEMA_VERSION = 1
 
@@ -359,7 +358,7 @@ def _koszul(args, N: FourManifold, b: BundleData, case) -> Output:
     else:
         dual = rational.koszul_dual_series(presentation, args.cutoff)
         result["dual"] = list(dual.integer_coefficients())
-        result["lie_dims"] = list(pbw_invert(dual).dims)
+        result["lie_dims"] = list(rational._koszul_ranks(presentation, args.cutoff).dims)
         lines.append(f"dual: {_text(result['dual'])}")
         lines.append(f"lie dims: {_text(result['lie_dims'])}")
     return result, lines, warnings

@@ -165,9 +165,7 @@ def _key(node: Node, child_keys: tuple) -> tuple:
         return (3, child_keys[0])
     if isinstance(node, Sphere):
         return (4, node.dim)
-    if type(node) in _NARY:
-        return (_NARY[type(node)][0], child_keys)
-    raise TypeError(f"not a homotopy expression: {node!r}")
+    return (_NARY[type(node)][0], child_keys)
 
 
 def normalize(node: Node) -> Node:

@@ -54,7 +54,8 @@ from .manifold import (
     SixManifoldRing,
     cohomology_ring,
 )
-from .series import GradedLieDims, TruncatedSeries, _expand, _multiset, pbw_invert
+from .series import GradedLieDims, TruncatedSeries, _expand, _free_lie_dims
+from .series import _log_derivative, _sieve_dims
 
 
 # Depth of ``describe``'s two-route check, and of every printed coformality witness.
@@ -406,7 +407,14 @@ def lie_dims(p: QuadraticPresentation, cutoff: int) -> GradedLieDims:
             "d = 1 cohomology is not Koszul; its naive dual series does not "
             "give homotopy ranks"
         )
-    return pbw_invert(koszul_dual_series(p, cutoff))
+    koszul_dual_series(p, cutoff)  # the direct dual check
+    return _koszul_ranks(p, cutoff)
+
+
+def _koszul_ranks(p: QuadraticPresentation, cutoff: int) -> GradedLieDims:
+    """:func:`lie_dims` without the dual check, read off ``H(-t)`` in O(cutoff)."""
+    h = [-c if n % 2 else c for n, c in enumerate(p.ring.betti())]
+    return GradedLieDims(tuple(_sieve_dims(_log_derivative((1,), h, cutoff), True)))
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +455,7 @@ def free_graded_lie_dims(
     ``degrees`` maps degrees to counts, or lists one degree per generator;
     exact ``int``s, degrees >= 1, counts >= 0.
     """
-    _require_int(cutoff, "cutoff", minimum=0)
-    denominator = [1] + [0] * cutoff
-    for deg, count in _multiset(degrees, "generator", "degree", 1).items():
-        if deg <= cutoff:
-            denominator[deg] -= count
-    return pbw_invert(TruncatedSeries(tuple(_expand((1,), denominator, cutoff))))
+    return GradedLieDims(tuple(_free_lie_dims(degrees, "generator", "degree", cutoff, True)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ The combinatorial entry points are
   dictionary between graded Lie algebra dimensions and the Hilbert series
   of the universal enveloping algebra, with the usual parity convention
   (odd degrees contribute exterior factors ``(1+t^n)``, even degrees
-  polynomial factors ``1/(1-t^n)``).  Both directions read one identity on
-  plain coefficient lists: the factors add up in ``c_m = m [t^m] log h``,
-  and Newton's identity ``m h_m = sum_{k=1..m} c_k h_{m-k}`` links ``c``
-  to ``h``, so no factor series is ever built or multiplied.
+  polynomial factors ``1/(1-t^n)``).  The factors add up in ``c_m = m
+  [t^m] log h``: :func:`pbw_expand` gets ``h`` by Newton's identity ``m h_m
+  = sum_{k=1..m} c_k h_{m-k}``, and every count inversion reads ``c`` off
+  ``num / den`` by :func:`_log_derivative` and solves it by :func:`_sieve_dims`.
 """
 
 from __future__ import annotations
@@ -166,10 +166,15 @@ def _mul(a: _Poly, b: _Poly, cutoff: int) -> _Poly:
 def _expand(num: Sequence, den: Sequence, cutoff: int) -> list[Rational]:
     """The power series ``num / den`` through degree ``cutoff``, for
     ``den[0] == 1``: ``num = den * out`` solved degree by degree, one product
-    per nonzero term of ``den`` and degree, so zeros -- padding to the cutoff
-    or inside ``den`` -- cost nothing.  Integral input gives integral output."""
+    per nonzero term of ``den`` and degree (one sum over two slices if ``den``
+    has no zero to the cutoff).  Integral input gives integral output."""
     out = list(num[: cutoff + 1]) + [0] * (cutoff + 1 - len(num))
-    terms = [(k, c) for k, c in enumerate(den[1 : cutoff + 1], 1) if c]
+    tail = den[1 : cutoff + 1]
+    if len(tail) == cutoff and all(tail):
+        for n in range(1, cutoff + 1):
+            out[n] -= sum(map(mul, tail, out[n - 1 :: -1]))
+        return out
+    terms = [(k, c) for k, c in enumerate(tail, 1) if c]
     for n in range(1, cutoff + 1):
         x = out[n]
         for k, c in terms:
@@ -196,8 +201,56 @@ def series_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
-# Witt counts
+# Count inversion: one log-derivative kernel, one sieve; Witt counts
 # ---------------------------------------------------------------------------
+
+
+def _log_derivative(num: Sequence, den: Sequence, cutoff: int) -> list[Rational]:
+    """``c[m] = m [t^m] log(num / den)``, ``m <= cutoff``, for polynomials with
+    constant term 1: one :func:`_expand` of ``t (num' den - num den') / (num
+    den)``, with no polynomial product when ``num`` or ``den`` is 1."""
+    t_num = [k * c for k, c in enumerate(num)]  # t num'
+    if len(den) == 1:
+        return _expand(t_num, num, cutoff)
+    t_den = [-k * c for k, c in enumerate(den)]  # -t den'
+    if len(num) == 1:
+        return _expand(t_den, den, cutoff)
+    top = _add(_mul(t_num, den, cutoff), _mul(num, t_den, cutoff))
+    return _expand(top, _mul(num, den, cutoff), cutoff)
+
+
+def _add_log_factor(c: list, degree: int, dim: int, graded: bool = True) -> None:
+    """Add ``dim`` classes of ``degree`` to ``c[m] = m [t^m] log h``:
+    ``-log(1-t^n)`` puts ``n`` at every multiple ``n j``, and with ``graded``
+    an odd ``n`` is an exterior factor ``log(1+t^n)``, negated at even ``j``."""
+    step = degree * dim
+    for m in range(degree, len(c), degree):
+        c[m] += step
+    if graded and degree % 2:
+        for m in range(2 * degree, len(c), 2 * degree):
+            c[m] -= 2 * step
+
+
+def _sieve_dims(c: list, graded: bool) -> list[int]:
+    """Dimensions ``dim_1..`` of the enveloping algebra with ``c[m] = m [t^m]
+    log h`` (consumed): ``dim_n`` is what :func:`_add_log_factor` of the lower
+    degrees leaves of ``c[n]``, divided by ``n``, which must be exact and >= 0."""
+    dims = []
+    for n in range(1, len(c)):
+        dim, rem = divmod(c[n], n)
+        if rem:
+            raise ValueError(
+                f"non-integer dimension {Fraction(c[n], n)} at degree {n}: "
+                "not a PBW series"
+            )
+        if dim < 0:
+            raise NegativeLieDimension(
+                f"degree {n} solves to {dim}; the input is inconsistent "
+                "(not the series of a graded Lie algebra)"
+            )
+        dims.append(dim)
+        _add_log_factor(c, n, -dim, graded)
+    return dims
 
 
 def _prime_powers(n: int) -> list[tuple[int, int]]:
@@ -216,17 +269,6 @@ def _prime_powers(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, n))
     return out
-
-
-def _mobius_sieve(n: int) -> list[int]:
-    """``mu(k)`` at index ``k`` for ``1 <= k <= n``, solved from
-    ``sum_{d | k} mu(d) = [k = 1]`` in increasing ``k``."""
-    mu = [0, 1] + [0] * (n - 1)
-    for k in range(1, n + 1):
-        if mu[k]:
-            for m in range(2 * k, n + 1, k):
-                mu[m] -= mu[k]
-    return mu
 
 
 def _multiset(
@@ -257,40 +299,28 @@ def lie_ring_weight_counts(
     one per letter; exact ``int``s, counts >= 0) generate a free Lie ring;
     entry ``n-1`` of the result is the number of basic products of total
     weight ``n``, which is the number of Lyndon words of weight ``n`` over
-    the alphabet.  Computed, without enumerating words, by
-    :func:`_witt_counts` on the alphabet's generating polynomial ``f`` (the
-    letter series ``f / 1``), in O(cutoff * distinct letter weights) steps.
-    """
+    the alphabet, computed without enumerating words."""
+    return _free_lie_dims(letter_counts, "letter", "weight", cutoff, False)
+
+
+def _free_lie_dims(items, noun: str, grading: str, cutoff: int, graded: bool) -> list[int]:
+    """Dimensions by degree ``1..cutoff`` of the free (``graded``) Lie algebra
+    on generators of the degrees ``items``, read by :func:`_multiset`: the
+    sieve on its enveloping algebra, the tensor algebra ``1 / (1 - f)``."""
     _require_int(cutoff, "cutoff", minimum=0)
-    f = [0] * (cutoff + 1)
-    for weight, count in _multiset(letter_counts, "letter", "weight", 1).items():
-        if weight <= cutoff:
-            f[weight] = count
-    return _witt_counts(f, (1,), cutoff)
+    den = [1] + [0] * cutoff  # 1 - f
+    for degree, count in _multiset(items, noun, grading, 1).items():
+        if degree <= cutoff:
+            den[degree] -= count
+    return _sieve_dims(_log_derivative((1,), den, cutoff), graded)
 
 
 def _witt_counts(num: Sequence[int], den: Sequence[int], cutoff: int) -> list[int]:
-    """Hall-basis counts by weight ``1..cutoff`` for the letter series
-    ``f = num / den`` of integer polynomials, ``den[0] == 1``: the power
-    sums ``p_n = n [t^n] -log(1 - f)`` are the expansion of ``t (den num' -
-    num den') / (den (den - num))``, O(cutoff) steps per nonzero term of its
-    denominator, and ``sum_{d | n} mu(d) p_{n/d}`` is n times the count of n.
-    """
-    d_num, d_den = ([k * c for k, c in enumerate(p)][1:] for p in (num, den))
-    top = _add(_mul(den, d_num, cutoff), _mul(num, d_den, cutoff), -1)
-    power_sums = _expand((0, *top), _mul(den, _add(den, num, -1), cutoff), cutoff)
-    sums = [0] * (cutoff + 1)  # sums[n] = sum_{d | n} mu(d) p_{n/d}
-    for d, mu in enumerate(_mobius_sieve(cutoff)):
-        if mu:
-            for n in range(d, cutoff + 1, d):
-                sums[n] += mu * power_sums[n // d]
-    counts = []
-    for n in range(1, cutoff + 1):
-        value, rem = divmod(sums[n], n)
-        if rem or value < 0:
-            raise AssertionError(f"Witt inversion gave {sums[n]}/{n} at weight {n}")
-        counts.append(value)
-    return counts
+    """Hall-basis counts by weight ``1..cutoff`` for the letter series ``f =
+    num / den`` of integer polynomials, ``den[0] == 1``: the ungraded sieve on
+    the tensor algebra ``1 / (1 - f) = den / (den - num)``, whose PBW factors
+    are all polynomial, in O(cutoff) per nonzero term of ``den (den - num)``."""
+    return _sieve_dims(_log_derivative(den, _add(den, num, -1), cutoff), False)
 
 
 # ---------------------------------------------------------------------------
@@ -344,16 +374,6 @@ class GradedLieDims(Record):
         return "(" + ", ".join(str(d) for d in self.dims) + ")"
 
 
-def _add_log_factor(c: list, degree: int, dim: int) -> None:
-    """Add ``dim`` classes of ``degree`` to ``c[m] = m [t^m] log h``.
-
-    ``log(1+t^n)`` (odd ``n``) and ``-log(1-t^n)`` (even ``n``) put ``n`` at
-    every multiple ``n j`` of the degree, negated at even ``j`` for odd ``n``.
-    """
-    for j, m in enumerate(range(degree, len(c), degree), 1):
-        c[m] += -degree * dim if degree % 2 and j % 2 == 0 else degree * dim
-
-
 def pbw_expand(dims: GradedLieDims, cutoff: int | None = None) -> TruncatedSeries:
     """Hilbert series of the universal enveloping algebra of a graded Lie
     algebra with the given degree-wise dimensions.
@@ -377,34 +397,13 @@ def pbw_expand(dims: GradedLieDims, cutoff: int | None = None) -> TruncatedSerie
 def pbw_invert(series: TruncatedSeries) -> GradedLieDims:
     """Recover graded Lie dimensions from an enveloping-algebra series.
 
-    Runs :func:`pbw_expand`'s identity backwards: ``c_m = m h_m - sum_{k<m}
-    h_k c_{m-k}``, and ``dim_m`` is what the lower degrees leave of ``c_m``,
-    divided by ``m``; the solution is unique.  Raises
+    ``c_m = m [t^m] log h`` is the expansion of ``t h' / h``, and the graded
+    sieve solves ``dim_m`` from ``c_m`` less what the lower degrees put
+    there, divided by ``m``; the solution is unique.  Raises
     :class:`NegativeLieDimension` if a solved dimension is negative (the
     series is not a PBW series) and ``ValueError`` if one is non-integral.
     """
     h = series.coeffs
     if h[0] != 1:
         raise InputError("PBW inversion needs constant term 1")
-    c = [0] * len(h)
-    lower = [0] * len(h)  # what the dimensions solved so far put into c
-    dims: list[int] = []
-    for degree in range(1, len(h)):
-        c[degree] = degree * h[degree] - sum(
-            map(mul, h[1:degree], c[degree - 1 : 0 : -1])
-        )
-        left = c[degree] - lower[degree]
-        dim, rem = divmod(left, degree)
-        if rem:
-            value = Fraction(left, degree)
-            raise ValueError(
-                f"non-integer dimension {value} at degree {degree}: not a PBW series"
-            )
-        if dim < 0:
-            raise NegativeLieDimension(
-                f"degree {degree} solves to {dim}; the input is inconsistent "
-                "(not the series of a graded Lie algebra)"
-            )
-        dims.append(dim)
-        _add_log_factor(lower, degree, dim)
-    return GradedLieDims(tuple(dims))
+    return GradedLieDims(tuple(_sieve_dims(_log_derivative(h, (1,), len(h) - 1), True)))

@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from itertools import product as iter_product
 from math import comb
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -387,6 +388,41 @@ def pbw_invert_by_factors(series: TruncatedSeries) -> GradedLieDims:
         dims.append(dim)
         if dim:
             remainder = remainder * _pbw_factor(degree, -dim, cutoff)
+    return GradedLieDims(tuple(dims))
+
+
+def pbw_invert_by_newton(series: TruncatedSeries) -> GradedLieDims:
+    """PBW inversion by Newton's identity run backwards, in O(cutoff^2):
+    ``c_m = m h_m - sum_{k<m} h_k c_{m-k}`` is ``m [t^m] log h``, and
+    ``dim_m`` is what the lower degrees leave of ``c_m``, divided by ``m``.
+    The library's exceptions and messages."""
+    h = series.coeffs
+    if h[0] != 1:
+        raise InputError("PBW inversion needs constant term 1")
+    c = [0] * len(h)
+    lower = [0] * len(h)  # what the dimensions solved so far put into c
+    dims: list[int] = []
+    for degree in range(1, len(h)):
+        c[degree] = degree * h[degree] - sum(
+            map(mul, h[1:degree], c[degree - 1 : 0 : -1])
+        )
+        left = c[degree] - lower[degree]
+        dim, rem = divmod(left, degree)
+        if rem:
+            value = Fraction(left, degree)
+            raise ValueError(
+                f"non-integer dimension {value} at degree {degree}: not a PBW series"
+            )
+        if dim < 0:
+            raise NegativeLieDimension(
+                f"degree {degree} solves to {dim}; the input is inconsistent "
+                "(not the series of a graded Lie algebra)"
+            )
+        dims.append(dim)
+        # log(1+t^n) (odd n) and -log(1-t^n) (even n) put n at every
+        # multiple n j, negated at even j for odd n
+        for j, m in enumerate(range(degree, len(h), degree), 1):
+            lower[m] += -degree * dim if degree % 2 and j % 2 == 0 else degree * dim
     return GradedLieDims(tuple(dims))
 
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -42,7 +43,9 @@ from loopsix.rational import (
     quadratic_presentation,
     ranks_from_decomposition,
 )
-from loopsix.series import GradedLieDims, NegativeLieDimension, _expand, pbw_invert
+from loopsix.series import (
+    GradedLieDims, NegativeLieDimension, TruncatedSeries, _expand, pbw_invert,
+)
 
 from conftest import (
     DESK_D2_0,
@@ -52,6 +55,7 @@ from conftest import (
     SPECIAL_SPECS,
     graded_free_lie_dims_oracle,
     monomial_basis_by_recursion,
+    pbw_invert_by_newton,
     quadratic_algebra_dims,
     quadratic_dual_dims_by_fractions,
     quadratic_relations_by_fractions,
@@ -194,6 +198,39 @@ class TestLieDims:
         _, _, p = presentation_for(*D1)
         with pytest.raises(NegativeLieDimension):
             pbw_invert(koszul_dual_series(p, 6, check=False))
+
+    def test_every_rank_matches_newton(self):
+        """At every rank, the ranks read off ``H(-t)`` are what Newton's
+        identity reads off the expanded dual series: ``lie_dims`` at d >= 2,
+        and the d = 1 refusal with its message.  The ranks depend only on d
+        and each cutoff's are a prefix of the next, so cutoff 150 covers the
+        lower ones; cutoffs 0-3 add the runs where the direct dual check
+        stops short of weight 3."""
+        for d in range(1, MAX_RANK + 1):
+            N = FourManifold(tuple(tuple(int(i == j) for j in range(d)) for i in range(d)), 1)
+            p = quadratic_presentation(cohomology_ring(N, bundle_from_classes(N, [0] * d, 4)))
+            naive = koszul_dual_series(p, 150, check=False)
+            try:
+                expected = pbw_invert_by_newton(naive)
+            except NegativeLieDimension as exc:
+                assert d == 1
+                with pytest.raises(NegativeLieDimension) as info:
+                    rational._koszul_ranks(p, 150)
+                assert str(info.value) == str(exc)
+                continue
+            assert lie_dims(p, 150) == expected, d
+            for cutoff in range(4):
+                assert lie_dims(p, cutoff) == expected.truncate(cutoff), d
+
+    @pytest.mark.parametrize(
+        "degrees", [[1, 1], [2], [1, 2, 2, 5], {3: 4, 4: 1}], ids=str
+    )
+    def test_free_graded_lie_matches_newton(self, degrees):
+        den = [1] + [0] * 40
+        for deg, count in Counter(degrees).items():
+            den[deg] -= count
+        tensor = TruncatedSeries(tuple(_expand((1,), den, 40)))
+        assert free_graded_lie_dims(degrees, 40) == pbw_invert_by_newton(tensor)
 
 
 class TestRanks:

@@ -19,7 +19,6 @@ from loopsix.series import (
     TruncatedSeries,
     ZeroConstantTerm,
     _expand,
-    _mobius_sieve,
     _witt_counts,
     lie_ring_weight_counts,
     pbw_expand,
@@ -35,6 +34,7 @@ from conftest import (
     lyndon_count_for_weight,
     pbw_expand_by_factors,
     pbw_invert_by_factors,
+    pbw_invert_by_newton,
     random_pair,
     series_product_by_fractions,
     series_sum_by_fractions,
@@ -192,11 +192,6 @@ class TestMobius:
             1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0
         ]
 
-    def test_sieve_through_1000(self):
-        assert _mobius_sieve(1000)[1:] == [
-            trial_division_mobius(n) for n in range(1, 1001)
-        ]
-
     def test_weight_counts_through_1000(self):
         """Binary necklace counts n * c_n = sum_{d | n} mu(d) 2^(n/d); the
         term d = n holds mu(n) alone, so each n <= 1000 checks mu(n) once all
@@ -218,6 +213,10 @@ class TestPbw:
     def test_expand_matches_tensor_algebra(self):
         dims = GradedLieDims.from_dims([2, 3, 2], cutoff=3)
         assert pbw_expand(dims).integer_coefficients() == (1, 2, 4, 8)
+
+    def test_dim_beyond_the_cutoff_is_zero(self):
+        dims = GradedLieDims.from_dims([2, 3, 2])
+        assert [dims.dim(n) for n in (1, 3, 4, 100)] == [2, 2, 0, 0]
 
     def test_expand_zero(self):
         dims = GradedLieDims.from_dims([0, 0, 0], cutoff=3)
@@ -281,9 +280,53 @@ def perturbed_pbw_series(draw):
     return TruncatedSeries.from_coefficients(coeffs)
 
 
+class TestKernelMatchesNewton:
+    """``pbw_invert`` -- the graded sieve on the log-derivative ``t h' / h``
+    -- gives what Newton's identity run backwards gave, exceptions and their
+    messages included, on int and Fraction series."""
+
+    @given(
+        st.lists(st.integers(-4, 4) | small_fractions, min_size=1, max_size=14)
+        | st.lists(st.integers(-4, 4) | small_fractions, max_size=13).map(
+            lambda tail: [1, *tail]
+        )
+        | perturbed_pbw_series().map(lambda s: list(s.coeffs))
+    )
+    @settings(max_examples=250)
+    def test_invert(self, coeffs):
+        series = TruncatedSeries.from_coefficients(coeffs)
+        assert outcome(pbw_invert, series) == outcome(pbw_invert_by_newton, series)
+
+    def test_fraction_typed_integers(self):
+        # the raw constructor keeps integral Fractions as Fractions
+        h = pbw_expand(GradedLieDims.from_dims([2, 0, 1, 3]), 12).coeffs
+        series = TruncatedSeries(tuple([Fraction(c) for c in h]))
+        assert outcome(pbw_invert, series) == outcome(pbw_invert_by_newton, series)
+
+    @pytest.mark.parametrize(
+        "coeffs, kind, message",
+        [
+            ((1, 2, 2, 1, 0, 0), NegativeLieDimension,
+             "degree 3 solves to -1; the input is inconsistent "
+             "(not the series of a graded Lie algebra)"),
+            ((1, Fraction(1, 2), 0, 0), ValueError,
+             "non-integer dimension 1/2 at degree 1: not a PBW series"),
+            ((1, 0, Fraction(1, 3)), ValueError,
+             "non-integer dimension 1/3 at degree 2: not a PBW series"),
+            ((2, 1), InputError, "PBW inversion needs constant term 1"),
+        ],
+        ids=["negative", "half", "third_at_two", "constant_term"],
+    )
+    def test_refusals(self, coeffs, kind, message):
+        series = TruncatedSeries.from_coefficients(coeffs)
+        assert outcome(pbw_invert, series) == (kind, message)
+        assert outcome(pbw_invert_by_newton, series) == (kind, message)
+
+
 class TestNewtonMatchesFactorProducts:
-    """Newton's identity gives what multiplying out the factors gave,
-    exceptions and their messages included, and multiplies no series."""
+    """PBW expansion and inversion on ``c_m = m [t^m] log h`` give what
+    multiplying out the factors gave, exceptions and their messages
+    included, and multiply no series."""
 
     @given(small_dims, st.none() | st.integers(0, 30))
     @settings(max_examples=120)
