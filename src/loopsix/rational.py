@@ -32,7 +32,8 @@ and only the diagonal relation's rows, with that substitution made, reach
 (``quotient_map``), column by column, and ``rank``, which stops at echelon
 form, counts the last weight (:func:`_dual_quotients`).  A
 Sullivan model's monomials come from one iterative walk, so its generator
-count meets no recursion limit.
+count meets no recursion limit, and its differential from one Leibniz pass
+over each monomial.
 """
 
 from __future__ import annotations
@@ -502,54 +503,46 @@ def _mono_mul(
     a: Monomial, b: Monomial, degrees: Sequence[int]
 ) -> tuple[Monomial, int] | None:
     """Normal-form product of two monomials with its Koszul sign, or None
-    when an odd generator gets squared."""
-    n = len(degrees)
-    out = []
-    sign_exp = 0
-    odd_counts_a = [a[i] * (degrees[i] % 2) for i in range(n)]
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + odd_counts_a[i]
-    for j in range(n):
-        e = a[j] + b[j]
-        if degrees[j] % 2 == 1 and e > 1:
-            return None
-        out.append(e)
-        if degrees[j] % 2 == 1 and b[j]:
-            sign_exp += b[j] * suffix[j + 1]
-    return tuple(out), (-1) ** (sign_exp % 2)
+    when an odd generator gets squared.  The sign flips once for each odd
+    letter of ``b`` and odd letter of ``a`` to its right: one walk from the
+    right keeps the parity of the odd letters of ``a`` passed."""
+    sign, odd_right = 1, False
+    for j in range(len(degrees) - 1, -1, -1):
+        if degrees[j] % 2:
+            if b[j]:
+                if a[j]:
+                    return None
+                if odd_right:
+                    sign = -sign
+            elif a[j]:
+                odd_right = not odd_right
+    return tuple([x + y for x, y in zip(a, b)]), sign
 
 
 def _d_monomial(mono: Monomial, model: SullivanModel) -> Polynomial:
+    """d of a normal-form monomial ``u x_i^e v`` by the Leibniz rule, in one
+    pass: the term of ``x_i`` is ``e u x_i^(e-1) d(x_i) v`` with sign
+    ``(-1)^|u|``, times ``(-1)^(|d(x_i)| |v|)`` to move ``d(x_i)`` past ``v``
+    before :func:`_mono_mul` sorts it in.  So the sign is ``(-1)^|u|`` for
+    odd ``x_i`` and, as ``|u| + |v| = |mono| - e |x_i|``, ``(-1)^|mono|`` for
+    even ``x_i``."""
     degrees = model.degrees
-    names = model.names
-    n = len(degrees)
+    odd_u = False
     out: Polynomial = {}
-    prefix_odd = 0
-    for i in range(n):
+    for i, (name, dg) in enumerate(model.generators):
         e = mono[i]
-        if e:
-            dg = model.d_of(names[i])
-            if dg:
-                lowered = list(mono)
-                lowered[i] = e - 1
-                suffix_deg = sum(mono[j] * degrees[j] for j in range(i + 1, n))
-                scale = e * (-1) ** ((prefix_odd + (degrees[i] + 1) * suffix_deg) % 2)
-                for mb, cb in dg.items():
-                    prod = _mono_mul(lowered, mb, degrees)
-                    if prod is not None:
-                        m, sign = prod
-                        out[m] = out.get(m, Fraction(0)) + scale * sign * cb
-        prefix_odd += e * (degrees[i] % 2)
-    return {m: c for m, c in out.items() if c != 0}
-
-
-def _d_poly(p: Polynomial, model: SullivanModel) -> Polynomial:
-    out: Polynomial = {}
-    for mono, coeff in p.items():
-        for m, c in _d_monomial(mono, model).items():
-            out[m] = out.get(m, Fraction(0)) + coeff * c
-    return {m: c for m, c in out.items() if c != 0}
+        if e and name in model.differential:
+            lowered = mono[:i] + (e - 1,) + mono[i + 1 :]
+            odd = odd_u if dg % 2 else _mono_degree(mono, degrees) % 2 == 1
+            scale = -e if odd else e
+            for mb, cb in model.differential[name].items():
+                prod = _mono_mul(lowered, mb, degrees)
+                if prod is not None:
+                    m, sign = prod
+                    out[m] = out.get(m, 0) + sign * scale * cb
+        if e and dg % 2:
+            odd_u = not odd_u
+    return {m: c for m, c in out.items() if c}
 
 
 def make_sullivan_model(
@@ -605,10 +598,14 @@ def make_sullivan_model(
 
 def check_square_zero(model: SullivanModel) -> None:
     for name, _ in model.generators:
-        dd = _d_poly(model.d_of(name), model)
-        if dd:
+        dd: Polynomial = {}
+        for mono, coeff in model.d_of(name).items():
+            for m, c in _d_monomial(mono, model).items():
+                dd[m] = dd.get(m, 0) + coeff * c
+        surviving = len([c for c in dd.values() if c])
+        if surviving:
             raise DifferentialNotSquareZero(
-                f"d(d({name})) != 0 (got {len(dd)} surviving monomials)"
+                f"d(d({name})) != 0 (got {surviving} surviving monomials)"
             )
 
 

@@ -605,3 +605,31 @@ def monomial_basis_by_recursion(model, degree: int) -> list[tuple[int, ...]]:
 
     extend(0, degree, [])
     return out
+
+
+def d_monomial_by_words(model, mono: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
+    """d of a monomial, one letter at a time: the monomial is written as a
+    word of generator indices, d replaces one letter by each term of its
+    differential with the sign ``(-1)^(degree before it)``, and each word is
+    bubble-sorted back to normal form, one sign flip per swap of two odd
+    letters, and dropped if an odd letter repeats."""
+    degrees = model.degrees
+    word = [i for i, e in enumerate(mono) for _ in range(e)]
+    out: dict[tuple[int, ...], Fraction] = {}
+    for k, letter in enumerate(word):
+        before = sum(degrees[i] for i in word[:k])
+        for target, coeff in model.d_of(model.names[letter]).items():
+            image = [i for i, e in enumerate(target) for _ in range(e)]
+            new = word[:k] + image + word[k + 1 :]
+            sign = (-1) ** before
+            for end in range(len(new) - 1, 0, -1):
+                for j in range(end):
+                    if new[j] > new[j + 1]:
+                        new[j], new[j + 1] = new[j + 1], new[j]
+                        if degrees[new[j]] % 2 and degrees[new[j + 1]] % 2:
+                            sign = -sign
+            if any(degrees[i] % 2 and new.count(i) > 1 for i in new):
+                continue
+            result = tuple(new.count(i) for i in range(len(degrees)))
+            out[result] = out.get(result, 0) + sign * coeff
+    return {m: c for m, c in out.items() if c}

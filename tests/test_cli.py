@@ -175,6 +175,20 @@ class TestCompare:
         code, _ = run(["compare", path("d0_k15.json"), path("d0_k6.json")])
         assert code == 3
 
+    def test_equivalent_is_loop_rigidity_at_positive_rank(self):
+        """At d >= 1 the decomposition is a function of d, so the structural
+        match that ``compare`` reports is ``loop_rigidity_equivalent``."""
+        specs = [spec for spec in sorted(INPUTS.glob("d*.json")) if not spec.name.startswith("d0")]
+        for a in specs:
+            for b in specs:
+                code, out = run(["compare", str(a), str(b), "--format", "json"])
+                assert code == 0
+                result = json.loads(out)["result"]
+                Na, ba, _ = cli.load_manifold_spec(a)
+                Nb, bb, _ = cli.load_manifold_spec(b)
+                expected = manifold.loop_rigidity_equivalent((Na, ba), (Nb, bb))
+                assert result["equivalent"] is result["structural_match"] is expected
+
 
 class TestReports:
     def test_json_round_trip(self):

@@ -173,6 +173,11 @@ class TestSphereTable:
         with pytest.raises(TableOutOfRange):
             pi_sphere(table, 2, 16)
 
+    def test_degree_one(self, table):
+        """The lower bounds admit n = k = 1: pi_1(S^1) is Z and pi_1(S^2) is 0."""
+        assert pi_sphere(table, 1, 1) == FGAbelianGroup.free(1)
+        assert pi_sphere(table, 2, 1) == FGAbelianGroup(0)
+
     def test_hopf_fibration_identities(self, table):
         # S^1 -> S^3 -> S^2 gives pi_k(S^2) = pi_k(S^3) for k >= 4
         for k in range(4, 16):
@@ -260,6 +265,12 @@ class TestPiManifold:
     def test_truncation_guard(self, table):
         factors = factors_for([[1, 0, 0], [0, 1, 0], [0, 0, -1]], [1, 0, 0], 9, cutoff=3)
         with pytest.raises(TableOutOfRange):
+            pi_manifold(factors, table, 6)
+
+    def test_truncation_guard_names_the_last_dimension(self, table):
+        factors = factors_for([[1, 0, 0], [0, 1, 0], [0, 0, -1]], [1, 0, 0], 9, cutoff=3)
+        assert factors.truncated
+        with pytest.raises(TableOutOfRange, match="truncated at 4$"):
             pi_manifold(factors, table, 6)
 
     def test_degree_below_two_rejected(self, table):

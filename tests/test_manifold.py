@@ -52,6 +52,10 @@ class TestFourManifold:
         with pytest.raises(NotSymmetric):
             new_four_manifold([[0, 1]])
 
+    def test_not_symmetric_names_the_pair(self):
+        with pytest.raises(NotSymmetric, match=r"at \(0, 1\): 2 vs 3$"):
+            new_four_manifold([[1, 2], [3, 1]])
+
     def test_empty_form_is_the_four_sphere(self):
         N = new_four_manifold([])
         assert N.d == 0 and N.determinant == 1

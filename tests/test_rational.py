@@ -8,7 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loopsix import homotopy, linalg, rational
@@ -53,6 +53,7 @@ from conftest import (
     INPUTS,
     REPO_ROOT,
     SPECIAL_SPECS,
+    d_monomial_by_words,
     graded_free_lie_dims_oracle,
     monomial_basis_by_recursion,
     pbw_invert_by_newton,
@@ -246,6 +247,12 @@ class TestRanks:
         ranks = ranks_from_decomposition(loop_factors(N, b, 8), 8)
         assert ranks.dims == (1, 0, 0, 0, 0, 1, 0, 0)
 
+    def test_cutoff_one_keeps_the_circle(self):
+        from loopsix.cli import load_manifold_spec
+
+        N, b, _ = load_manifold_spec(INPUTS / "d1.json")
+        assert ranks_from_decomposition(loop_factors(N, b, 1), 1).dims == (2,)
+
     def test_truncation_guard(self):
         N = new_four_manifold([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
         b = bundle_from_classes(N, [1, 0, 0], 9)
@@ -412,6 +419,44 @@ class TestCdga:
     def test_model_input_is_not_coerced(self, generators, differential, message):
         with pytest.raises(InputError, match=message):
             make_sullivan_model(generators, differential)
+
+    def test_square_zero_by_cancellation(self):
+        """d(dw) = d(bp - aq) = a^2 b - a ab vanishes only because its two
+        terms cancel, so the check must add their coefficients."""
+        model = make_sullivan_model(
+            [("a", 2), ("b", 2), ("p", 3), ("q", 3), ("w", 4)],
+            {
+                "p": {(2, 0, 0, 0, 0): 1},
+                "q": {(1, 1, 0, 0, 0): 1},
+                "w": {(0, 1, 1, 0, 0): 1, (1, 0, 0, 1, 0): -1},
+            },
+        )
+        rational.check_square_zero(model)
+        assert cdga_cohomology(model, 8) == [1, 0, 2, 0, 1, 0, 2, 0, 1]
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_d_matches_word_reference(self, data):
+        """On models whose differentials carry odd generators, d of every
+        monomial through degree 7 equals the word-level Leibniz rule of
+        ``d_monomial_by_words``, sign and coefficient."""
+        degrees = data.draw(st.lists(st.integers(1, 5), min_size=2, max_size=5))
+        plain = make_sullivan_model([(f"g{i}", dg) for i, dg in enumerate(degrees)], {})
+        coefficients = st.integers(-3, 3).filter(bool)
+        differential = {}
+        for i, dg in enumerate(degrees):
+            terms = monomial_basis_by_recursion(plain, dg + 1)
+            if terms:
+                chosen = data.draw(st.lists(st.sampled_from(terms), max_size=3, unique=True))
+                differential[f"g{i}"] = {m: data.draw(coefficients) for m in chosen}
+        assume(any(
+            degrees[j] % 2 and m[j] for poly in differential.values() for m in poly
+            for j in range(len(degrees))
+        ))
+        model = make_sullivan_model(plain.generators, differential)
+        for degree in range(8):
+            for mono in monomial_basis_by_recursion(model, degree):
+                assert rational._d_monomial(mono, model) == d_monomial_by_words(model, mono)
 
 
 class TestMonomialWalk:
@@ -1005,3 +1050,17 @@ class TestEveryCheckFails:
         p = quadratic_presentation(cohomology_ring(N, bundle_from_classes(N, [0] * N.d, 4)))
         with pytest.raises(NotUnimodular, match="the form read from the ring is degenerate"):
             koszul_dual_series(p, 4)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_pivot_on_the_first_sigma_column_raises(self, monkeypatch, d):
+        """The relation eps_1 sigma puts its pivot on the sigma block's first
+        column, ``eps_1 (x) sigma``, which the check refuses too."""
+        p = _random_presentation(d)
+        monkeypatch.setattr(
+            rational, "_diagonal_dual_relation", lambda ring: [(0, ring.d, 1)]
+        )
+        with pytest.raises(
+            KoszulInconsistency,
+            match="right multiplication by sigma is not injective at weight 2",
+        ):
+            quadratic_dual_dims(p, 3)
