@@ -1016,14 +1016,22 @@ class TestEveryCheckFails:
         with pytest.raises(KoszulInconsistency, match="in degree 10: 0 vs 1$"):
             rational._coformal_report(GradedLieDims(dims), wrong)
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_sigma_pivot_raises(self, monkeypatch, d):
+    @pytest.mark.parametrize(
+        "d, left",
+        [pytest.param(d, "sigma", id=str(d)) for d in (2, 3, 4)]
+        + [pytest.param(d, "eps_1", id=f"eps_1-{d}") for d in (2, 3, 4)],
+    )
+    def test_sigma_pivot_raises(self, monkeypatch, d, left):
         """With sigma sigma as the only diagonal relation, sigma sigma is
         zero in the dual, so right multiplication by sigma is not injective
-        at weight 2."""
+        at weight 2.  The relation eps_1 sigma puts its pivot on the sigma
+        block's first column, ``eps_1 (x) sigma``, which the check refuses
+        too."""
         p = _random_presentation(d)
         monkeypatch.setattr(
-            rational, "_diagonal_dual_relation", lambda ring: [(ring.d, ring.d, 1)]
+            rational,
+            "_diagonal_dual_relation",
+            lambda ring: [({"sigma": ring.d, "eps_1": 0}[left], ring.d, 1)],
         )
         with pytest.raises(
             KoszulInconsistency,
@@ -1050,17 +1058,3 @@ class TestEveryCheckFails:
         p = quadratic_presentation(cohomology_ring(N, bundle_from_classes(N, [0] * N.d, 4)))
         with pytest.raises(NotUnimodular, match="the form read from the ring is degenerate"):
             koszul_dual_series(p, 4)
-
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_pivot_on_the_first_sigma_column_raises(self, monkeypatch, d):
-        """The relation eps_1 sigma puts its pivot on the sigma block's first
-        column, ``eps_1 (x) sigma``, which the check refuses too."""
-        p = _random_presentation(d)
-        monkeypatch.setattr(
-            rational, "_diagonal_dual_relation", lambda ring: [(0, ring.d, 1)]
-        )
-        with pytest.raises(
-            KoszulInconsistency,
-            match="right multiplication by sigma is not injective at weight 2",
-        ):
-            quadratic_dual_dims(p, 3)
