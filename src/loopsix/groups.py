@@ -15,7 +15,7 @@ Sphere groups come from a shipped data file covering n, k <= 15 (see
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from functools import cache
 from itertools import chain, repeat
 from pathlib import Path
@@ -150,6 +150,11 @@ class FGAbelianGroup(Record):
         return " + ".join(parts) or "0"
 
 
+#: pi_k(S^n) below and on the diagonal; records are frozen, so shared
+_ZERO = FGAbelianGroup(0)
+_Z = FGAbelianGroup(1)
+
+
 class SphereTable(Frozen):
     """Lookup table for pi_k(S^n) with explicit coverage bounds.
 
@@ -235,15 +240,19 @@ def _read_table(file_path: Path) -> SphereTable:
 
 
 def pi_sphere(table: SphereTable, n: int, k: int) -> FGAbelianGroup:
-    """pi_k(S^n): forced values below the diagonal, table lookup above."""
-    _require_int(n, "sphere dimension")
-    _require_int(k, "degree")
-    if n < 1 or k < 1:
+    """pi_k(S^n): forced values below the diagonal, table lookup above.
+
+    The forced groups 0 (k < n) and Z (k = n) are the shared records
+    ``_ZERO`` and ``_Z``, and a table entry is the table's own record: no
+    call builds a group.  Valid arguments pass one comparison chain; any
+    other falls through to the checks that name the bad argument.
+    """
+    if not (type(n) is int is type(k) and n >= 1 and k >= 1):
+        _require_int(n, "sphere dimension")
+        _require_int(k, "degree")
         raise InputError("sphere dimension and degree must be >= 1")
-    if k < n:
-        return FGAbelianGroup(0)
-    if k == n:
-        return FGAbelianGroup.free(1)
+    if k <= n:
+        return _Z if k == n else _ZERO
     try:
         return table.entries[(n, k)]
     except KeyError:
@@ -256,7 +265,13 @@ def pi_sphere(table: SphereTable, n: int, k: int) -> FGAbelianGroup:
 def pi_manifold(
     factors: LoopFactorMultiset, table: SphereTable, k: int
 ) -> FGAbelianGroup:
-    """pi_k(M) = pi_{k-1}(Loop M), summed over the decomposition factors."""
+    """pi_k(M) = pi_{k-1}(Loop M), summed over the decomposition factors.
+
+    Each ``Loop(S^m)`` factor with m <= k is one :func:`pi_sphere` lookup,
+    whose summand counts are added ``multiplicity`` times in one pass; the
+    S^1 / S^3{n} part is a group only at k <= 3, the degrees where it is
+    nonzero.  The one group built at k >= 4 is the result.
+    """
     _require_int(k, "k")
     if k < 2:
         raise InputError("pi_k of the manifold is assembled only for k >= 2")
@@ -270,18 +285,17 @@ def pi_manifold(
             f"pi_{k} through an S^3{{{factors.mod_factors[0]}}} factor depends "
             "on the degree map's action on sphere torsion and is not computed"
         )
-    mods = factors.mod_factors if k == 3 else ()
-    base = FGAbelianGroup.from_orders(*mods, free_rank=factors.circles if k == 2 else 0)
-    loops = [(pi_sphere(table, m, k), mult) for m, mult in factors.sphere_loops if m <= k]
-    return _sum_of_copies([(base, 1), *loops])
-
-
-def _sum_of_copies(terms: Iterable[tuple[FGAbelianGroup, int]]) -> FGAbelianGroup:
-    """The direct sum of ``mult`` copies of each ``group``, counts added."""
+    # S^1 and S^3{n} reach only pi_2 and pi_3; built (and checked) first
     rank = 0
     counts: dict[tuple[int, int], int] = {}
-    for group, mult in terms:
-        rank += group.free_rank * mult
-        for key, n in group.counts:
-            counts[key] = counts.get(key, 0) + n * mult
-    return FGAbelianGroup(rank, tuple(sorted(c for c in counts.items() if c[1])))
+    if k <= 3:
+        mods = factors.mod_factors if k == 3 else ()
+        base = FGAbelianGroup.from_orders(*mods, free_rank=factors.circles if k == 2 else 0)
+        rank, counts = base.free_rank, dict(base.counts)
+    for m, mult in factors.sphere_loops:
+        if m <= k:
+            group = pi_sphere(table, m, k)
+            rank += group.free_rank * mult
+            for key, n in group.counts:
+                counts[key] = counts.get(key, 0) + n * mult
+    return FGAbelianGroup(rank, tuple(sorted([c for c in counts.items() if c[1]])))

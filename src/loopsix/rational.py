@@ -377,20 +377,32 @@ def koszul_dual_series(
     series unverified, which is what ``koszul`` prints at d = 1.
     """
     _require_int(cutoff, "cutoff", minimum=0)
-    alternated = [-c if n % 2 else c for n, c in enumerate(p.ring.betti())]
-    dual = TruncatedSeries(tuple(_expand((1,), alternated, cutoff)))
-    if not check:
-        return dual
+    dual = TruncatedSeries(tuple(_expand((1,), _alternated_betti(p), cutoff)))
+    if check:
+        _check_dual(p, cutoff)
+    return dual
+
+
+def _alternated_betti(p: QuadraticPresentation) -> list[int]:
+    """The Hilbert series at ``-t``: H(-t) = 1 - (d + 1)t + (d + 1)t^2 - t^3."""
+    return [-c if n % 2 else c for n, c in enumerate(p.ring.betti())]
+
+
+def _check_dual(p: QuadraticPresentation, cutoff: int) -> None:
+    """The direct dual check: the weights of ``quadratic_dual_dims(p, cutoff)``
+    must be the coefficients of 1/H(-t), which is expanded only that far
+    (at most 7 weights, and 2 from d = 7 on)."""
+    dims = quadratic_dual_dims(p, cutoff)
     # No coefficient can be negative: betti() is (1, d + 1, d + 1, 1) for every
     # ring, so the series is 1/((1 - t)(1 - dt + t^2)), whose coefficients are
     # >= 0 at every d >= 0 (periodic at d <= 1, increasing from d = 2 on).
-    for w, dim in enumerate(quadratic_dual_dims(p, cutoff)):
+    dual = _expand((1,), _alternated_betti(p), len(dims) - 1)
+    for w, dim in enumerate(dims):
         if dual[w] != dim:
             raise KoszulInconsistency(
                 f"dual dimension mismatch at weight {w}: series gives {dual[w]}, "
                 f"direct computation gives {dim}; the input algebra is not Koszul"
             )
-    return dual
 
 
 def lie_dims(p: QuadraticPresentation, cutoff: int) -> GradedLieDims:
@@ -408,13 +420,13 @@ def lie_dims(p: QuadraticPresentation, cutoff: int) -> GradedLieDims:
             "d = 1 cohomology is not Koszul; its naive dual series does not "
             "give homotopy ranks"
         )
-    koszul_dual_series(p, cutoff)  # the direct dual check
+    _check_dual(p, cutoff)
     return _koszul_ranks(p, cutoff)
 
 
 def _koszul_ranks(p: QuadraticPresentation, cutoff: int) -> GradedLieDims:
     """:func:`lie_dims` without the dual check, read off ``H(-t)`` in O(cutoff)."""
-    h = [-c if n % 2 else c for n, c in enumerate(p.ring.betti())]
+    h = _alternated_betti(p)
     return GradedLieDims(tuple(_sieve_dims(_log_derivative((1,), h, cutoff), True)))
 
 

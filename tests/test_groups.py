@@ -4,18 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopsix.errors import InputError, _require_int
 from loopsix.groups import (
     CoverageViolation,
     FGAbelianGroup,
     ParseError,
     TableOutOfRange,
     UnsupportedDegree,
-    _sum_of_copies,
     load_table,
     pi_manifold,
     pi_sphere,
 )
-from loopsix.homotopy import loop_factors
+from loopsix.homotopy import LoopFactorMultiset, loop_factors
 from loopsix.manifold import bundle_from_classes, new_four_manifold
 
 from conftest import random_pair
@@ -24,9 +24,21 @@ from conftest import random_pair
 ORDERS = st.lists(st.integers(min_value=0, max_value=24), max_size=4)
 
 
+def sum_of_copies(terms):
+    """The direct sum of ``mult`` copies of each ``group`` in ``terms``,
+    counts added."""
+    rank = 0
+    counts = {}
+    for group, mult in terms:
+        rank += group.free_rank * mult
+        for key, n in group.counts:
+            counts[key] = counts.get(key, 0) + n * mult
+    return FGAbelianGroup(rank, tuple(sorted(c for c in counts.items() if c[1])))
+
+
 def direct_sum(*groups):
     """The direct sum of ``groups``, one copy of each."""
-    return _sum_of_copies([(group, 1) for group in groups])
+    return sum_of_copies([(group, 1) for group in groups])
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +231,15 @@ class TestSphereTable:
         with pytest.raises(CoverageViolation):
             load_table(diagonal)
 
+    def test_forced_values_need_no_table_line(self, tmp_path):
+        """The diagonal and below are forced: a table without those lines
+        still gives Z and 0 there."""
+        custom = tmp_path / "table.txt"
+        custom.write_text("2 3 0 5\n")
+        t = load_table(custom)
+        assert pi_sphere(t, 2, 2) == FGAbelianGroup.free(1)
+        assert pi_sphere(t, 3, 2) == FGAbelianGroup(0)
+
     def test_custom_table_overrides(self, tmp_path):
         custom = tmp_path / "table.txt"
         custom.write_text("2 3 0 5\n5 3 0\n")
@@ -296,6 +317,120 @@ class TestPiByMultiplicity:
         for k in range(2, 9):
             expected = self.one_summand_per_factor(factors, table, k)
             assert pi_manifold(factors, table, k) == expected
+
+
+def assembled_with_base_at_every_degree(factors, table, k):
+    """pi_k(M) assembled the earlier way: the same refusals, then the
+    ``from_orders`` S^1 / S^3{n} base group at every k, plus one
+    ``pi_sphere`` term per factor, all looked up before they are summed."""
+    _require_int(k, "k")
+    if k < 2:
+        raise InputError("pi_k of the manifold is assembled only for k >= 2")
+    if factors.truncated and k > factors.cutoff + 1:
+        raise TableOutOfRange(
+            f"pi_{k} needs loop factors up to dimension {k}, but the "
+            f"enumeration was truncated at {factors.cutoff + 1}"
+        )
+    if factors.mod_factors and k >= 4:
+        raise UnsupportedDegree(
+            f"pi_{k} through an S^3{{{factors.mod_factors[0]}}} factor depends "
+            "on the degree map's action on sphere torsion and is not computed"
+        )
+    mods = factors.mod_factors if k == 3 else ()
+    base = FGAbelianGroup.from_orders(*mods, free_rank=factors.circles if k == 2 else 0)
+    loops = [(pi_sphere(table, m, k), mult) for m, mult in factors.sphere_loops if m <= k]
+    return sum_of_copies([(base, 1), *loops])
+
+
+def outcome(assemble, factors, table, k):
+    """The group, or the type and message of the refusal."""
+    try:
+        return assemble(factors, table, k)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def hand_built_factors(draw):
+    """A factor multiset as a caller may build it: circles, S^3{n} orders,
+    sphere dimensions 1-15 with multiplicities (0 included), truncated or
+    not, with the odd bool, float or zero where an int belongs."""
+    circles = draw(st.integers(0, 3) | st.sampled_from([True, False]))
+    mods = draw(st.lists(st.integers(2, 60) | st.just(3.0), max_size=2))
+    dims = draw(
+        st.lists(
+            st.tuples(
+                st.integers(1, 15) | st.sampled_from([True, 2.0, 0]),
+                st.integers(0, 10**4),
+            ),
+            max_size=6,
+        )
+    )
+    truncated = draw(st.booleans())
+    cutoff = draw(st.integers(1, 15))
+    return LoopFactorMultiset(circles, tuple(dims), tuple(mods), truncated, cutoff)
+
+
+class TestAssembly:
+    """``pi_manifold`` gives what the earlier assembly gave, group for group
+    and refusal for refusal, and builds no group it throws away."""
+
+    @given(hand_built_factors())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_base_at_every_degree(self, factors):
+        table = load_table()
+        for k in range(2, 17):
+            assert outcome(pi_manifold, factors, table, k) == outcome(
+                assembled_with_base_at_every_degree, factors, table, k
+            ), k
+
+    @pytest.mark.parametrize(
+        "factors, k, error, message",
+        [
+            (LoopFactorMultiset(0, ((True, 1),), (), False, 15), 2, InputError,
+             "sphere dimension must be an int, got True"),
+            (LoopFactorMultiset(0, ((2.0, 1),), (), False, 15), 3, InputError,
+             "sphere dimension must be an int, got 2.0"),
+            (LoopFactorMultiset(0, ((0, 1),), (), False, 15), 2, InputError,
+             "sphere dimension and degree must be >= 1"),
+            (LoopFactorMultiset(True, (), (), False, 15), 2, InputError,
+             "group orders and free rank must be integers"),
+            # the base group is checked before the first factor
+            (LoopFactorMultiset(True, ((2.0, 1),), (), False, 15), 2, InputError,
+             "group orders and free rank must be integers"),
+            (LoopFactorMultiset(0, (), (3.0,), False, 15), 3, InputError,
+             "group orders and free rank must be integers"),
+            (LoopFactorMultiset(0, ((2, 1),), (), False, 15), 16, TableOutOfRange,
+             "pi_16(S^2) is outside the sphere table (coverage n <= 15, k <= 15)"),
+        ],
+        ids=["bool-dim", "float-dim", "zero-dim", "bool-circles", "circles-first",
+             "float-order", "table-entry"],
+    )
+    def test_refusals_keep_type_and_message(self, table, factors, k, error, message):
+        with pytest.raises(error) as caught:
+            pi_manifold(factors, table, k)
+        assert type(caught.value) is error and str(caught.value) == message
+
+    def test_refusals_only_where_the_value_is_read(self, table):
+        """Bool circles count only in pi_2, a float S^3{n} order only in pi_3."""
+        assert pi_manifold(LoopFactorMultiset(True, (), (), False, 15), table, 3).is_trivial()
+        assert pi_manifold(LoopFactorMultiset(0, (), (3.0,), False, 15), table, 2).is_trivial()
+
+    @pytest.mark.parametrize("k", range(4, 13))
+    def test_one_group_built_per_call(self, monkeypatch, table, k):
+        """At k >= 4 the only group a call builds is its result."""
+        factors = factors_for([[1, 0, 0], [0, 1, 0], [0, 0, -1]], [1, 0, 0], 9, cutoff=11)
+        built = []
+        original = FGAbelianGroup.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(FGAbelianGroup, "__init__", counted)
+        result = pi_manifold(factors, table, k)
+        assert len(built) == 1
+        assert built[0] == (result.free_rank, result.counts)
 
 
 class TestSharedTable:

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loopsix import homotopy, linalg, rational
-from loopsix.cli import MAX_RANK
+from loopsix.cli import _D0_MODELS, MAX_RANK
 from loopsix.errors import InputError
 from loopsix.homotopy import decompose, hilton_milnor, loop_factors, loop_homology_series
 from loopsix.manifold import (
@@ -457,6 +457,47 @@ class TestCdga:
         for degree in range(8):
             for mono in monomial_basis_by_recursion(model, degree):
                 assert rational._d_monomial(mono, model) == d_monomial_by_words(model, mono)
+
+
+def not_minimal_sullivan(model):
+    """The terms of ``model``'s differential that break minimality or the
+    Sullivan condition: ``(generator, monomial)`` for each monomial of
+    d(x_i) of word length < 2 or with a generator not listed before x_i."""
+    return [
+        (name, mono)
+        for i, name in enumerate(model.names)
+        for mono in model.d_of(name)
+        if sum(mono) < 2 or any(mono[i:])
+    ]
+
+
+class TestBuiltInModelsAreMinimal:
+    """``model`` prints ``"minimal": true`` as a constant for d <= 1; every
+    model it can print is a minimal Sullivan algebra."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            pytest.param(d1_model(1), id="d1-integral"),
+            pytest.param(d1_model(Fraction(-5, 4)), id="d1-non-integral"),
+            *[pytest.param(make_sullivan_model(*m), id=name) for name, m in _D0_MODELS.items()],
+        ],
+    )
+    def test_minimal_sullivan(self, model):
+        assert model.differential
+        assert not_minimal_sullivan(model) == []
+
+    @pytest.mark.parametrize(
+        "generators, differential, bad",
+        [
+            ([("c", 4), ("b", 3)], {"b": {(1, 0): 1}}, ("b", (1, 0))),
+            ([("b", 3), ("a", 2)], {"b": {(0, 2): 1}}, ("b", (0, 2))),
+        ],
+        ids=["linear-term", "later-generator"],
+    )
+    def test_check_names_the_bad_term(self, generators, differential, bad):
+        model = make_sullivan_model(generators, differential)
+        assert not_minimal_sullivan(model) == [bad]
 
 
 class TestMonomialWalk:
@@ -1038,6 +1079,42 @@ class TestEveryCheckFails:
             match="right multiplication by sigma is not injective at weight 2",
         ):
             quadratic_dual_dims(p, 3)
+
+    def test_one_dual_check_for_both_entry_points(self, monkeypatch):
+        """``lie_dims`` and ``koszul_dual_series`` run the same comparison:
+        a direct dimension off by one at weight 3 raises one message."""
+        p = _random_presentation(3)
+        original = rational.quadratic_dual_dims
+
+        def off_by_one(*args):
+            dims = original(*args)
+            return dims[:3] + [dims[3] + 1] + dims[4:]
+
+        monkeypatch.setattr(rational, "quadratic_dual_dims", off_by_one)
+        messages = []
+        for check in (rational.lie_dims, koszul_dual_series):
+            with pytest.raises(KoszulInconsistency, match="at weight 3: series gives") as e:
+                check(p, 40)
+            messages.append(str(e.value))
+        assert messages[0] == messages[1]
+
+    def test_lie_dims_expands_only_the_checked_weights(self, monkeypatch):
+        """The dual series behind ``lie_dims``' check stops at the last weight
+        that ``quadratic_dual_dims`` reaches, not at the cutoff."""
+        cutoffs = []
+        original = rational._expand
+
+        def recorded(num, den, cutoff):
+            cutoffs.append(cutoff)
+            return original(num, den, cutoff)
+
+        monkeypatch.setattr(rational, "_expand", recorded)
+        for d in (2, 3, 7):
+            p = _random_presentation(d)
+            checked = len(quadratic_dual_dims(p, 150))
+            cutoffs.clear()
+            rational.lie_dims(p, 150)
+            assert cutoffs == [checked - 1], d
 
     def test_dual_series_has_no_negative_coefficient(self):
         """Why ``koszul_dual_series`` checks no sign: every ring's Betti
